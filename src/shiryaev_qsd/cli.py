@@ -24,11 +24,9 @@ from .moments import moment_frac, moment_log
 from .quadrature import quad_log_moment, quad_moment
 from .report import CheckRow, EvalReport, ResultRow
 from .spectral import assemble_system, eigen_checks, solve_lambda
-from .verify import run_checks
+from .verify import _DUAL_ROUTE_TOL, run_checks
 
 __all__ = ["main"]
-
-_DUAL_ROUTE_TOL = 1e-8
 
 
 def _build_parser() -> argparse.ArgumentParser:

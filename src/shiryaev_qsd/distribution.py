@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConsistencyError, DomainError
-from .specfun import DEFAULT_SERIES, SeriesControl, documented_real, whittaker_w
+from .specfun import DEFAULT_SERIES, SeriesControl, documented_real
 from .spectral import EigenSystem
 
 # exp(-1/x) underflows to subnormal mush below ~1/745; cut a little early
@@ -55,7 +55,7 @@ def qsd_pdf(x: float, sys: EigenSystem, ctl: SeriesControl = DEFAULT_SERIES) -> 
     if x <= UNDERFLOW_X or x == sys.A:
         return 0.0
     w = documented_real(
-        whittaker_w(1.0, 0.5 * sys.xi, 2.0 / x, ctl), "density Whittaker factor"
+        sys.w_plans[1](2.0 / x, ctl), "density Whittaker factor"
     )
     val = sys.C * math.exp(-1.0 / x) * w / x
     if val < 0.0:
@@ -76,7 +76,7 @@ def qsd_cdf(x: float, sys: EigenSystem, ctl: SeriesControl = DEFAULT_SERIES) -> 
     if x <= UNDERFLOW_X:
         return 0.0
     w = documented_real(
-        whittaker_w(0.0, 0.5 * sys.xi, 2.0 / x, ctl), "distribution Whittaker factor"
+        sys.w_plans[0](2.0 / x, ctl), "distribution Whittaker factor"
     )
     val = sys.C * math.exp(-1.0 / x) * w
     if val < 0.0 or val > 1.0:

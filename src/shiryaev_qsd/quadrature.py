@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .distribution import UNDERFLOW_X, qsd_pdf
@@ -145,22 +146,28 @@ def _adapt(f, lo: float, hi: float, spec: QuadratureSpec) -> float:
 
 
 def quad_moment(
-    s: float, sys: EigenSystem, spec: QuadratureSpec = DEFAULT_QUADRATURE
+    s: float,
+    sys: EigenSystem,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    pdf: Callable[[float], float] | None = None,
 ) -> float:
     """E[X^s] under the confined law by adaptive quadrature.
 
     Integrates x^s * pdf over [cutoff, A]; below the cutoff the density
     underflows to zero in doubles, and for s > -50 the lost mass is far
-    beneath the error budget (the integrand carries exp(-1/x)).
+    beneath the error budget (the integrand carries exp(-1/x)). pdf, if
+    given, must return qsd_pdf(x, sys); callers that integrate several
+    functions of one system pass a memoised density to share its nodes.
     """
     if not math.isfinite(s):
         raise DomainError(f"order must be finite, got {s!r}")
     lo = spec.underflow_cutoff
     if sys.A <= lo:
         raise DomainError(f"cutoff {lo} swallows the whole support [0, {sys.A}]")
+    density = pdf or (lambda x: qsd_pdf(x, sys))
 
     def f(x: float) -> float:
-        return math.pow(x, s) * qsd_pdf(x, sys)
+        return math.pow(x, s) * density(x)
 
     return _adapt(f, lo, sys.A, spec)
 
@@ -180,10 +187,13 @@ def quad_log_moment(
 
 
 def normalization_check(
-    sys: EigenSystem, spec: QuadratureSpec = DEFAULT_QUADRATURE
+    sys: EigenSystem,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    pdf: Callable[[float], float] | None = None,
 ) -> float:
-    """Integral of the pdf over the support; 1 up to quadrature error."""
+    """Integral of the pdf over the support; 1 up to quadrature error.
+    pdf as for quad_moment."""
     lo = spec.underflow_cutoff
     if sys.A <= lo:
         raise DomainError(f"cutoff {lo} swallows the whole support [0, {sys.A}]")
-    return _adapt(lambda x: qsd_pdf(x, sys), lo, sys.A, spec)
+    return _adapt(pdf or (lambda x: qsd_pdf(x, sys)), lo, sys.A, spec)

@@ -1,8 +1,8 @@
 """Self-contained complex special-function kernel.
 
 Scalar double precision throughout (Python ``complex``); no third-party
-dependencies. Provides Gamma, log-Gamma, reciprocal Gamma, digamma,
-Pochhammer symbols, the confluent series 1F1 and 2F2, Whittaker M and W,
+dependencies. Provides Gamma, reciprocal Gamma, digamma, Pochhammer
+symbols, the confluent series 1F1 and 2F2, Whittaker M and W,
 and the z-derivative of W.
 
 The kernel is tuned for the windows this package actually visits: real
@@ -153,19 +153,6 @@ def gamma(z: complex) -> complex:
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise OverflowError(f"gamma({z}) overflows double precision")
     return out
-
-
-def log_gamma(z: complex) -> complex:
-    """log Gamma(z) for Re z > 0 (principal value of the Lanczos form)."""
-    z = complex(z)
-    if z.real <= 0.0:
-        raise DomainError("log_gamma requires Re z > 0")
-    w = z - 1.0
-    acc = complex(_LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
 def rgamma(z: complex) -> complex:
@@ -334,15 +321,6 @@ def _require_positive_real(z) -> float:
     return z
 
 
-def _w_connection(kappa: complex, b: complex, z: float, ctl: SeriesControl) -> complex:
-    # W = G(-2b)/G(1/2-b-k) M_{k,b} + G(2b)/G(1/2+b-k) M_{k,-b}; the caller
-    # guarantees 2b is not parked on an integer, so the Gammas are safe and
-    # the two M series are regular.
-    c1 = gamma(-2.0 * b) * rgamma(0.5 - b - kappa)
-    c2 = gamma(2.0 * b) * rgamma(0.5 + b - kappa)
-    return c1 * whittaker_m(kappa, b, z, ctl) + c2 * whittaker_m(kappa, -b, z, ctl)
-
-
 def _w_asymptotic(kappa: complex, b: complex, z: float) -> tuple[complex, float]:
     # z^kappa exp(-z/2) sum_s (-1)^s (1/2+b-k)_s (1/2-b-k)_s / (s! z^s),
     # truncated at the smallest term. Returns (value, trunc) where trunc is
@@ -368,45 +346,83 @@ def _w_asymptotic(kappa: complex, b: complex, z: float) -> tuple[complex, float]
     return cmath.exp(kappa * math.log(z) - 0.5 * z) * total, trunc
 
 
+class WPlan:
+    """Whittaker W_{kappa,b}(z) at one index pair, for many real z > 0.
+
+    The Gamma products of the connection formula,
+    Gamma(-+2b) / Gamma(1/2 -+ b - kappa), do not depend on z. A plan
+    computes them on first use, for b itself or for one arm of the
+    near-integer-2b stencil, and keeps them: one pair, or the four stencil
+    arms at each of two offsets, whatever the number of z it serves. Every
+    value equals what a fresh computation gives. Two threads reaching a
+    first use together compute the same products twice; nothing else is
+    shared.
+    """
+
+    __slots__ = ("kappa", "b", "_c1c2", "_dist", "_coef")
+
+    def __init__(self, kappa: complex, b: complex) -> None:
+        self.kappa = complex(kappa)
+        self.b = complex(b)
+        self._c1c2 = abs((0.5 + self.b - self.kappa) * (0.5 - self.b - self.kappa))
+        two_b = 2.0 * self.b
+        self._dist = abs(two_b - round(two_b.real))
+        self._coef: dict[complex, tuple[complex, complex]] = {}
+
+    def _connection(self, b: complex, z: float, ctl: SeriesControl) -> complex:
+        # W = G(-2b)/G(1/2-b-k) M_{k,b} + G(2b)/G(1/2+b-k) M_{k,-b}; the
+        # dispatcher keeps 2b off integers, so the Gammas are safe and the
+        # two M series are regular.
+        kappa = self.kappa
+        coef = self._coef.get(b)
+        if coef is None:
+            coef = (
+                gamma(-2.0 * b) * rgamma(0.5 - b - kappa),
+                gamma(2.0 * b) * rgamma(0.5 + b - kappa),
+            )
+            self._coef[b] = coef
+        return coef[0] * whittaker_m(kappa, b, z, ctl) + coef[1] * whittaker_m(kappa, -b, z, ctl)
+
+    def __call__(self, z: float, ctl: SeriesControl = DEFAULT_SERIES) -> complex:
+        """W_{kappa,b}(z); dispatches between the connection formula, the
+        near-integer-2b Richardson stencil, and the large-z expansion (see
+        module docstring)."""
+        z = _require_positive_real(z)
+        kappa, b = self.kappa, self.b
+        if z >= _ASYM_Z_SOFT and self._c1c2 <= z / 3.0:
+            val, trunc = _w_asymptotic(kappa, b, z)
+            # Below the hard cutoff the expansion is kept only when its measured
+            # truncation already beats what exp(z)-scale cancellation leaves of
+            # the connection formula, or when near-integer 2b would force the
+            # pole-amplified stencil (strictly worse here).
+            if z >= _ASYM_Z_HARD or trunc <= _ASYM_TRUNC_OK or self._dist < _NEAR_INT_WIDE:
+                return val
+        elif z >= 200.0:
+            # indices too large for the eligibility screen, but the connection
+            # route is hopeless at this magnitude; best-effort expansion
+            return _w_asymptotic(kappa, b, z)[0]
+        if self._dist < _NEAR_INT_2B:
+            # quartic bias ~ W''''(b) eps^4 / 6; at small z the connection pieces
+            # shrink with the offset, so a tight stencil costs no cancellation
+            # and keeps eigencondition roots sharp at large cutoffs
+            eps = _RICH_OFFSET if z >= 1.0 else _RICH_OFFSET_SMALL_Z
+            s1 = 0.5 * (self._connection(b + eps, z, ctl) + self._connection(b - eps, z, ctl))
+            s2 = 0.5 * (
+                self._connection(b + 2 * eps, z, ctl) + self._connection(b - 2 * eps, z, ctl)
+            )
+            return (4.0 * s1 - s2) / 3.0
+        return self._connection(b, z, ctl)
+
+
 def whittaker_w(
     kappa: complex, b: complex, z: float, ctl: SeriesControl = DEFAULT_SERIES
 ) -> complex:
     """Whittaker W_{kappa,b}(z) for real z > 0; even in b.
 
-    Dispatches between the connection formula, the near-integer-2b
-    Richardson stencil, and the large-z expansion (see module docstring).
-    Never raises on near-integer 2b; that case is handled internally.
+    One evaluation of WPlan(kappa, b). Never raises on near-integer 2b;
+    that case is handled internally.
     """
-    z = _require_positive_real(z)
-    kappa = complex(kappa)
-    b = complex(b)
-    c1 = 0.5 + b - kappa
-    c2 = 0.5 - b - kappa
-    two_b = 2.0 * b
-    dist = abs(two_b - round(two_b.real))
-    if z >= _ASYM_Z_SOFT and abs(c1 * c2) <= z / 3.0:
-        val, trunc = _w_asymptotic(kappa, b, z)
-        # Below the hard cutoff the expansion is kept only when its measured
-        # truncation already beats what exp(z)-scale cancellation leaves of
-        # the connection formula, or when near-integer 2b would force the
-        # pole-amplified stencil (strictly worse here).
-        if z >= _ASYM_Z_HARD or trunc <= _ASYM_TRUNC_OK or dist < _NEAR_INT_WIDE:
-            return val
-    elif z >= 200.0:
-        # indices too large for the eligibility screen, but the connection
-        # route is hopeless at this magnitude; best-effort expansion
-        return _w_asymptotic(kappa, b, z)[0]
-    if dist < _NEAR_INT_2B:
-        # quartic bias ~ W''''(b) eps^4 / 6; at small z the connection pieces
-        # shrink with the offset, so a tight stencil costs no cancellation
-        # and keeps eigencondition roots sharp at large cutoffs
-        eps = _RICH_OFFSET if z >= 1.0 else _RICH_OFFSET_SMALL_Z
-        s1 = 0.5 * (_w_connection(kappa, b + eps, z, ctl) + _w_connection(kappa, b - eps, z, ctl))
-        s2 = 0.5 * (
-            _w_connection(kappa, b + 2 * eps, z, ctl) + _w_connection(kappa, b - 2 * eps, z, ctl)
-        )
-        return (4.0 * s1 - s2) / 3.0
-    return _w_connection(kappa, b, z, ctl)
+    return WPlan(kappa, b)(z, ctl)
 
 
 def whittaker_w_dz(

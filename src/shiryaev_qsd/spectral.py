@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 from .errors import BracketError, ConsistencyError, ConvergenceError, DomainError
 from .specfun import (
     DEFAULT_SERIES,
     SeriesControl,
+    WPlan,
     documented_real,
     gamma,
     hyp1f1,
@@ -43,9 +44,9 @@ def xi_of_lambda(lam: float) -> complex:
     """Index xi = sqrt(1 - 8 lam); real in (0, 1] for lam <= 1/8, else
     positive imaginary (principal branch)."""
     lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise DomainError(f"rate must be a finite positive number, got {lam!r}")
     d = 1.0 - 8.0 * lam
+    if not math.isfinite(d) or lam <= 0.0:
+        raise DomainError(f"rate must be positive with 8 * rate finite, got {lam!r}")
     if d >= 0.0:
         return complex(math.sqrt(d), 0.0)
     return complex(0.0, math.sqrt(-d))
@@ -61,10 +62,19 @@ def one_minus_xi(lam: float, xi: complex) -> complex:
 
 
 def lambda_bounds(A: float) -> tuple[float, float]:
-    """Two-sided bounds (lo, hi) for the principal rate at cutoff A."""
+    """Two-sided bounds (lo, hi) for the principal rate at cutoff A.
+
+    Raises DomainError when A is so small (below about 7e-155) that the
+    bounds overflow the double range.
+    """
     A = _check_cutoff(A)
-    lo = 1.0 / A + 1.0 / (A * (A + 1.0))
-    hi = 1.0 / A + (1.0 + math.sqrt(4.0 * A + 1.0)) / (2.0 * A * A)
+    try:
+        lo = 1.0 / A + 1.0 / (A * (A + 1.0))
+        hi = 1.0 / A + (1.0 + math.sqrt(4.0 * A + 1.0)) / (2.0 * A * A)
+    except ZeroDivisionError:  # 2*A*A underflowed to 0
+        lo = hi = math.inf
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"rate bounds are not finite at cutoff {A!r}")
     return lo, hi
 
 
@@ -219,6 +229,9 @@ class EigenSystem:
     C: float
     residual: float
     validate: InitVar[bool] = True
+    _w_plans: tuple[WPlan, WPlan] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self, validate: bool) -> None:
         _check_cutoff(self.A)
@@ -234,6 +247,17 @@ class EigenSystem:
                 "eigdata invariants violated: "
                 + ", ".join(f"{name} (metric {metric:.3e})" for name, metric in failed)
             )
+
+    @property
+    def w_plans(self) -> tuple[WPlan, WPlan]:
+        """Plans of W_{0, xi/2} and W_{1, xi/2}, indexed by kappa; built on
+        first use. A race between threads builds equal plans twice."""
+        plans = self._w_plans
+        if plans is None:
+            b = 0.5 * self.xi
+            plans = (WPlan(0.0, b), WPlan(1.0, b))
+            object.__setattr__(self, "_w_plans", plans)
+        return plans
 
 
 def assemble_system(

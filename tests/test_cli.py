@@ -92,6 +92,8 @@ def test_verify_clean_and_perturbed(capsys):
 def test_exit_code_bad_inputs(capsys):
     assert run(capsys, "pdf", "--A", "20", "--x", "-3")[0] == 2
     assert run(capsys, "eig", "--A", "-1")[0] == 2
+    assert run(capsys, "eig", "--A", "1e-300")[0] == 2  # A*A underflows
+    assert run(capsys, "eig", "--A", "1e-154")[0] == 2  # 8 * rate overflows
     assert run(capsys, "table", "--A", "5", "--points", "1")[0] == 2
 
 

@@ -6,6 +6,7 @@ import pytest
 from shiryaev_qsd.errors import DenominatorPoleError, DomainError, ConsistencyError
 from shiryaev_qsd.specfun import (
     SeriesControl,
+    WPlan,
     digamma,
     documented_real,
     gamma,
@@ -176,6 +177,86 @@ def test_whittaker_w_regime_seam_accuracy():
     ]
     for b, z, want in anchors:
         assert rel(whittaker_w(1.0, b, z), want) < 2e-6, (b, z)
+
+
+def _w_reference(kappa, b, z):
+    """(route, W) by the dispatch of whittaker_w with every Gamma product of
+    the connection formula recomputed on each call from the public kernel."""
+    kappa, b = complex(kappa), complex(b)
+    c1, c2 = 0.5 + b - kappa, 0.5 - b - kappa
+
+    def expansion():
+        term = total = 1.0 + 0j
+        prev, last = math.inf, 0.0
+        for s in range(1, 80):
+            term *= -(c1 + s - 1) * (c2 + s - 1) / (s * z)
+            if abs(term) >= prev:
+                break
+            total += term
+            prev = last = abs(term)
+            if last < 2.220446049250313e-16 * abs(total):
+                break
+        val = cmath.exp(kappa * math.log(z) - 0.5 * z) * total
+        return val, last / max(abs(total), 1e-300)
+
+    def connection(b):
+        return gamma(-2.0 * b) * rgamma(0.5 - b - kappa) * whittaker_m(
+            kappa, b, z
+        ) + gamma(2.0 * b) * rgamma(0.5 + b - kappa) * whittaker_m(kappa, -b, z)
+
+    dist = abs(2.0 * b - round((2.0 * b).real))
+    if z >= 14.0 and abs(c1 * c2) <= z / 3.0:
+        val, trunc = expansion()
+        if z >= 20.0:
+            return "expansion-hard", val
+        if trunc <= 1e-10 or dist < 1e-2:
+            return "expansion-soft", val
+    elif z >= 200.0:
+        return "expansion-fallback", expansion()[0]
+    if dist < 1e-3:
+        eps = 7.5e-4 if z >= 1.0 else 2e-5
+        s1 = 0.5 * (connection(b + eps) + connection(b - eps))
+        s2 = 0.5 * (connection(b + 2 * eps) + connection(b - 2 * eps))
+        return ("stencil" if z >= 1.0 else "stencil-small-z"), (4.0 * s1 - s2) / 3.0
+    return "connection", connection(b)
+
+
+def test_w_plan_matches_per_call_reference_on_every_route():
+    cases = [
+        (0.0, 0.3, 25.0),                  # expansion past the hard threshold
+        (1.0, 0.45, 15.0),                 # soft: truncation measured small
+        (1.0, 0.5 + 4e-3, 16.0),           # soft: 2b within 1e-2 of an integer
+        (0.0, 0.3, 15.0),                  # soft expansion rejected
+        (0.0, 10j, 250.0),                 # indices too large, z >= 200
+        (1.0, 0.5 - 1e-4, 0.4),            # stencil, small-z offset
+        (0.0, 2e-4, 0.3),
+        (1.0, 0.5 - 1e-4, 3.0),            # stencil, wide offset
+        (0.0, 2e-4, 6.0),
+        (1.0, 0.3, 2.0),                   # connection
+        (0.0, 0.2j, 5.0),
+        (1.0, 0.35j, 0.02),
+    ]
+    routes = set()
+    for kappa, b, z in cases:
+        route, want = _w_reference(kappa, b, z)
+        routes.add(route)
+        assert WPlan(kappa, b)(z) == want, (kappa, b, z, route)
+        assert whittaker_w(kappa, b, z) == want, (kappa, b, z, route)
+    assert routes == {
+        "expansion-hard",
+        "expansion-soft",
+        "expansion-fallback",
+        "stencil",
+        "stencil-small-z",
+        "connection",
+    }
+
+
+def test_w_plan_reuse_across_routes_in_mixed_order():
+    for kappa, b in ((1.0, 0.5 - 1e-4), (0.0, 0.3), (0.0, 0.2j)):
+        plan = WPlan(kappa, b)
+        for z in (3.0, 0.4, 25.0, 0.05, 15.0, 2.0, 0.4, 3.0, 250.0, 9.0):
+            assert plan(z) == _w_reference(kappa, b, z)[1], (kappa, b, z)
 
 
 def test_whittaker_w_dz_anchor():

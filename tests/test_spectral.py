@@ -100,6 +100,18 @@ def test_eigensystem_validate_false_admits_anything(solved):
     assert bad.lam == es.lam * 2
 
 
+def test_binding_w_plans_keeps_equality_and_repr(solved):
+    es = solve_lambda(20.0)
+    twin = EigenSystem(
+        A=es.A, lam=es.lam, xi=es.xi, C=es.C, residual=es.residual, validate=False
+    )
+    before = repr(es)
+    plans = es.w_plans
+    assert es.w_plans is plans
+    assert repr(es) == before == repr(twin)
+    assert es == twin and hash(es) == hash(twin) and es == solved(20.0)
+
+
 def test_assemble_system_matches_solve(solved):
     es = solved(20.0)
     re = assemble_system(20.0, es.lam)
@@ -118,6 +130,8 @@ def test_solve_rejects_bad_inputs():
         solve_lambda(-2.0)
     with pytest.raises(DomainError):
         solve_lambda(0.0)
+    with pytest.raises(DomainError):
+        solve_lambda(1e-300)  # the proven bounds leave the double range
     with pytest.raises(DomainError):
         solve_lambda(20.0, tol=0.0)
     with pytest.raises(DomainError):

@@ -1,5 +1,7 @@
 import math
 
+from shiryaev_qsd.moments import moment_frac
+from shiryaev_qsd.quadrature import normalization_check, quad_moment
 from shiryaev_qsd.spectral import assemble_system
 from shiryaev_qsd.verify import run_checks
 
@@ -44,3 +46,16 @@ def test_perturbed_rate_caught(solved):
     # the residual-based rows are the sensitive ones by design
     assert "eigencondition-residual" in failed
     assert "normalizer-series" in failed
+
+
+def test_shared_density_leaves_quadrature_metrics_unchanged(solved):
+    # the battery's quadratures share one memoised density; every metric
+    # must equal the one recomputed through the unshared public routes
+    for A in (0.8, 20.0, 1e4):
+        es = solved(A)
+        got = {r.name: r.residual for r in run_checks(es)}
+        assert got["quadrature-normalization"] == abs(normalization_check(es) - 1.0)
+        for s in (0.5, math.pi):
+            q = quad_moment(s, es)
+            want = abs(moment_frac(s, es).value - q) / max(abs(q), 1e-300)
+            assert got[f"moment-dual-route[s={s:g}]"] == want, (A, s)
