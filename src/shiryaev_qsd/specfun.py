@@ -3,7 +3,10 @@
 Scalar double precision throughout (Python ``complex``); no third-party
 dependencies. Provides Gamma, reciprocal Gamma, digamma, Pochhammer
 symbols, the confluent series 1F1 and 2F2, Whittaker M and W,
-and the z-derivative of W.
+and the z-derivative of W. Gamma and its reciprocal at a real argument
+use the standard library's math.gamma (within 1e-15 relative of a
+40-digit reference on [-52, 60]); at a complex argument they use a
+Lanczos sum.
 
 The kernel is tuned for the windows this package actually visits: real
 arguments z = 2/x, second Whittaker indices b that are real in [0, 1/2],
@@ -32,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    ConsistencyError,
     DenominatorPoleError,
     DomainError,
     NonConvergenceError,
@@ -113,11 +117,13 @@ def _nonpositive_int_near(z: complex, tol: float = _POLE_TOL) -> int | None:
     return None
 
 
-def _sinpi(z: complex) -> complex:
+def _sinpi(z: complex | float) -> complex | float:
     # sin(pi z) with the argument reduced against the nearest integer first,
     # so near-integer z keeps full relative accuracy (z - n is exact there).
+    # A float argument stays in real arithmetic.
     n = round(z.real)
-    s = cmath.sin(math.pi * (z - n))
+    t = math.pi * (z - n)
+    s = math.sin(t) if isinstance(t, float) else cmath.sin(t)
     return s if n % 2 == 0 else -s
 
 
@@ -126,8 +132,24 @@ def _tanpi(z: complex) -> complex:
     return cmath.tan(math.pi * (z - n))
 
 
+def _gamma_one_minus(x: float) -> float:
+    # Gamma(1 - x) for real x < 0.5 off the poles of Gamma(x). Gamma
+    # amplifies a rounding of its argument y by |y psi(y)|, about 1e2 at
+    # y = 33, and 1 - x rounds for x in (-2^k, 1 - 2^k): 1.3e-14 relative at
+    # x = -31.6. From x = -1 down, (-x) Gamma(-x) uses the exact -x instead.
+    if x > -1.0:
+        return math.gamma(1.0 - x)
+    g = -x * math.gamma(-x)
+    if math.isinf(g):
+        raise OverflowError("math range error")
+    return g
+
+
 def gamma(z: complex) -> complex:
     """Complex Gamma function.
+
+    Real arguments go through math.gamma, complex ones through
+    a Lanczos sum.
 
     Raises:
         PoleError: z within 1e-12 of a nonpositive integer.
@@ -136,6 +158,15 @@ def gamma(z: complex) -> complex:
     z = complex(z)
     if _nonpositive_int_near(z) is not None:
         raise PoleError(f"gamma pole at z={z}")
+    if z.imag == 0.0:
+        x = z.real
+        try:
+            if x < 0.5:
+                # reflection; sin(pi x) is bounded away from 0 by the pole check
+                return complex(math.pi / (_sinpi(x) * _gamma_one_minus(x)))
+            return complex(math.gamma(x))
+        except OverflowError as exc:
+            raise OverflowError(f"gamma({z}) overflows double precision") from exc
     if z.real < 0.5:
         # reflection; sin(pi z) is bounded away from 0 by the pole check
         return math.pi / (_sinpi(z) * gamma(1.0 - z))
@@ -163,8 +194,17 @@ def rgamma(z: complex) -> complex:
     against a matching pole without losing digits.
     """
     z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
-        return 0j
+    if z.imag == 0.0:
+        x = z.real
+        # round() goes first: it rejects inf and nan as gamma's pole test does
+        if x == round(x) and x <= 0.0:
+            return 0j
+        try:
+            if x < 0.5:
+                return complex(_sinpi(x) * _gamma_one_minus(x) / math.pi)
+            return complex(1.0 / math.gamma(x))
+        except OverflowError as exc:
+            raise OverflowError(f"rgamma({z}) overflows double precision") from exc
     if z.real < 0.5:
         return _sinpi(z) * gamma(1.0 - z) / math.pi
     return 1.0 / gamma(z)
@@ -446,8 +486,6 @@ def documented_real(value: complex, what: str = "value") -> float:
     Enforces |Im| <= 1e-10 * max(1, |Re|); anything larger means the kernel
     or the formula wiring is broken, not the caller's input.
     """
-    from .errors import ConsistencyError
-
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise ConsistencyError(
             f"{what} should be real, got imaginary residue {value.imag!r} "

@@ -14,7 +14,13 @@ import cmath
 import math
 from dataclasses import InitVar, dataclass, field
 
-from .errors import BracketError, ConsistencyError, ConvergenceError, DomainError
+from .errors import (
+    BracketError,
+    ConsistencyError,
+    ConvergenceError,
+    DomainError,
+    KernelError,
+)
 from .specfun import (
     DEFAULT_SERIES,
     SeriesControl,
@@ -202,7 +208,7 @@ def eigen_checks(
         for sigma in (1, -1):
             try:
                 alt = _normalizer_series(A, lam, xi, sigma, ctl)
-            except Exception:
+            except (KernelError, ConsistencyError, OverflowError):
                 worst = math.inf
                 break
             worst = max(worst, abs(alt - C) / C)
@@ -221,6 +227,7 @@ class EigenSystem:
     Construction re-runs the invariant battery and raises ConsistencyError
     if anything fails; validate=False skips that (used to inject known-bad
     systems when exercising the verification path, never in normal flow).
+    The battery's rows are kept and served by `checks`.
     """
 
     A: float
@@ -232,21 +239,31 @@ class EigenSystem:
     _w_plans: tuple[WPlan, WPlan] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _checks: tuple[tuple[str, bool, float], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self, validate: bool) -> None:
         _check_cutoff(self.A)
         if not validate:
             return
-        failed = [
-            (name, metric)
-            for name, passed, metric in eigen_checks(self.A, self.lam, self.xi, self.C)
-            if not passed
-        ]
+        failed = [(name, metric) for name, passed, metric in self.checks if not passed]
         if failed:
             raise ConsistencyError(
                 "eigdata invariants violated: "
                 + ", ".join(f"{name} (metric {metric:.3e})" for name, metric in failed)
             )
+
+    @property
+    def checks(self) -> tuple[tuple[str, bool, float], ...]:
+        """eigen_checks rows of this system: those construction computed, or
+        computed on first use when it skipped validation. A race between
+        threads computes equal rows twice."""
+        rows = self._checks
+        if rows is None:
+            rows = tuple(eigen_checks(self.A, self.lam, self.xi, self.C))
+            object.__setattr__(self, "_checks", rows)
+        return rows
 
     @property
     def w_plans(self) -> tuple[WPlan, WPlan]:

@@ -22,7 +22,7 @@ from .quadrature import (
     quad_moment,
 )
 from .report import CheckRow
-from .spectral import EigenSystem, eigen_checks
+from .spectral import EigenSystem
 
 __all__ = ["run_checks", "GRID_POINTS"]
 
@@ -74,10 +74,7 @@ def run_checks(
     sys: EigenSystem, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> list[CheckRow]:
     pdf = _memo_pdf(sys)
-    rows = [
-        CheckRow(name, passed, metric)
-        for name, passed, metric in eigen_checks(sys.A, sys.lam, sys.xi, sys.C)
-    ]
+    rows = [CheckRow(name, passed, metric) for name, passed, metric in sys.checks]
 
     _guarded(
         rows,

@@ -3,7 +3,12 @@ import math
 
 import pytest
 
-from shiryaev_qsd.errors import DenominatorPoleError, DomainError, ConsistencyError
+from shiryaev_qsd.errors import (
+    ConsistencyError,
+    DenominatorPoleError,
+    DomainError,
+    PoleError,
+)
 from shiryaev_qsd.specfun import (
     SeriesControl,
     WPlan,
@@ -67,8 +72,39 @@ def test_gamma_reflection_near_pole():
 
 
 def test_rgamma_zero_at_nonpositive_integers():
-    for n in range(0, 12):
+    for n in range(0, 51):
         assert rgamma(complex(-n)) == 0
+
+
+def _real_axis_points():
+    # a uniform grid over [-52, 60] that misses the integers, plus offsets
+    # from 1e-11 to 1e-1 on each side of every pole from -50 to 0
+    grid = [-52.0 + 112.0 * (k + 0.37) / 5000 for k in range(5000)]
+    offsets = [10.0 ** (-11.0 + 10.0 * j / 19) for j in range(20)]
+    return grid + [n + sgn * e for n in range(-50, 1) for e in offsets for sgn in (1, -1)]
+
+
+def test_real_axis_gamma_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    worst_g = worst_r = 0.0
+    with mpmath.workdps(40):
+        for x in _real_axis_points():
+            ref = mpmath.gamma(mpmath.mpf(x))
+            g, r = gamma(x), rgamma(x)
+            assert g.imag == 0.0 and r.imag == 0.0, x
+            worst_g = max(worst_g, float(abs(mpmath.mpf(g.real) / ref - 1)))
+            worst_r = max(worst_r, float(abs(mpmath.mpf(r.real) * ref - 1)))
+    assert worst_g <= 2e-15 and worst_r <= 2e-15, (worst_g, worst_r)
+
+
+def test_real_axis_gamma_poles_and_overflow():
+    for n in range(0, 51):
+        for d in (0.0, 9e-13, -9e-13):
+            with pytest.raises(PoleError):
+                gamma(-n + d)
+    for f, x in ((gamma, 172.0), (gamma, -200.5), (rgamma, -200.5)):
+        with pytest.raises(OverflowError):
+            f(x)
 
 
 def test_rgamma_matches_reciprocal():

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from shiryaev_qsd.errors import ConsistencyError, DomainError
+import shiryaev_qsd.spectral as spectral
+from shiryaev_qsd.errors import ConsistencyError, DomainError, PoleError
 from shiryaev_qsd.spectral import (
     EigenSystem,
     assemble_system,
@@ -85,6 +86,41 @@ def test_eigen_checks_all_pass_on_solved(solved):
         assert rows and all(passed for _, passed, _ in rows), rows
 
 
+def test_eigen_checks_series_failure_modes(solved, monkeypatch):
+    es = solved(20.0)
+
+    def pole(*args):
+        raise PoleError("gamma pole")
+
+    monkeypatch.setattr(spectral, "_normalizer_series", pole)
+    rows = {
+        name: (passed, metric)
+        for name, passed, metric in eigen_checks(es.A, es.lam, es.xi, es.C)
+    }
+    assert rows["normalizer-series"] == (False, math.inf)
+    assert rows["normalizer-endpoint"][0]
+
+    def broken(*args):
+        raise TypeError("wiring fault")
+
+    monkeypatch.setattr(spectral, "_normalizer_series", broken)
+    with pytest.raises(TypeError):
+        eigen_checks(es.A, es.lam, es.xi, es.C)
+
+
+def test_eigensystem_keeps_its_checks(solved):
+    es = solved(20.0)
+    rows = es.checks
+    assert es.checks is rows
+    assert list(rows) == eigen_checks(es.A, es.lam, es.xi, es.C)
+    bad = EigenSystem(
+        A=es.A, lam=es.lam * 2, xi=es.xi, C=es.C, residual=1.0, validate=False
+    )
+    assert bad._checks is None
+    assert list(bad.checks) == eigen_checks(bad.A, bad.lam, bad.xi, bad.C)
+    assert not all(passed for _, passed, _ in bad.checks)
+
+
 def test_eigensystem_rejects_corrupt_rate(solved):
     es = solved(20.0)
     bad = es.lam * 1.01
@@ -108,6 +144,7 @@ def test_binding_w_plans_keeps_equality_and_repr(solved):
     before = repr(es)
     plans = es.w_plans
     assert es.w_plans is plans
+    assert twin.checks
     assert repr(es) == before == repr(twin)
     assert es == twin and hash(es) == hash(twin) and es == solved(20.0)
 
