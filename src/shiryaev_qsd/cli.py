@@ -8,6 +8,7 @@ domain error, 3 convergence failure. Output is a single JSON document
 from __future__ import annotations
 
 import argparse
+import functools
 import sys as _sys
 
 from .distribution import qsd_cdf, qsd_pdf
@@ -29,7 +30,10 @@ from .verify import _DUAL_ROUTE_TOL, run_checks
 __all__ = ["main"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parsing reads it and never changes it."""
     p = argparse.ArgumentParser(
         prog="shiryaev-qsd",
         description=(

@@ -28,6 +28,10 @@ def _fmt_float(x: float) -> str:
 
 
 def _escape(s: str) -> str:
+    # isprintable() is False for every character below U+0020 (and for some
+    # others, which the loop copies unchanged), so plain names skip the loop
+    if s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
     out = ['"']
     for ch in s:
         if ch == '"':

@@ -14,10 +14,13 @@ purely imaginary, or parked close to +-1/2 (the large-A regime pushes
 2b toward 1), and hypergeometric denominator parameters passing near
 nonpositive integers. Three regimes for W:
 
-* generic parameters: the M-based connection formula;
+* generic parameters: the M-based connection formula. At purely
+  imaginary b and real kappa its second term is the complex conjugate of
+  the first, so it takes one M series instead of two;
 * |2b - m| < 1e-3 for an integer m: the connection formula develops a
   0/0 pole pair, so W is reconstructed by symmetric 4-point Richardson
-  extrapolation in the second index (offsets +-7.5e-4, +-1.5e-3);
+  extrapolation in the second index (offsets +-7.5e-4, +-1.5e-3, shrunk
+  by a quarter when an arm would land on the pole pair itself);
 * large z with moderate indices: the divergent large-z expansion summed
   to its smallest term, which avoids the exp(z) cancellation the
   connection formula suffers at large arguments. Mandatory from z = 20,
@@ -50,6 +53,8 @@ _NEAR_INT_WIDE = 1e-2      # within this of an integer, large-z expansion prefer
 _RICH_OFFSET = 7.5e-4      # b-offset of the 4-point extrapolation stencil ...
 _RICH_OFFSET_SMALL_Z = 2e-5  # ... shrunk for z < 1 where arms stay clean and
                              # the quartic bias would poison small-argument roots
+_ARM_POLE_GAP = 1e-9       # a stencil arm with 2b this close to an integer is on
+                           # the pole pair; the offset then shrinks by a quarter
 _ASYM_Z_HARD = 20.0        # large-z expansion mandatory beyond this (if eligible)
 _ASYM_Z_SOFT = 14.0        # ... opportunistic from here when measurably accurate
 _ASYM_TRUNC_OK = 1e-10     # measured truncation below this accepts the expansion
@@ -393,10 +398,13 @@ class WPlan:
     Gamma(-+2b) / Gamma(1/2 -+ b - kappa), do not depend on z. A plan
     computes them on first use, for b itself or for one arm of the
     near-integer-2b stencil, and keeps them: one pair, or the four stencil
-    arms at each of two offsets, whatever the number of z it serves. Every
-    value equals what a fresh computation gives. Two threads reaching a
-    first use together compute the same products twice; nothing else is
-    shared.
+    arms at each offset it uses, whatever the number of z it serves. At
+    purely imaginary b and real kappa the second product and the second M
+    series are the complex conjugates of the first, so the plan computes
+    only the first of each and W is twice the real part of their product.
+    Every value equals what a fresh computation gives. Two threads
+    reaching a first use together compute the same products twice;
+    nothing else is shared.
     """
 
     __slots__ = ("kappa", "b", "_c1c2", "_dist", "_coef")
@@ -412,16 +420,20 @@ class WPlan:
     def _connection(self, b: complex, z: float, ctl: SeriesControl) -> complex:
         # W = G(-2b)/G(1/2-b-k) M_{k,b} + G(2b)/G(1/2+b-k) M_{k,-b}; the
         # dispatcher keeps 2b off integers, so the Gammas are safe and the
-        # two M series are regular.
+        # two M series are regular. At b = i beta and real kappa the kernel
+        # is conjugate-symmetric term by term, so the second term is the
+        # exact conjugate of the first and their sum is 2 Re of the first.
         kappa = self.kappa
+        conjugate = b.real == 0.0 and b.imag != 0.0 and kappa.imag == 0.0
         coef = self._coef.get(b)
         if coef is None:
-            coef = (
-                gamma(-2.0 * b) * rgamma(0.5 - b - kappa),
-                gamma(2.0 * b) * rgamma(0.5 + b - kappa),
-            )
-            self._coef[b] = coef
-        return coef[0] * whittaker_m(kappa, b, z, ctl) + coef[1] * whittaker_m(kappa, -b, z, ctl)
+            c0 = gamma(-2.0 * b) * rgamma(0.5 - b - kappa)
+            c1 = c0.conjugate() if conjugate else gamma(2.0 * b) * rgamma(0.5 + b - kappa)
+            coef = self._coef[b] = (c0, c1)
+        first = coef[0] * whittaker_m(kappa, b, z, ctl)
+        if conjugate:
+            return complex(2.0 * first.real)
+        return first + coef[1] * whittaker_m(kappa, -b, z, ctl)
 
     def __call__(self, z: float, ctl: SeriesControl = DEFAULT_SERIES) -> complex:
         """W_{kappa,b}(z); dispatches between the connection formula, the
@@ -446,6 +458,12 @@ class WPlan:
             # shrink with the offset, so a tight stencil costs no cancellation
             # and keeps eigencondition roots sharp at large cutoffs
             eps = _RICH_OFFSET if z >= 1.0 else _RICH_OFFSET_SMALL_Z
+            d = 2.0 * b - round(2.0 * b.real)  # 2b less its nearest integer
+            if min(abs(d + k * eps) for k in (-4.0, -2.0, 2.0, 4.0)) < _ARM_POLE_GAP:
+                # an arm 2(b +- eps) or 2(b +- 2eps) on the integer: at 3/4 of
+                # the offset every arm is at least eps/2 from it, and |d| < 1e-3
+                # keeps the other integers far away
+                eps *= 0.75
             s1 = 0.5 * (self._connection(b + eps, z, ctl) + self._connection(b - eps, z, ctl))
             s2 = 0.5 * (
                 self._connection(b + 2 * eps, z, ctl) + self._connection(b - 2 * eps, z, ctl)

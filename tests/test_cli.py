@@ -121,3 +121,33 @@ def test_quadrature_failure_maps_to_exit_3(capsys, monkeypatch):
     code, out, err = run(capsys, "moment", "--A", "20", "--s", "0.3", "--check")
     assert code == 3
     assert "error:" in err
+
+
+def test_rate_solve_stays_off_stencil_poles(capsys):
+    # a below-bracket guard sample here put an arm of the near-integer-2b
+    # stencil within 1e-12 of Gamma's pole at -1 (exit 1, PoleError)
+    code, out, err = run(capsys, "eig", "--A", "12506.18935485437")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    assert doc["checks"] and all(c["passed"] for c in doc["checks"])
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    cli._build_parser.cache_clear()
+    code, out, _ = run(capsys, "pdf", "--A", "20", "--x", "1.5", "--x", "3.0")
+    assert code == 0
+    assert [r["name"] for r in json.loads(out)["results"]] == ["pdf[x=1.5]", "pdf[x=3.0]"]
+    code, out, _ = run(capsys, "pdf", "--A", "20", "--x", "10")
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["name"] for r in doc["results"]] == ["pdf[x=10.0]"]
+    assert doc["inputs"]["x"] == [10.0]
+
+    assert run(capsys, "eig", "--A", "20", "--bogus")[0] == 2
+    assert run(capsys, "eig", "--A", "20")[0] == 0
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "--help")[0] == 0
+
+    info = cli._build_parser.cache_info()
+    assert info.misses == 1 and info.hits == 5

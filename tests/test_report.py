@@ -4,7 +4,7 @@ import math
 import pytest
 
 from shiryaev_qsd.errors import DomainError
-from shiryaev_qsd.report import SCHEMA_VERSION, CheckRow, EvalReport, ResultRow
+from shiryaev_qsd.report import SCHEMA_VERSION, CheckRow, EvalReport, ResultRow, _escape
 
 
 def _report(**kw):
@@ -32,6 +32,39 @@ def test_json_string_escaping():
     rep = _report(command='weird "name"\twith\\controls')
     doc = json.loads(rep.to_json())
     assert doc["command"] == 'weird "name"\twith\\controls'
+
+
+def _escape_by_loop(s):
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return "".join(out) + '"'
+
+
+def test_escape_matches_the_per_character_loop():
+    names = [
+        "",
+        "rate",
+        "pdf[x=1.5]",
+        "dual-route[s=-0.7]",
+        "caf\u00e9 \u03be",                # printable non-ASCII
+        'say "hi"',
+        "back\\slash",
+        "tab\there",
+        "nul\x00 and unit sep\x1f",
+        "del\x7f, nbsp\u00a0, line sep\u2028",  # not printable, not escaped
+        '"\\\n',
+    ]
+    for s in names:
+        assert _escape(s) == _escape_by_loop(s), repr(s)
+        assert json.loads(_escape(s)) == s, repr(s)
 
 
 def test_nonfinite_rejected():

@@ -251,9 +251,14 @@ def _w_reference(kappa, b, z):
         return "expansion-fallback", expansion()[0]
     if dist < 1e-3:
         eps = 7.5e-4 if z >= 1.0 else 2e-5
+        route = "stencil" if z >= 1.0 else "stencil-small-z"
+        arms = (2.0 * (b + k * eps) for k in (-2, -1, 1, 2))
+        if min(abs(a - round(a.real)) for a in arms) < 1e-9:
+            eps *= 0.75
+            route = "stencil-arm-moved"
         s1 = 0.5 * (connection(b + eps) + connection(b - eps))
         s2 = 0.5 * (connection(b + 2 * eps) + connection(b - 2 * eps))
-        return ("stencil" if z >= 1.0 else "stencil-small-z"), (4.0 * s1 - s2) / 3.0
+        return route, (4.0 * s1 - s2) / 3.0
     return "connection", connection(b)
 
 
@@ -265,6 +270,7 @@ def test_w_plan_matches_per_call_reference_on_every_route():
         (0.0, 0.3, 15.0),                  # soft expansion rejected
         (0.0, 10j, 250.0),                 # indices too large, z >= 200
         (1.0, 0.5 - 1e-4, 0.4),            # stencil, small-z offset
+        (1.0, 0.5 - 2e-5, 0.4),            # stencil, an arm moved off 2b = 1
         (0.0, 2e-4, 0.3),
         (1.0, 0.5 - 1e-4, 3.0),            # stencil, wide offset
         (0.0, 2e-4, 6.0),
@@ -284,8 +290,44 @@ def test_w_plan_matches_per_call_reference_on_every_route():
         "expansion-fallback",
         "stencil",
         "stencil-small-z",
+        "stencil-arm-moved",
         "connection",
     }
+
+
+def test_stencil_arms_stay_off_the_poles():
+    # 2b two or four times the small-z offset from an integer puts an arm of
+    # the stencil on a pole of Gamma(-2b), which used to raise PoleError; the
+    # moved stencil must keep the usual accuracy there
+    mpmath = pytest.importorskip("mpmath")
+    cases = [
+        (1.0, 0.5 - 2e-5, 0.5),   # arm 2(b + eps) at 1
+        (1.0, 0.5 - 4e-5, 0.5),   # arm 2(b + 2 eps) at 1
+        (1.0, 0.5 - 2e-5, 0.02),
+        (0.0, 0.5 - 2e-5, 0.7),
+        (0.0, 2e-5, 0.3),         # arm 2(b - eps) at 0
+        (0.0, 4e-5, 0.3),         # arm 2(b - 2 eps) at 0
+    ]
+    with mpmath.workdps(40):
+        for kappa, b, z in cases:
+            got = WPlan(kappa, b)(z)
+            want = complex(mpmath.whitw(kappa, b, z))
+            assert got.imag == 0.0 and rel(got, want) < 1e-10, (kappa, b, z)
+
+
+def test_w_at_imaginary_index_is_one_conjugate_pair():
+    # at b = i beta and real kappa the connection formula's second term is the
+    # conjugate of its first, so one M series gives the whole sum, exactly
+    for kappa in (0.0, 1.0):
+        for beta in (0.05, 0.2, 0.7, 1.5, 3.0):
+            b = complex(0.0, beta)
+            plan = WPlan(kappa, b)
+            for z in (1e-3, 0.02, 0.5, 3.0, 13.0):
+                route, two_term = _w_reference(kappa, b, z)
+                assert route == "connection"
+                got = plan(z)
+                assert got == two_term, (kappa, beta, z)
+                assert got.imag == 0.0, (kappa, beta, z)
 
 
 def test_w_plan_reuse_across_routes_in_mixed_order():
