@@ -7,19 +7,14 @@ closed forms produce can be cross-checked against direct integration.
 """
 
 from .errors import (
-    BracketError,
     ConsistencyError,
     ConvergenceError,
     DenominatorPoleError,
     DomainError,
-    KernelError,
-    NonConvergenceError,
     PoleError,
     RegimeError,
     ToleranceNotMetError,
-    UndefinedError,
 )
-from .specfun import SeriesControl
 from .spectral import (
     EigenSystem,
     assemble_system,
@@ -47,7 +42,6 @@ from .report import CheckRow, EvalReport, ResultRow
 from .verify import run_checks
 
 __all__ = [
-    "BracketError",
     "CheckRow",
     "ConsistencyError",
     "ConvergenceError",
@@ -55,16 +49,12 @@ __all__ = [
     "DomainError",
     "EigenSystem",
     "EvalReport",
-    "KernelError",
     "MomentResult",
-    "NonConvergenceError",
     "PoleError",
     "QuadratureSpec",
     "RegimeError",
     "ResultRow",
-    "SeriesControl",
     "ToleranceNotMetError",
-    "UndefinedError",
     "assemble_system",
     "eigen_checks",
     "eigencondition",

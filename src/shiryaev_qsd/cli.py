@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 verification or invariant failure, 2 usage or
-domain error, 3 convergence failure. Output is a single JSON document
-(default) or CSV on stdout; diagnostics go to stderr.
+Exit codes: 0 success, 1 verification or invariant failure
+(ConsistencyError, OverflowError), 2 usage or domain error (DomainError),
+3 convergence failure (ConvergenceError); see errors.py. Output is a
+single JSON document (default) or CSV on stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ import functools
 import sys as _sys
 
 from .distribution import qsd_cdf, qsd_pdf
-from .errors import (
-    BracketError,
-    ConsistencyError,
-    ConvergenceError,
-    DomainError,
-    KernelError,
-    NonConvergenceError,
-    ToleranceNotMetError,
-)
+from .errors import ConsistencyError, ConvergenceError, DomainError
 from .moments import moment_frac, moment_log
 from .quadrature import quad_log_moment, quad_moment
 from .report import CheckRow, EvalReport, ResultRow
@@ -181,24 +174,17 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 2
     try:
         rep = _DISPATCH[args.command](args)
+        out = rep.to_csv() if args.format == "csv" else rep.to_json() + "\n"
     except DomainError as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2
-    except (
-        BracketError,
-        ConvergenceError,
-        NonConvergenceError,
-        ToleranceNotMetError,
-    ) as e:
+    except ConvergenceError as e:
         print(f"error: {e}", file=_sys.stderr)
         return 3
-    except (ConsistencyError, KernelError) as e:
+    except (ConsistencyError, OverflowError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 1
-    if args.format == "csv":
-        _sys.stdout.write(rep.to_csv())
-    else:
-        _sys.stdout.write(rep.to_json() + "\n")
+    _sys.stdout.write(out)
     return 0 if rep.ok else 1
 
 

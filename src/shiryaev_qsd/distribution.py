@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConsistencyError, DomainError
-from .specfun import DEFAULT_SERIES, SeriesControl, documented_real
+from .specfun import documented_real
 from .spectral import EigenSystem
 
 # exp(-1/x) underflows to subnormal mush below ~1/745; cut a little early
@@ -47,16 +47,14 @@ def stationary_pdf(x: float) -> float:
     return 2.0 / (x * x) * math.exp(-2.0 / x)
 
 
-def qsd_pdf(x: float, sys: EigenSystem, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def qsd_pdf(x: float, sys: EigenSystem) -> float:
     """Conditioned density at x in [0, A]. Exactly 0 at both endpoints."""
     x = _check_point(x)
     if not 0.0 <= x <= sys.A:
         raise DomainError(f"point {x!r} outside [0, {sys.A}]")
     if x <= UNDERFLOW_X or x == sys.A:
         return 0.0
-    w = documented_real(
-        sys.w_plans[1](2.0 / x, ctl), "density Whittaker factor"
-    )
+    w = documented_real(sys.w_plans[1](2.0 / x), "density Whittaker factor")
     val = sys.C * math.exp(-1.0 / x) * w / x
     if val < 0.0:
         # the boundary zero crossing may land a hair on the wrong side
@@ -66,7 +64,7 @@ def qsd_pdf(x: float, sys: EigenSystem, ctl: SeriesControl = DEFAULT_SERIES) -> 
     return val
 
 
-def qsd_cdf(x: float, sys: EigenSystem, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def qsd_cdf(x: float, sys: EigenSystem) -> float:
     """Conditioned distribution function; 0 below the support, 1 from A on."""
     x = _check_point(x)
     if x < 0.0:
@@ -75,9 +73,7 @@ def qsd_cdf(x: float, sys: EigenSystem, ctl: SeriesControl = DEFAULT_SERIES) -> 
         return 1.0
     if x <= UNDERFLOW_X:
         return 0.0
-    w = documented_real(
-        sys.w_plans[0](2.0 / x, ctl), "distribution Whittaker factor"
-    )
+    w = documented_real(sys.w_plans[0](2.0 / x), "distribution Whittaker factor")
     val = sys.C * math.exp(-1.0 / x) * w
     if val < 0.0 or val > 1.0:
         if -_CLAMP <= val < 0.0:

@@ -1,53 +1,32 @@
-"""Exception taxonomy.
+"""Exception taxonomy: three families, one per CLI exit code.
 
-Kernel-level failures (special functions) derive from KernelError so callers
-can distinguish "the machinery broke" from "you asked for something outside
-the contract" (DomainError) or "the answer exists but was not reached"
-(ConvergenceError and friends).
+* DomainError (exit 2): the input lies outside the documented contract.
+  RegimeError narrows it to a rate past the real-index threshold.
+* ConvergenceError (exit 3): the answer exists but an iteration or series
+  did not reach it. ToleranceNotMetError is the quadrature case and
+  carries its partial estimate.
+* ConsistencyError (exit 1): the machinery or an internal cross-check
+  broke. PoleError and DenominatorPoleError are the kernel's pole cases.
+
+Python's OverflowError, which the kernel raises when a value leaves the
+double range, also maps to exit 1.
 """
-
-
-class KernelError(Exception):
-    """Base class for special-function kernel failures."""
-
-
-class PoleError(KernelError):
-    """Gamma or digamma evaluated at (or within 1e-12 of) a nonpositive integer."""
-
-
-class DenominatorPoleError(KernelError):
-    """A hypergeometric denominator parameter sits on a nonpositive integer.
-
-    For the moment machinery this is the signal that the singular closed-form
-    branch must be used instead of the generic one.
-    """
-
-
-class NonConvergenceError(KernelError):
-    """A series failed to meet its stopping rule within max_terms."""
-
-
-class UndefinedError(KernelError):
-    """The requested function value does not exist (e.g. Whittaker M at -2b in N)."""
 
 
 class DomainError(ValueError):
     """Input outside the documented domain of an operation."""
 
 
-class BracketError(RuntimeError):
-    """Root bracketing failed: no sign change after the allowed widenings."""
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative solve stopped without meeting its tolerance."""
-
-
-class RegimeError(RuntimeError):
+class RegimeError(DomainError):
     """Operation requires the real-index regime (lambda <= 1/8) but got the other one."""
 
 
-class ToleranceNotMetError(RuntimeError):
+class ConvergenceError(RuntimeError):
+    """An iteration or series stopped without meeting its tolerance, or a
+    root could not be bracketed."""
+
+
+class ToleranceNotMetError(ConvergenceError):
     """Adaptive quadrature exhausted its subdivision budget.
 
     Carries the best estimate and its error bound so callers can decide
@@ -61,4 +40,17 @@ class ToleranceNotMetError(RuntimeError):
 
 
 class ConsistencyError(RuntimeError):
-    """An internal cross-check failed (dual normalizer forms, cdf range, realness...)."""
+    """An internal cross-check failed (dual normalizer forms, cdf range,
+    realness...) or a kernel function is undefined where it was asked for."""
+
+
+class PoleError(ConsistencyError):
+    """Gamma or digamma evaluated at (or within 1e-12 of) a nonpositive integer."""
+
+
+class DenominatorPoleError(ConsistencyError):
+    """A hypergeometric denominator parameter sits on a nonpositive integer.
+
+    The moment code keeps its orders off these parameters (the ladder
+    band), so reaching one means the formula was used where it degenerates.
+    """

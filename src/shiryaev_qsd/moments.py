@@ -27,17 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergenceError, RegimeError
-from .specfun import (
-    DEFAULT_SERIES,
-    SeriesControl,
-    digamma,
-    documented_real,
-    gamma,
-    hyp2f2,
-    pochhammer,
-    rgamma,
-)
+from .errors import ConvergenceError, DomainError, RegimeError
+from .specfun import digamma, documented_real, gamma, hyp2f2, pochhammer, rgamma
 from .spectral import EigenSystem, one_minus_xi
 
 _MAX_ORDER = 50.0
@@ -94,7 +85,7 @@ def moment_integer(n: int, sys: EigenSystem) -> MomentResult:
     return MomentResult(s=float(n), value=m, branch="recurrence")
 
 
-def _regular_value(s: float, sys: EigenSystem, ctl: SeriesControl) -> float:
+def _regular_value(s: float, sys: EigenSystem) -> float:
     # closed form with no dispatch; callers keep s clear of the ladder
     lam, A, xi, C = sys.lam, sys.A, sys.xi, sys.C
     half_eta = 0.5 * one_minus_xi(lam, xi)          # (1 - xi)/2, stable
@@ -110,7 +101,7 @@ def _regular_value(s: float, sys: EigenSystem, ctl: SeriesControl) -> float:
     # cancels to ~|s|^2 eps there
     den = g1 * g2
     pref = 2.0 * lam * math.pow(A, s) / den
-    t1 = pref * hyp2f2(1.0, -s, b1, b2, 2.0 / A, ctl)
+    t1 = pref * hyp2f2(1.0, -s, b1, b2, 2.0 / A)
     rg = rgamma(complex(-s))
     if rg == 0:
         t2 = 0j
@@ -167,9 +158,7 @@ def _ladder_window(s: float, sys: EigenSystem) -> tuple[float, float, float] | N
     return None
 
 
-def moment_frac(
-    s: float, sys: EigenSystem, ctl: SeriesControl = DEFAULT_SERIES
-) -> MomentResult:
+def moment_frac(s: float, sys: EigenSystem) -> MomentResult:
     """Moment of real order s in [-50, 50] via the closed form.
 
     Orders within 1e-12 of a nonnegative integer snap to it (the series
@@ -182,15 +171,13 @@ def moment_frac(
     s = _check_order(s, sys.A)
     n = round(s)
     if abs(s - n) <= _INT_SNAP and n >= 0:
-        return MomentResult(
-            s=float(n), value=_regular_value(float(n), sys, ctl), branch="series"
-        )
+        return MomentResult(s=float(n), value=_regular_value(float(n), sys), branch="series")
     window = _ladder_window(s, sys)
     if window is None:
-        return MomentResult(s=s, value=_regular_value(s, sys, ctl), branch="series")
+        return MomentResult(s=s, value=_regular_value(s, sys), branch="series")
     c, _, h = window
     nodes = [c + j * h for j in (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)]
-    vals = [_regular_value(t, sys, ctl) for t in nodes]
+    vals = [_regular_value(t, sys) for t in nodes]
     acc = 0.0
     for j, (tj, fj) in enumerate(zip(nodes, vals)):
         w = 1.0
@@ -230,9 +217,7 @@ def moment_special_value(sys: EigenSystem, sigma: int) -> MomentResult:
     return MomentResult(s=s, value=coef * math.exp(expo * math.log(sys.A)), branch="special")
 
 
-def moment_singular_base(
-    sys: EigenSystem, sigma: int, ctl: SeriesControl = DEFAULT_SERIES
-) -> MomentResult:
+def moment_singular_base(sys: EigenSystem, sigma: int) -> MomentResult:
     """Moment exactly at the bottom ladder order s = 1/2 + sigma xi/2 via
     the logarithmic series (the representation both regular pieces
     degenerate into). Real index only."""
@@ -281,14 +266,12 @@ def moment_singular_base(
             small = 0
         coef *= (a + j) * z / ((d + j) * (j + 1.0))
     else:
-        raise NonConvergenceError("degenerate-order series did not settle in 300 terms")
+        raise ConvergenceError("degenerate-order series did not settle in 300 terms")
     value = sigma * (2.0 * lam / xi) * math.pow(A, s_star) * total
     return MomentResult(s=s_star, value=value, branch="singular")
 
 
-def moment_singular_shifted(
-    sys: EigenSystem, sigma: int, k: int, ctl: SeriesControl = DEFAULT_SERIES
-) -> MomentResult:
+def moment_singular_shifted(sys: EigenSystem, sigma: int, k: int) -> MomentResult:
     """Moment at the shifted ladder order s = 1/2 + sigma xi/2 + k, built
     from the bottom-order value by the finite ladder relation."""
     _check_sys(sys)
@@ -296,7 +279,7 @@ def moment_singular_shifted(
     if k != int(k) or k < 0:
         raise DomainError(f"ladder shift must be a nonnegative integer, got {k!r}")
     k = int(k)
-    base = moment_singular_base(sys, sigma, ctl)
+    base = moment_singular_base(sys, sigma)
     if k == 0:
         return base
     s_star = base.s + k
@@ -321,11 +304,11 @@ def moment_singular_shifted(
     return MomentResult(s=s_star, value=front * inner, branch="singular")
 
 
-def moment_log(sys: EigenSystem, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def moment_log(sys: EigenSystem) -> float:
     """Expected logarithm under the conditioned law:
     E[log X] = log A - (M(-1) - 1/2) / lam."""
     _check_sys(sys)
-    m_neg1 = moment_frac(-1.0, sys, ctl).value
+    m_neg1 = moment_frac(-1.0, sys).value
     return math.log(sys.A) - (m_neg1 - 0.5) / sys.lam
 
 
@@ -339,9 +322,7 @@ def limit_moment(s: float) -> float:
     return math.pow(2.0, s) * gamma(complex(1.0 - s)).real
 
 
-def moment_recurrence_residual(
-    s: float, sys: EigenSystem, ctl: SeriesControl = DEFAULT_SERIES
-) -> float:
+def moment_recurrence_residual(s: float, sys: EigenSystem) -> float:
     """Dimensionless defect of the order-shift identity
     (s(s-1) + 2 lam) M(s) = 2 lam A^s - 2 s M(s-1),
     using independently evaluated closed-form moments on both sides."""
@@ -349,8 +330,8 @@ def moment_recurrence_residual(
     s = _check_order(s, sys.A)
     _check_order(s - 1.0, sys.A)
     lam, A = sys.lam, sys.A
-    ms = moment_frac(s, sys, ctl).value
-    ms1 = moment_frac(s - 1.0, sys, ctl).value
+    ms = moment_frac(s, sys).value
+    ms1 = moment_frac(s - 1.0, sys).value
     lhs = (s * (s - 1.0) + 2.0 * lam) * ms
     r1 = 2.0 * lam * math.pow(A, s)
     r2 = 2.0 * s * ms1

@@ -67,7 +67,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    underflow_cutoff: float = UNDERFLOW_X
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
@@ -76,10 +75,6 @@ class QuadratureSpec:
             raise DomainError(f"rel_tol must be nonnegative, got {self.rel_tol!r}")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be at least 1")
-        if not 0.0 < self.underflow_cutoff < 1.0:
-            raise DomainError(
-                f"underflow_cutoff must sit in (0, 1), got {self.underflow_cutoff!r}"
-            )
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -145,6 +140,20 @@ def _adapt(f, lo: float, hi: float, spec: QuadratureSpec) -> float:
     return math.fsum(v for _, v in panels)
 
 
+def _expect(
+    weight: Callable[[float], float],
+    sys: EigenSystem,
+    spec: QuadratureSpec,
+    pdf: Callable[[float], float] | None,
+) -> float:
+    # weight * pdf over [UNDERFLOW_X, A]; below the cutoff the density
+    # underflows to zero in doubles
+    if sys.A <= UNDERFLOW_X:
+        raise DomainError(f"cutoff {UNDERFLOW_X} swallows the whole support [0, {sys.A}]")
+    density = pdf or (lambda x: qsd_pdf(x, sys))
+    return _adapt(lambda x: weight(x) * density(x), UNDERFLOW_X, sys.A, spec)
+
+
 def quad_moment(
     s: float,
     sys: EigenSystem,
@@ -153,37 +162,21 @@ def quad_moment(
 ) -> float:
     """E[X^s] under the confined law by adaptive quadrature.
 
-    Integrates x^s * pdf over [cutoff, A]; below the cutoff the density
-    underflows to zero in doubles, and for s > -50 the lost mass is far
-    beneath the error budget (the integrand carries exp(-1/x)). pdf, if
-    given, must return qsd_pdf(x, sys); callers that integrate several
-    functions of one system pass a memoised density to share its nodes.
+    For s > -50 the mass lost below the underflow cutoff is far beneath
+    the error budget (the integrand carries exp(-1/x)). pdf, if given,
+    must return qsd_pdf(x, sys); callers that integrate several functions
+    of one system pass a memoised density to share its nodes.
     """
     if not math.isfinite(s):
         raise DomainError(f"order must be finite, got {s!r}")
-    lo = spec.underflow_cutoff
-    if sys.A <= lo:
-        raise DomainError(f"cutoff {lo} swallows the whole support [0, {sys.A}]")
-    density = pdf or (lambda x: qsd_pdf(x, sys))
-
-    def f(x: float) -> float:
-        return math.pow(x, s) * density(x)
-
-    return _adapt(f, lo, sys.A, spec)
+    return _expect(lambda x: math.pow(x, s), sys, spec, pdf)
 
 
 def quad_log_moment(
     sys: EigenSystem, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """E[log X] under the confined law by adaptive quadrature."""
-    lo = spec.underflow_cutoff
-    if sys.A <= lo:
-        raise DomainError(f"cutoff {lo} swallows the whole support [0, {sys.A}]")
-
-    def f(x: float) -> float:
-        return math.log(x) * qsd_pdf(x, sys)
-
-    return _adapt(f, lo, sys.A, spec)
+    return _expect(math.log, sys, spec, None)
 
 
 def normalization_check(
@@ -193,7 +186,4 @@ def normalization_check(
 ) -> float:
     """Integral of the pdf over the support; 1 up to quadrature error.
     pdf as for quad_moment."""
-    lo = spec.underflow_cutoff
-    if sys.A <= lo:
-        raise DomainError(f"cutoff {lo} swallows the whole support [0, {sys.A}]")
-    return _adapt(pdf or (lambda x: qsd_pdf(x, sys)), lo, sys.A, spec)
+    return _expect(lambda x: 1.0, sys, spec, pdf)

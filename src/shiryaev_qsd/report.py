@@ -3,6 +3,9 @@
 The serializer is hand-rolled instead of json.dumps so float formatting
 is pinned: every number renders through format(x, '.17g'), which
 round-trips doubles exactly and never varies between runs or platforms.
+Result values must be finite. A check residual that is not finite marks a
+check that could not be evaluated, and renders as JSON null or an empty
+CSV field.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise DomainError(f"reports must not carry non-finite numbers, got {x!r}")
     return format(x, ".17g")
+
+
+def _residual(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 def _escape(s: str) -> str:
@@ -86,7 +93,8 @@ class ResultRow:
 @dataclass(frozen=True)
 class CheckRow:
     """One verification outcome; residual is the measured metric, whatever
-    the check's own scale is (relative error, signed slack, ...)."""
+    the check's own scale is (relative error, signed slack, ...), or inf
+    when evaluating the check raised."""
 
     name: str
     passed: bool
@@ -115,7 +123,7 @@ class EvalReport:
                 for r in self.results
             ],
             "checks": [
-                {"name": c.name, "passed": c.passed, "residual": c.residual}
+                {"name": c.name, "passed": c.passed, "residual": _residual(c.residual)}
                 for c in self.checks
             ],
             "ok": self.ok,
@@ -144,5 +152,7 @@ class EvalReport:
         else:
             w.writerow(["name", "passed", "residual"])
             for c in self.checks:
-                w.writerow([c.name, str(c.passed).lower(), _fmt_float(c.residual)])
+                res = _residual(c.residual)
+                text = "" if res is None else _fmt_float(res)
+                w.writerow([c.name, str(c.passed).lower(), text])
         return buf.getvalue()

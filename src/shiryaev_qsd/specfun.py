@@ -35,15 +35,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import (
     ConsistencyError,
+    ConvergenceError,
     DenominatorPoleError,
     DomainError,
-    NonConvergenceError,
     PoleError,
-    UndefinedError,
 )
 
 _EPS = 2.220446049250313e-16
@@ -60,30 +58,10 @@ _ASYM_Z_SOFT = 14.0        # ... opportunistic from here when measurably accurat
 _ASYM_TRUNC_OK = 1e-10     # measured truncation below this accepts the expansion
 _ASYM_MAX_TERMS = 80
 
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Stopping policy for ascending hypergeometric series.
-
-    A term is "small" when |term| < rel_tol * |partial sum|; summation stops
-    after consecutive_small_terms such terms in a row, and raises
-    NonConvergenceError past max_terms.
-    """
-
-    rel_tol: float = 1e-15
-    consecutive_small_terms: int = 3
-    max_terms: int = 10000
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise DomainError(f"rel_tol out of range: {self.rel_tol}")
-        if self.consecutive_small_terms < 1:
-            raise DomainError("consecutive_small_terms must be >= 1")
-        if self.max_terms < 10:
-            raise DomainError("max_terms must be >= 10")
-
-
-DEFAULT_SERIES = SeriesControl()
+# stopping rule of the ascending series (see _hyp_series)
+_SERIES_REL_TOL = 1e-15
+_SERIES_SMALL_RUN = 3
+_SERIES_MAX_TERMS = 10000
 
 # Lanczos rational approximation, g = 7, 9 terms. Standard coefficient set;
 # ~1e-14 relative over the right half plane, which is what the Gamma
@@ -254,14 +232,13 @@ def _hyp_series(
     num: tuple[complex, ...],
     den: tuple[complex, ...],
     z: complex,
-    ctl: SeriesControl,
     pole_tol: float,
 ) -> complex:
     """Ascending pFq series with the recurrent term update.
 
     term_{n+1} = term_n * prod(a_i + n) / prod(b_j + n) * z / (n + 1),
-    summed in increasing n until consecutive_small_terms terms in a row fall
-    below rel_tol relative to the partial sum.
+    summed in increasing n until _SERIES_SMALL_RUN terms in a row fall
+    below _SERIES_REL_TOL relative to the partial sum.
 
     A numerator parameter at a nonpositive integer terminates the series. A
     denominator parameter within pole_tol of a nonpositive integer raises
@@ -281,10 +258,11 @@ def _hyp_series(
                 raise DenominatorPoleError(
                     f"denominator parameter {b} within {pole_tol} of nonpositive integer"
                 )
+    rel_tol, small_run, max_terms = _SERIES_REL_TOL, _SERIES_SMALL_RUN, _SERIES_MAX_TERMS
     term = 1.0 + 0j
     total = 1.0 + 0j
     small = 0
-    for n in range(ctl.max_terms):
+    for n in range(max_terms):
         fac = 1.0 + 0j
         for a in num:
             fac *= a + n
@@ -299,30 +277,23 @@ def _hyp_series(
             )
         term *= fac / dfac * z / (n + 1)
         total += term
-        if abs(term) < ctl.rel_tol * abs(total):
+        if abs(term) < rel_tol * abs(total):
             small += 1
-            if small >= ctl.consecutive_small_terms:
+            if small >= small_run:
                 return total
         else:
             small = 0
-    raise NonConvergenceError(
-        f"series pFq({num};{den};{z}) did not meet its stopping rule in {ctl.max_terms} terms"
+    raise ConvergenceError(
+        f"series pFq({num};{den};{z}) did not meet its stopping rule in {max_terms} terms"
     )
 
 
-def hyp1f1(a: complex, b: complex, z: complex, ctl: SeriesControl = DEFAULT_SERIES) -> complex:
+def hyp1f1(a: complex, b: complex, z: complex) -> complex:
     """Kummer's 1F1(a; b; z) by ascending series (entire in z)."""
-    return _hyp_series((complex(a),), (complex(b),), complex(z), ctl, _POLE_TOL)
+    return _hyp_series((complex(a),), (complex(b),), complex(z), _POLE_TOL)
 
 
-def hyp2f2(
-    a1: complex,
-    a2: complex,
-    b1: complex,
-    b2: complex,
-    z: complex,
-    ctl: SeriesControl = DEFAULT_SERIES,
-) -> complex:
+def hyp2f2(a1: complex, a2: complex, b1: complex, b2: complex, z: complex) -> complex:
     """2F2(a1, a2; b1, b2; z) by ascending series (entire in z).
 
     Denominator parameters closer than 1e-6 to a nonpositive integer raise
@@ -330,19 +301,17 @@ def hyp2f2(
     that); a terminating numerator parameter disarms the check.
     """
     return _hyp_series(
-        (complex(a1), complex(a2)), (complex(b1), complex(b2)), complex(z), ctl, 1e-6
+        (complex(a1), complex(a2)), (complex(b1), complex(b2)), complex(z), 1e-6
     )
 
 
-def whittaker_m(
-    kappa: complex, b: complex, z: float, ctl: SeriesControl = DEFAULT_SERIES
-) -> complex:
+def whittaker_m(kappa: complex, b: complex, z: float) -> complex:
     """Whittaker M_{kappa,b}(z) for real z > 0.
 
     M = z^(1/2+b) exp(-z/2) 1F1(1/2 + b - kappa; 1 + 2b; z).
 
     Raises:
-        UndefinedError: -2b is a positive integer (within 1e-12), where M
+        ConsistencyError: -2b is a positive integer (within 1e-12), where M
             is not defined.
         DomainError: z is not a positive real.
     """
@@ -350,9 +319,9 @@ def whittaker_m(
     kappa = complex(kappa)
     b = complex(b)
     if _nonpositive_int_near(1.0 + 2.0 * b) is not None:
-        raise UndefinedError(f"whittaker_m undefined at 2b = {2 * b}")
+        raise ConsistencyError(f"whittaker_m undefined at 2b = {2 * b}")
     pref = cmath.exp((0.5 + b) * math.log(z) - 0.5 * z)
-    return pref * hyp1f1(0.5 + b - kappa, 1.0 + 2.0 * b, z, ctl)
+    return pref * hyp1f1(0.5 + b - kappa, 1.0 + 2.0 * b, z)
 
 
 def _require_positive_real(z) -> float:
@@ -417,7 +386,7 @@ class WPlan:
         self._dist = abs(two_b - round(two_b.real))
         self._coef: dict[complex, tuple[complex, complex]] = {}
 
-    def _connection(self, b: complex, z: float, ctl: SeriesControl) -> complex:
+    def _connection(self, b: complex, z: float) -> complex:
         # W = G(-2b)/G(1/2-b-k) M_{k,b} + G(2b)/G(1/2+b-k) M_{k,-b}; the
         # dispatcher keeps 2b off integers, so the Gammas are safe and the
         # two M series are regular. At b = i beta and real kappa the kernel
@@ -430,12 +399,12 @@ class WPlan:
             c0 = gamma(-2.0 * b) * rgamma(0.5 - b - kappa)
             c1 = c0.conjugate() if conjugate else gamma(2.0 * b) * rgamma(0.5 + b - kappa)
             coef = self._coef[b] = (c0, c1)
-        first = coef[0] * whittaker_m(kappa, b, z, ctl)
+        first = coef[0] * whittaker_m(kappa, b, z)
         if conjugate:
             return complex(2.0 * first.real)
-        return first + coef[1] * whittaker_m(kappa, -b, z, ctl)
+        return first + coef[1] * whittaker_m(kappa, -b, z)
 
-    def __call__(self, z: float, ctl: SeriesControl = DEFAULT_SERIES) -> complex:
+    def __call__(self, z: float) -> complex:
         """W_{kappa,b}(z); dispatches between the connection formula, the
         near-integer-2b Richardson stencil, and the large-z expansion (see
         module docstring)."""
@@ -464,28 +433,22 @@ class WPlan:
                 # the offset every arm is at least eps/2 from it, and |d| < 1e-3
                 # keeps the other integers far away
                 eps *= 0.75
-            s1 = 0.5 * (self._connection(b + eps, z, ctl) + self._connection(b - eps, z, ctl))
-            s2 = 0.5 * (
-                self._connection(b + 2 * eps, z, ctl) + self._connection(b - 2 * eps, z, ctl)
-            )
+            s1 = 0.5 * (self._connection(b + eps, z) + self._connection(b - eps, z))
+            s2 = 0.5 * (self._connection(b + 2 * eps, z) + self._connection(b - 2 * eps, z))
             return (4.0 * s1 - s2) / 3.0
-        return self._connection(b, z, ctl)
+        return self._connection(b, z)
 
 
-def whittaker_w(
-    kappa: complex, b: complex, z: float, ctl: SeriesControl = DEFAULT_SERIES
-) -> complex:
+def whittaker_w(kappa: complex, b: complex, z: float) -> complex:
     """Whittaker W_{kappa,b}(z) for real z > 0; even in b.
 
     One evaluation of WPlan(kappa, b). Never raises on near-integer 2b;
     that case is handled internally.
     """
-    return WPlan(kappa, b)(z, ctl)
+    return WPlan(kappa, b)(z)
 
 
-def whittaker_w_dz(
-    kappa: complex, b: complex, z: float, ctl: SeriesControl = DEFAULT_SERIES
-) -> complex:
+def whittaker_w_dz(kappa: complex, b: complex, z: float) -> complex:
     """d/dz W_{kappa,b}(z) via the inverted forward recurrence:
 
     W' = ((z/2 - kappa) W_{kappa,b}(z) - W_{kappa+1,b}(z)) / z.
@@ -493,8 +456,8 @@ def whittaker_w_dz(
     z = _require_positive_real(z)
     kappa = complex(kappa)
     b = complex(b)
-    w0 = whittaker_w(kappa, b, z, ctl)
-    w1 = whittaker_w(kappa + 1.0, b, z, ctl)
+    w0 = whittaker_w(kappa, b, z)
+    w1 = whittaker_w(kappa + 1.0, b, z)
     return ((0.5 * z - kappa) * w0 - w1) / z
 
 

@@ -14,22 +14,8 @@ import cmath
 import math
 from dataclasses import InitVar, dataclass, field
 
-from .errors import (
-    BracketError,
-    ConsistencyError,
-    ConvergenceError,
-    DomainError,
-    KernelError,
-)
-from .specfun import (
-    DEFAULT_SERIES,
-    SeriesControl,
-    WPlan,
-    documented_real,
-    gamma,
-    hyp1f1,
-    whittaker_w,
-)
+from .errors import ConsistencyError, ConvergenceError, DomainError
+from .specfun import WPlan, documented_real, gamma, hyp1f1, whittaker_w
 
 _EPS = 2.220446049250313e-16
 _RESIDUAL_TOL = 1e-9       # eigencondition residual allowance, scaled by |W0|
@@ -84,12 +70,12 @@ def lambda_bounds(A: float) -> tuple[float, float]:
     return lo, hi
 
 
-def eigencondition(A: float, lam: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def eigencondition(A: float, lam: float) -> float:
     """Boundary-condition function g(lam) = W_{1, xi/2}(2/A); vanishes at
     the spectrum. Real part only; the imaginary residue is kernel noise."""
     A = _check_cutoff(A)
     xi = xi_of_lambda(lam)
-    return whittaker_w(1.0, 0.5 * xi, 2.0 / A, ctl).real
+    return whittaker_w(1.0, 0.5 * xi, 2.0 / A).real
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float, rel_tol: float) -> float:
@@ -99,7 +85,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float, rel_tol: float) -> float
     if fb == 0.0:
         return b
     if (fa > 0.0) == (fb > 0.0):
-        raise BracketError(f"no sign change on [{a}, {b}]")
+        raise ConvergenceError(f"no sign change on [{a}, {b}]")
     c, fc = a, fa
     d = e = b - a
     for _ in range(200):
@@ -138,20 +124,12 @@ def _brent(f, a: float, b: float, fa: float, fb: float, rel_tol: float) -> float
     raise ConvergenceError("root refinement did not converge in 200 iterations")
 
 
-def _normalizer_direct(A: float, xi: complex, ctl: SeriesControl) -> float:
-    w0 = documented_real(
-        whittaker_w(0.0, 0.5 * xi, 2.0 / A, ctl), "W at the right endpoint"
-    )
-    if w0 <= 0.0:
-        raise ConsistencyError(
-            f"endpoint Whittaker value must be positive, got {w0!r} at A={A}"
-        )
+def _normalizer_endpoint(A: float, w0: float) -> float:
+    # C = 1 / (e^{-1/A} W_{0, xi/2}(2/A)), from w0 = the real part of that W
     return 1.0 / (math.exp(-1.0 / A) * w0)
 
 
-def _normalizer_series(
-    A: float, lam: float, xi: complex, sigma: int, ctl: SeriesControl
-) -> float:
+def _normalizer_series(A: float, lam: float, xi: complex, sigma: int) -> float:
     # confluent-series route to the same constant; exercised as a check
     eta = one_minus_xi(lam, xi)            # 1 - xi, cancellation-free
     if sigma > 0:
@@ -162,18 +140,14 @@ def _normalizer_series(
         plus
         * gamma(0.5 * plus)
         * cmath.exp(0.5 * minus * math.log(0.5 * A))
-        * hyp1f1(-0.5 * minus, plus, 2.0 / A, ctl)
+        * hyp1f1(-0.5 * minus, plus, 2.0 / A)
         / (2.0 * gamma(plus))
     )
     return documented_real(val, "series form of the normalizer")
 
 
 def eigen_checks(
-    A: float,
-    lam: float,
-    xi: complex,
-    C: float,
-    ctl: SeriesControl = DEFAULT_SERIES,
+    A: float, lam: float, xi: complex, C: float
 ) -> list[tuple[str, bool, float]]:
     """Invariant battery for a candidate (A, lam, xi, C) quadruple.
 
@@ -192,8 +166,8 @@ def eigen_checks(
     rows.append(("index-identity", ident <= _XI_IDENTITY_TOL, ident))
 
     z = 2.0 / A
-    w1 = whittaker_w(1.0, 0.5 * xi, z, ctl)
-    w0 = whittaker_w(0.0, 0.5 * xi, z, ctl)
+    w1 = whittaker_w(1.0, 0.5 * xi, z)
+    w0 = whittaker_w(0.0, 0.5 * xi, z)
     res = abs(w1) / max(1.0, abs(w0))
     rows.append(("eigencondition-residual", res <= _RESIDUAL_TOL, res))
 
@@ -201,14 +175,13 @@ def eigen_checks(
     rows.append(("normalizer-positive", ok_c, C))
 
     if ok_c and w0.real > 0.0:
-        direct = 1.0 / (math.exp(-1.0 / A) * w0.real)
-        rel = abs(direct - C) / C
+        rel = abs(_normalizer_endpoint(A, w0.real) - C) / C
         rows.append(("normalizer-endpoint", rel <= _DUAL_C_TOL, rel))
         worst = 0.0
         for sigma in (1, -1):
             try:
-                alt = _normalizer_series(A, lam, xi, sigma, ctl)
-            except (KernelError, ConsistencyError, OverflowError):
+                alt = _normalizer_series(A, lam, xi, sigma)
+            except (ConsistencyError, ConvergenceError, OverflowError):
                 worst = math.inf
                 break
             worst = max(worst, abs(alt - C) / C)
@@ -277,12 +250,7 @@ class EigenSystem:
         return plans
 
 
-def assemble_system(
-    A: float,
-    lam: float,
-    validate: bool = True,
-    ctl: SeriesControl = DEFAULT_SERIES,
-) -> EigenSystem:
+def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:
     """Build the full spectral record for a given rate.
 
     The normal path is solve_lambda; this entry exists so a deliberately
@@ -293,19 +261,22 @@ def assemble_system(
     if not (lam > 0.0 and math.isfinite(lam)):
         raise DomainError(f"rate must be positive and finite, got {lam!r}")
     xi = xi_of_lambda(lam)
-    C = _normalizer_direct(A, xi, ctl)
-    residual = abs(whittaker_w(1.0, 0.5 * xi, 2.0 / A, ctl))
+    w0 = documented_real(whittaker_w(0.0, 0.5 * xi, 2.0 / A), "W at the right endpoint")
+    if w0 <= 0.0:
+        raise ConsistencyError(
+            f"endpoint Whittaker value must be positive, got {w0!r} at A={A}"
+        )
+    C = _normalizer_endpoint(A, w0)
+    residual = abs(whittaker_w(1.0, 0.5 * xi, 2.0 / A))
     return EigenSystem(A=A, lam=lam, xi=xi, C=C, residual=residual, validate=validate)
 
 
-def solve_lambda(
-    A: float, tol: float = 1e-12, ctl: SeriesControl = DEFAULT_SERIES
-) -> EigenSystem:
+def solve_lambda(A: float, tol: float = 1e-12) -> EigenSystem:
     """Solve the boundary condition for the principal rate at cutoff A.
 
     tol is the relative width the bracketing iteration must reach. Raises
-    BracketError if no sign change is found, ConvergenceError if iteration
-    stalls, ConsistencyError if the polished root fails its invariants
+    ConvergenceError if no sign change is found or iteration stalls,
+    ConsistencyError if the polished root fails its invariants
     (for example outside the kernel's reliable window, A below ~0.35).
     """
     A = _check_cutoff(A)
@@ -313,7 +284,7 @@ def solve_lambda(
         raise DomainError(f"tol out of range (0, 1e-6]: {tol!r}")
 
     def g(lam: float) -> float:
-        return whittaker_w(1.0, 0.5 * xi_of_lambda(lam), 2.0 / A, ctl).real
+        return eigencondition(A, lam)
 
     lo, hi = lambda_bounds(A)
     width = hi - lo
@@ -327,7 +298,7 @@ def solve_lambda(
         hi = lo + width * 1.5**grow
         ghi = g(hi)
     if (glo > 0.0) == (ghi > 0.0):
-        raise BracketError(
+        raise ConvergenceError(
             f"eigencondition does not change sign near the proven bracket at A={A}"
         )
 
@@ -347,4 +318,4 @@ def solve_lambda(
             )
         prev = s
 
-    return assemble_system(A, lam, ctl=ctl)
+    return assemble_system(A, lam)

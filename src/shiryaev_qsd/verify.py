@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .distribution import qsd_cdf, qsd_pdf, stationary_cdf
-from .errors import ConsistencyError, KernelError, ToleranceNotMetError
+from .errors import ConsistencyError, ConvergenceError
 from .moments import moment_frac, moment_integer, moment_recurrence_residual
 from .quadrature import (
     DEFAULT_QUADRATURE,
@@ -38,9 +38,9 @@ _RECUR_ORDERS = (0.5, 1.5, math.pi)
 _DUAL_ORDERS = (0.5, math.pi)
 
 # a wildly wrong rate makes evaluation itself blow up (cdf past 1, kernel
-# domain trips, quadrature that cannot settle); those must surface as
+# poles, series or quadrature that cannot settle); those must surface as
 # failed rows, not exceptions, so the battery always reports
-_SOFT = (ConsistencyError, KernelError, ToleranceNotMetError)
+_SOFT = (ConsistencyError, ConvergenceError)
 
 
 def _grid(A: float) -> list[float]:

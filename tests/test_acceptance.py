@@ -19,7 +19,6 @@ from shiryaev_qsd.moments import (
 )
 from shiryaev_qsd.quadrature import normalization_check, quad_log_moment, quad_moment
 from shiryaev_qsd.specfun import (
-    DEFAULT_SERIES,
     gamma,
     whittaker_m,
     whittaker_w,
@@ -131,8 +130,8 @@ def test_criterion_07_normalizer_dual_expression(solved):
         es = solved(A)
         forms = [
             es.C,
-            _normalizer_series(A, es.lam, es.xi, 1, DEFAULT_SERIES),
-            _normalizer_series(A, es.lam, es.xi, -1, DEFAULT_SERIES),
+            _normalizer_series(A, es.lam, es.xi, 1),
+            _normalizer_series(A, es.lam, es.xi, -1),
         ]
         for i in range(len(forms)):
             for j in range(i + 1, len(forms)):

@@ -3,7 +3,15 @@ import json
 import pytest
 
 import shiryaev_qsd.cli as cli
-from shiryaev_qsd.errors import ToleranceNotMetError
+from shiryaev_qsd.errors import (
+    ConsistencyError,
+    ConvergenceError,
+    DenominatorPoleError,
+    DomainError,
+    PoleError,
+    RegimeError,
+    ToleranceNotMetError,
+)
 
 
 def run(capsys, *argv):
@@ -88,6 +96,12 @@ def test_verify_clean_and_perturbed(capsys):
     failed = [c["name"] for c in doc["checks"] if not c["passed"]]
     assert len(failed) >= 3  # a wrong rate cannot sneak through
 
+    # rows whose evaluation raised carry no residual; they still render
+    code, out, _ = run(capsys, "verify", "--A", "20", "--perturb-lambda", "1")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+
 
 def test_exit_code_bad_inputs(capsys):
     assert run(capsys, "pdf", "--A", "20", "--x", "-3")[0] == 2
@@ -113,13 +127,28 @@ def test_byte_determinism(capsys):
     assert out1 == out2
 
 
-def test_quadrature_failure_maps_to_exit_3(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "exc, expected",
+    [
+        (ToleranceNotMetError("cap", estimate=1.0, error_bound=1.0), 3),
+        (ConvergenceError("stalled"), 3),
+        (DomainError("outside"), 2),
+        (RegimeError("wrong regime"), 2),
+        (ConsistencyError("disagree"), 1),
+        (PoleError("pole"), 1),
+        (DenominatorPoleError("pole"), 1),
+        (OverflowError("math range error"), 1),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exceptions_map_to_exit_codes(capsys, monkeypatch, exc, expected):
     def boom(*a, **k):
-        raise ToleranceNotMetError("cap", estimate=1.0, error_bound=1.0)
+        raise exc
 
     monkeypatch.setattr(cli, "quad_moment", boom)
     code, out, err = run(capsys, "moment", "--A", "20", "--s", "0.3", "--check")
-    assert code == 3
+    assert code == expected
+    assert out == ""
     assert "error:" in err
 
 

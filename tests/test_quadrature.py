@@ -29,15 +29,12 @@ def test_spec_validation():
         dict(abs_tol=-1e-12),
         dict(rel_tol=-1.0),
         dict(max_subdivisions=0),
-        dict(underflow_cutoff=0.0),
-        dict(underflow_cutoff=1.5),
     ):
         with pytest.raises(DomainError):
             QuadratureSpec(**bad)
 
 
 def test_spec_defaults_sane():
-    assert DEFAULT_QUADRATURE.underflow_cutoff == UNDERFLOW_X
     assert DEFAULT_QUADRATURE.abs_tol <= 1e-10
 
 

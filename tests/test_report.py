@@ -76,6 +76,18 @@ def test_nonfinite_rejected():
         rep.to_csv()
 
 
+def test_unevaluated_check_renders_empty():
+    # a check whose evaluation raised carries residual inf; it renders as
+    # JSON null and an empty CSV field instead of aborting the report
+    rep = _report(checks=[CheckRow("norm", True, 0.25), CheckRow("pdf", False, math.inf)])
+    doc = json.loads(rep.to_json())
+    assert [c["residual"] for c in doc["checks"]] == [0.25, None]
+    assert doc["ok"] is False
+    lines = rep.to_csv().splitlines()
+    assert lines[1] == "norm,true,0.25"
+    assert lines[2] == "pdf,false,"
+
+
 def test_provenance_validated():
     with pytest.raises(DomainError):
         ResultRow("x", 1.0, "vibes")

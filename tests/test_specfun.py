@@ -10,7 +10,6 @@ from shiryaev_qsd.errors import (
     PoleError,
 )
 from shiryaev_qsd.specfun import (
-    SeriesControl,
     WPlan,
     digamma,
     documented_real,
@@ -359,8 +358,3 @@ def test_documented_real_accepts_and_rejects():
     assert documented_real(complex(2.0, 1e-12)) == 2.0
     with pytest.raises(ConsistencyError):
         documented_real(complex(2.0, 1e-3))
-
-
-def test_series_control_validation():
-    with pytest.raises(DomainError):
-        SeriesControl(max_terms=0)
