@@ -8,33 +8,26 @@ use the standard library's math.gamma (within 1e-15 relative of a
 40-digit reference on [-52, 60]); at a complex argument they use a
 Lanczos sum.
 
-The kernel is tuned for the windows this package actually visits: real
-arguments z = 2/x, second Whittaker indices b that are real in [0, 1/2],
-purely imaginary, or parked close to +-1/2 (the large-A regime pushes
-2b toward 1), and hypergeometric denominator parameters passing near
-nonpositive integers. Three regimes for W:
+Every Whittaker W is the Laplace integral (DLMF 13.4.4 through 13.14.3)
 
-* generic parameters: the M-based connection formula. At purely
-  imaginary b and real kappa its second term is the complex conjugate of
-  the first, so it takes one M series instead of two;
-* |2b - m| < 1e-3 for an integer m: the connection formula develops a
-  0/0 pole pair, so W is reconstructed by symmetric 4-point Richardson
-  extrapolation in the second index (offsets +-7.5e-4, +-1.5e-3, shrunk
-  by a quarter when an arm would land on the pole pair itself);
-* large z with moderate indices: the divergent large-z expansion summed
-  to its smallest term, which avoids the exp(z) cancellation the
-  connection formula suffers at large arguments. Mandatory from z = 20,
-  but already preferred from z = 14 whenever its truncation error is
-  measured below 1e-10 or 2b sits within 1e-2 of an integer (there the
-  near-pole factors amplify the connection cancellation, while an index
-  difference close to an odd integer makes the expansion nearly
-  terminating).
+    W_{kappa,b}(z) = z^kappa e^{-z/2} / Gamma(a)
+                     * int_0^inf e^{-u} u^{a-1} (1 + u/z)^{b+kappa-1/2} du,
+
+a = 1/2 + b - kappa, summed by the exp-sinh rule of Takahasi and Mori:
+u = exp(pi/2 sinh t), t from -4.5 at step h until u passes 750. W is even
+in b, so Re b >= 0; kappa is shifted down until Re a >= 1/2, and the
+kappa-recurrence climbs back. h is 1/16, halved each time |Im b| doubles
+past 1.26, as u^b oscillates in log u. There the ray turns by pi/4 toward
+Im b, which halves the exponent of the exp(pi |Im b| / 2) eps that the sum
+loses at imaginary b, where W is far smaller than its integrand.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from array import array
 
 from .errors import (
     ConsistencyError,
@@ -44,19 +37,15 @@ from .errors import (
     PoleError,
 )
 
-_EPS = 2.220446049250313e-16
 _POLE_TOL = 1e-12          # this close to a nonpositive integer counts as on it
-_NEAR_INT_2B = 1e-3        # |2b - nearest integer| below this -> extrapolated W
-_NEAR_INT_WIDE = 1e-2      # within this of an integer, large-z expansion preferred
-_RICH_OFFSET = 7.5e-4      # b-offset of the 4-point extrapolation stencil ...
-_RICH_OFFSET_SMALL_Z = 2e-5  # ... shrunk for z < 1 where arms stay clean and
-                             # the quartic bias would poison small-argument roots
-_ARM_POLE_GAP = 1e-9       # a stencil arm with 2b this close to an integer is on
-                           # the pole pair; the offset then shrinks by a quarter
-_ASYM_Z_HARD = 20.0        # large-z expansion mandatory beyond this (if eligible)
-_ASYM_Z_SOFT = 14.0        # ... opportunistic from here when measurably accurate
-_ASYM_TRUNC_OK = 1e-10     # measured truncation below this accepts the expansion
-_ASYM_MAX_TERMS = 80
+
+# exp-sinh rule of the W integral (see module docstring)
+_DE_T_MIN = -4.5
+_DE_U_MAX = 750.0
+_DE_H = 1.0 / 16.0
+_DE_IMAG_B = 1.26          # |Im b| the step h = 1/16 resolves
+_DE_TURN = math.pi / 4     # the ray's angle at complex b
+_DE_MAX_HALVINGS = 6       # node ceiling: h = 1/1024 (6,856 nodes), |Im b| <= 80.64
 
 # stopping rule of the ascending series (see _hyp_series)
 _SERIES_REL_TOL = 1e-15
@@ -151,8 +140,11 @@ def gamma(z: complex) -> complex:
         except OverflowError as exc:
             raise OverflowError(f"gamma({z}) overflows double precision") from exc
     if z.real < 0.5:
-        # reflection; sin(pi z) is bounded away from 0 by the pole check
-        return math.pi / (_sinpi(z) * gamma(1.0 - z))
+        # reflection; the pole check keeps sin(pi z) off 0, not off overflow
+        try:
+            return math.pi / (_sinpi(z) * gamma(1.0 - z))
+        except OverflowError as exc:
+            raise OverflowError(f"gamma({z}) leaves the double range") from exc
     w = z - 1.0
     acc = complex(_LANCZOS_C[0])
     for i in range(1, len(_LANCZOS_C)):
@@ -189,7 +181,10 @@ def rgamma(z: complex) -> complex:
         except OverflowError as exc:
             raise OverflowError(f"rgamma({z}) overflows double precision") from exc
     if z.real < 0.5:
-        return _sinpi(z) * gamma(1.0 - z) / math.pi
+        try:
+            return _sinpi(z) * gamma(1.0 - z) / math.pi
+        except OverflowError as exc:
+            raise OverflowError(f"rgamma({z}) overflows double precision") from exc
     return 1.0 / gamma(z)
 
 
@@ -335,117 +330,121 @@ def _require_positive_real(z) -> float:
     return z
 
 
-def _w_asymptotic(kappa: complex, b: complex, z: float) -> tuple[complex, float]:
-    # z^kappa exp(-z/2) sum_s (-1)^s (1/2+b-k)_s (1/2-b-k)_s / (s! z^s),
-    # truncated at the smallest term. Returns (value, trunc) where trunc is
-    # the magnitude of the last kept term relative to the sum: the standard
-    # optimal-truncation error estimate the dispatcher screens against.
-    c1 = 0.5 + b - kappa
-    c2 = 0.5 - b - kappa
-    term = 1.0 + 0j
-    total = 1.0 + 0j
-    prev = math.inf
-    last = 0.0
-    for s in range(1, _ASYM_MAX_TERMS):
-        term *= -(c1 + s - 1) * (c2 + s - 1) / (s * z)
-        mag = abs(term)
-        if mag >= prev:
-            break  # divergent tail reached; stop at the smallest term
-        total += term
-        prev = mag
-        last = mag
-        if mag < _EPS * abs(total):
-            break
-    trunc = last / max(abs(total), 1e-300)
-    return cmath.exp(kappa * math.log(z) - 0.5 * z) * total, trunc
+@functools.cache
+def _de_rule(halvings: int, turn: int) -> tuple[tuple, tuple, tuple]:
+    # nodes u_k, log u_k and weights w_k e^{-u_k} of the exp-sinh rule at step
+    # _DE_H / 2^halvings on the ray arg u = turn * _DE_TURN; floats if turn = 0
+    h = _DE_H / 2**halvings
+    theta = turn * _DE_TURN
+    ray, exp = (cmath.exp(1j * theta), cmath.exp) if turn else (1.0, math.exp)
+    nodes, logs, weights = [], [], []
+    t = _DE_T_MIN
+    while math.exp(log_r := 0.5 * math.pi * math.sinh(t)) * math.cos(theta) <= _DE_U_MAX:
+        u = math.exp(log_r) * ray
+        nodes.append(u)
+        logs.append(complex(log_r, theta) if turn else log_r)
+        weights.append(h * 0.5 * math.pi * math.cosh(t) * u * exp(-u))
+        t += h
+    return tuple(nodes), tuple(logs), tuple(weights)
+
+
+def _w_index(kappa: complex, b: complex) -> tuple:
+    # (b, kappa0, n, 1/Gamma(a0), rule key, real) for W_{kappa,b}: Re b >= 0, and
+    # kappa0 = kappa - n has Re a0 >= 1/2, a0 = 1/2 + b - kappa0; floats if real
+    kappa, b = complex(kappa), complex(b)
+    if b.real < 0.0 or (b.real == 0.0 and b.imag < 0.0):
+        b = -b
+    halvings = max(0, math.ceil(math.log2(abs(b.imag) / _DE_IMAG_B))) if b.imag else 0
+    if halvings > _DE_MAX_HALVINGS:
+        raise DomainError(f"W at |Im b| = {abs(b.imag):.4g} is past its rule's node ceiling")
+    n = max(0, math.ceil(kappa.real - b.real))
+    if real := kappa.imag == 0.0 and b.imag == 0.0:
+        kappa, b = kappa.real, b.real
+    kappa0 = kappa - n
+    rg = rgamma(0.5 + b - kappa0)
+    rule = (halvings, (b.imag > 0.0) - (b.imag < 0.0) if halvings else 0)
+    return b, kappa0, n, rg.real if real else rg, rule, real
+
+
+def _w_climb(ix: tuple, z: float, j0: complex, j1: complex) -> complex:
+    # W_{kappa,b}(z) from j0 = sum of w_k e^{-u_k} u_k^{a0-1} (1 + u_k/z)^{p0},
+    # p0 = b + kappa0 - 1/2, and j1 = the same times u_k / (1 + u_k/z). Over
+    # e^{-z/2} z^{kappa0-1} / Gamma(a0), W_{kappa0} is z j0, W_{kappa0-1} is
+    # j1 / a0, and the recurrence of DLMF 13.15 climbs to kappa, with its
+    # coefficient kept factored, so exact where it vanishes.
+    b, k, n, rg, _, real = ix
+    scale = math.exp(-0.5 * z) * z ** (k - 1.0) * rg
+    prev, cur = j1 / (0.5 + b - k), z * j0
+    for _ in range(n):
+        prev, cur = cur, (z - 2.0 * k) * cur - (k - b - 0.5) * (k + b - 0.5) * prev
+        k += 1.0
+    out = complex(scale * cur)
+    # at b = i beta and real kappa, W = W_{kappa,-b} is its own conjugate
+    return complex(out.real) if not real and b.real == 0.0 and k.imag == 0.0 else out
 
 
 class WPlan:
     """Whittaker W_{kappa,b}(z) at one index pair, for many real z > 0.
 
-    The Gamma products of the connection formula,
-    Gamma(-+2b) / Gamma(1/2 -+ b - kappa), do not depend on z. A plan
-    computes them on first use, for b itself or for one arm of the
-    near-integer-2b stencil, and keeps them: one pair, or the four stencil
-    arms at each offset it uses, whatever the number of z it serves. At
-    purely imaginary b and real kappa the second product and the second M
-    series are the complex conjugates of the first, so the plan computes
-    only the first of each and W is twice the real part of their product.
-    Every value equals what a fresh computation gives. Two threads
-    reaching a first use together compute the same products twice;
-    nothing else is shared.
+    Sums the Laplace integral of the module docstring with the factor
+    w_k e^{-u_k} u_k^{a0-1} of every node bound once, so each z costs one
+    power per node. Threads share only the read-only node table.
+
+    Raises:
+        DomainError: |Im b| is past the rule's node ceiling.
     """
 
-    __slots__ = ("kappa", "b", "_c1c2", "_dist", "_coef")
+    __slots__ = ("_ix", "_nodes", "_coef")
 
     def __init__(self, kappa: complex, b: complex) -> None:
-        self.kappa = complex(kappa)
-        self.b = complex(b)
-        self._c1c2 = abs((0.5 + self.b - self.kappa) * (0.5 - self.b - self.kappa))
-        two_b = 2.0 * self.b
-        self._dist = abs(two_b - round(two_b.real))
-        self._coef: dict[complex, tuple[complex, complex]] = {}
-
-    def _connection(self, b: complex, z: float) -> complex:
-        # W = G(-2b)/G(1/2-b-k) M_{k,b} + G(2b)/G(1/2+b-k) M_{k,-b}; the
-        # dispatcher keeps 2b off integers, so the Gammas are safe and the
-        # two M series are regular. At b = i beta and real kappa the kernel
-        # is conjugate-symmetric term by term, so the second term is the
-        # exact conjugate of the first and their sum is 2 Re of the first.
-        kappa = self.kappa
-        conjugate = b.real == 0.0 and b.imag != 0.0 and kappa.imag == 0.0
-        coef = self._coef.get(b)
-        if coef is None:
-            c0 = gamma(-2.0 * b) * rgamma(0.5 - b - kappa)
-            c1 = c0.conjugate() if conjugate else gamma(2.0 * b) * rgamma(0.5 + b - kappa)
-            coef = self._coef[b] = (c0, c1)
-        first = coef[0] * whittaker_m(kappa, b, z)
-        if conjugate:
-            return complex(2.0 * first.real)
-        return first + coef[1] * whittaker_m(kappa, -b, z)
+        self._ix = b, kappa0, _, _, rule, real = _w_index(kappa, b)
+        self._nodes, logs, weights = _de_rule(*rule)
+        exp, am1 = (math.exp if real else cmath.exp), b - kappa0 - 0.5
+        coef = (w * exp(am1 * s) for s, w in zip(logs, weights))
+        self._coef = array("d", coef) if real else tuple(coef)
 
     def __call__(self, z: float) -> complex:
-        """W_{kappa,b}(z); dispatches between the connection formula, the
-        near-integer-2b Richardson stencil, and the large-z expansion (see
-        module docstring)."""
+        """W_{kappa,b}(z)."""
         z = _require_positive_real(z)
-        kappa, b = self.kappa, self.b
-        if z >= _ASYM_Z_SOFT and self._c1c2 <= z / 3.0:
-            val, trunc = _w_asymptotic(kappa, b, z)
-            # Below the hard cutoff the expansion is kept only when its measured
-            # truncation already beats what exp(z)-scale cancellation leaves of
-            # the connection formula, or when near-integer 2b would force the
-            # pole-amplified stencil (strictly worse here).
-            if z >= _ASYM_Z_HARD or trunc <= _ASYM_TRUNC_OK or self._dist < _NEAR_INT_WIDE:
-                return val
-        elif z >= 200.0:
-            # indices too large for the eligibility screen, but the connection
-            # route is hopeless at this magnitude; best-effort expansion
-            return _w_asymptotic(kappa, b, z)[0]
-        if self._dist < _NEAR_INT_2B:
-            # quartic bias ~ W''''(b) eps^4 / 6; at small z the connection pieces
-            # shrink with the offset, so a tight stencil costs no cancellation
-            # and keeps eigencondition roots sharp at large cutoffs
-            eps = _RICH_OFFSET if z >= 1.0 else _RICH_OFFSET_SMALL_Z
-            d = 2.0 * b - round(2.0 * b.real)  # 2b less its nearest integer
-            if min(abs(d + k * eps) for k in (-4.0, -2.0, 2.0, 4.0)) < _ARM_POLE_GAP:
-                # an arm 2(b +- eps) or 2(b +- 2eps) on the integer: at 3/4 of
-                # the offset every arm is at least eps/2 from it, and |d| < 1e-3
-                # keeps the other integers far away
-                eps *= 0.75
-            s1 = 0.5 * (self._connection(b + eps, z) + self._connection(b - eps, z))
-            s2 = 0.5 * (self._connection(b + 2 * eps, z) + self._connection(b - 2 * eps, z))
-            return (4.0 * s1 - s2) / 3.0
-        return self._connection(b, z)
+        b, kappa0, n = self._ix[:3]
+        iz, p = 1.0 / z, b + kappa0 - 0.5
+        j0 = j1 = 0.0
+        for u, c in zip(self._nodes, self._coef):
+            q = 1.0 + u * iz
+            t = c * q**p
+            j0 += t
+            if n:
+                j1 += t * u / q
+        return _w_climb(self._ix, z, j0, j1)
+
+
+@functools.lru_cache(maxsize=1)
+def _z_factors(z: float, rule: tuple) -> tuple[tuple, tuple]:
+    # log(1 + u_k/z) and u_k / (1 + u_k/z), kept for the last z (~63 calls a solve)
+    log = cmath.log if rule[1] else math.log
+    nodes = _de_rule(*rule)[0]
+    return tuple(log(1.0 + u / z) for u in nodes), tuple(u / (1.0 + u / z) for u in nodes)
 
 
 def whittaker_w(kappa: complex, b: complex, z: float) -> complex:
     """Whittaker W_{kappa,b}(z) for real z > 0; even in b.
 
-    One evaluation of WPlan(kappa, b). Never raises on near-integer 2b;
-    that case is handled internally.
+    WPlan's sum, with the factors of each node that depend on z kept for
+    the last z asked: another call at that z costs one exponential a node.
+
+    Raises:
+        DomainError: z is not a positive real, or |Im b| is past the
+            rule's node ceiling.
     """
-    return WPlan(kappa, b)(z)
+    z = _require_positive_real(z)
+    ix = b, kappa0, n, _, rule, real = _w_index(kappa, b)
+    _, logs, weights = _de_rule(*rule)
+    log1p, ratio = _z_factors(z, rule)
+    exp = math.exp if real else cmath.exp
+    am1, p = b - kappa0 - 0.5, b + kappa0 - 0.5
+    terms = [w * exp(am1 * s + p * q) for s, w, q in zip(logs, weights, log1p)]
+    j1 = sum(t * r for t, r in zip(terms, ratio)) if n else 0.0
+    return _w_climb(ix, z, sum(terms), j1)
 
 
 def whittaker_w_dz(kappa: complex, b: complex, z: float) -> complex:

@@ -153,13 +153,26 @@ def test_exceptions_map_to_exit_codes(capsys, monkeypatch, exc, expected):
 
 
 def test_rate_solve_stays_off_stencil_poles(capsys):
-    # a below-bracket guard sample here put an arm of the near-integer-2b
-    # stencil within 1e-12 of Gamma's pole at -1 (exit 1, PoleError)
-    code, out, err = run(capsys, "eig", "--A", "12506.18935485437")
-    assert code == 0, err
-    doc = json.loads(out)
-    assert doc["ok"] is True
-    assert doc["checks"] and all(c["passed"] for c in doc["checks"])
+    # cutoffs where an older kernel's Richardson stencil in b, used for 2b
+    # near an integer, failed: at the first a below-bracket guard sample put
+    # an arm within 1e-12 of Gamma's pole at -1 (exit 1, PoleError); at the
+    # second an arm 2.4e-8 from 2b = 1 cost the normalizer check (exit 1)
+    for A in ("12506.18935485437", "50018.035540315264"):
+        code, out, err = run(capsys, "eig", "--A", A)
+        assert code == 0, (A, err)
+        doc = json.loads(out)
+        assert doc["ok"] is True
+        assert doc["checks"] and all(c["passed"] for c in doc["checks"])
+
+
+def test_integer_moment_check_at_large_cutoffs(capsys):
+    # M(1) = A - 1/rate multiplies the rate's error by about A/M(1), some
+    # 5,000 here: the closed form passes its quadrature check only with a
+    # rate good to about 1e-13
+    for A in ("47623.2", "69009.6", "1e5"):
+        code, out, err = run(capsys, "moment", "--A", A, "--s", "1", "--check")
+        assert code == 0, (A, err)
+        assert json.loads(out)["ok"] is True
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

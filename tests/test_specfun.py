@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import pytest
@@ -22,6 +21,7 @@ from shiryaev_qsd.specfun import (
     whittaker_w,
     whittaker_w_dz,
 )
+from shiryaev_qsd.spectral import solve_lambda
 
 # reference values frozen from 40-digit evaluations
 GAMMA_C = complex(0.309686256743749129, -0.85678775293927049595)
@@ -101,8 +101,14 @@ def test_real_axis_gamma_poles_and_overflow():
         for d in (0.0, 9e-13, -9e-13):
             with pytest.raises(PoleError):
                 gamma(-n + d)
-    for f, x in ((gamma, 172.0), (gamma, -200.5), (rgamma, -200.5)):
-        with pytest.raises(OverflowError):
+    for f, x in (
+        (gamma, 172.0),
+        (gamma, -200.5),
+        (rgamma, -200.5),
+        (gamma, complex(-0.5, 1e3)),  # sin(pi z) overflows in the reflection
+        (rgamma, complex(-0.5, 1e3)),
+    ):
+        with pytest.raises(OverflowError, match=r"gamma\(.*\)"):
             f(x)
 
 
@@ -193,8 +199,8 @@ def test_whittaker_w_even_in_b():
 
 
 def test_whittaker_w_near_integer_2b_stencil():
-    # 2b within 1e-3 of an integer routes through the Richardson stencil;
-    # the limit itself must come out clean
+    # 2b near an integer, where W's connection formula has a 0/0 pole
+    # pair; the limit itself must come out clean
     direct = whittaker_w(1.0, 0.5 + 2e-4, 2.0)
     nearby = whittaker_w(1.0, 0.5 + 2e-3, 2.0)
     assert abs(direct - nearby) < 5e-3 * abs(nearby)
@@ -202,8 +208,8 @@ def test_whittaker_w_near_integer_2b_stencil():
 
 
 def test_whittaker_w_regime_seam_accuracy():
-    # accuracy straddling the connection/asymptotic handoff near z = 20,
-    # the weakest stretch of the kernel (both routes bottom out here)
+    # accuracy straddling z = 20, where an older kernel handed over from
+    # the connection formula to the large-z expansion
     anchors = [
         (0.11, 19.995, 0.00089927836334820911298),
         (0.11, 20.005, 0.00089524602962649956254),
@@ -214,90 +220,10 @@ def test_whittaker_w_regime_seam_accuracy():
         assert rel(whittaker_w(1.0, b, z), want) < 2e-6, (b, z)
 
 
-def _w_reference(kappa, b, z):
-    """(route, W) by the dispatch of whittaker_w with every Gamma product of
-    the connection formula recomputed on each call from the public kernel."""
-    kappa, b = complex(kappa), complex(b)
-    c1, c2 = 0.5 + b - kappa, 0.5 - b - kappa
-
-    def expansion():
-        term = total = 1.0 + 0j
-        prev, last = math.inf, 0.0
-        for s in range(1, 80):
-            term *= -(c1 + s - 1) * (c2 + s - 1) / (s * z)
-            if abs(term) >= prev:
-                break
-            total += term
-            prev = last = abs(term)
-            if last < 2.220446049250313e-16 * abs(total):
-                break
-        val = cmath.exp(kappa * math.log(z) - 0.5 * z) * total
-        return val, last / max(abs(total), 1e-300)
-
-    def connection(b):
-        return gamma(-2.0 * b) * rgamma(0.5 - b - kappa) * whittaker_m(
-            kappa, b, z
-        ) + gamma(2.0 * b) * rgamma(0.5 + b - kappa) * whittaker_m(kappa, -b, z)
-
-    dist = abs(2.0 * b - round((2.0 * b).real))
-    if z >= 14.0 and abs(c1 * c2) <= z / 3.0:
-        val, trunc = expansion()
-        if z >= 20.0:
-            return "expansion-hard", val
-        if trunc <= 1e-10 or dist < 1e-2:
-            return "expansion-soft", val
-    elif z >= 200.0:
-        return "expansion-fallback", expansion()[0]
-    if dist < 1e-3:
-        eps = 7.5e-4 if z >= 1.0 else 2e-5
-        route = "stencil" if z >= 1.0 else "stencil-small-z"
-        arms = (2.0 * (b + k * eps) for k in (-2, -1, 1, 2))
-        if min(abs(a - round(a.real)) for a in arms) < 1e-9:
-            eps *= 0.75
-            route = "stencil-arm-moved"
-        s1 = 0.5 * (connection(b + eps) + connection(b - eps))
-        s2 = 0.5 * (connection(b + 2 * eps) + connection(b - 2 * eps))
-        return route, (4.0 * s1 - s2) / 3.0
-    return "connection", connection(b)
-
-
-def test_w_plan_matches_per_call_reference_on_every_route():
-    cases = [
-        (0.0, 0.3, 25.0),                  # expansion past the hard threshold
-        (1.0, 0.45, 15.0),                 # soft: truncation measured small
-        (1.0, 0.5 + 4e-3, 16.0),           # soft: 2b within 1e-2 of an integer
-        (0.0, 0.3, 15.0),                  # soft expansion rejected
-        (0.0, 10j, 250.0),                 # indices too large, z >= 200
-        (1.0, 0.5 - 1e-4, 0.4),            # stencil, small-z offset
-        (1.0, 0.5 - 2e-5, 0.4),            # stencil, an arm moved off 2b = 1
-        (0.0, 2e-4, 0.3),
-        (1.0, 0.5 - 1e-4, 3.0),            # stencil, wide offset
-        (0.0, 2e-4, 6.0),
-        (1.0, 0.3, 2.0),                   # connection
-        (0.0, 0.2j, 5.0),
-        (1.0, 0.35j, 0.02),
-    ]
-    routes = set()
-    for kappa, b, z in cases:
-        route, want = _w_reference(kappa, b, z)
-        routes.add(route)
-        assert WPlan(kappa, b)(z) == want, (kappa, b, z, route)
-        assert whittaker_w(kappa, b, z) == want, (kappa, b, z, route)
-    assert routes == {
-        "expansion-hard",
-        "expansion-soft",
-        "expansion-fallback",
-        "stencil",
-        "stencil-small-z",
-        "stencil-arm-moved",
-        "connection",
-    }
-
-
 def test_stencil_arms_stay_off_the_poles():
-    # 2b two or four times the small-z offset from an integer puts an arm of
-    # the stencil on a pole of Gamma(-2b), which used to raise PoleError; the
-    # moved stencil must keep the usual accuracy there
+    # 2b at 2 or 4 times 2e-5 from an integer: an older kernel's Richardson
+    # stencil in b put an arm on a pole of Gamma(-2b) here and raised
+    # PoleError
     mpmath = pytest.importorskip("mpmath")
     cases = [
         (1.0, 0.5 - 2e-5, 0.5),   # arm 2(b + eps) at 1
@@ -314,26 +240,52 @@ def test_stencil_arms_stay_off_the_poles():
             assert got.imag == 0.0 and rel(got, want) < 1e-10, (kappa, b, z)
 
 
-def test_w_at_imaginary_index_is_one_conjugate_pair():
-    # at b = i beta and real kappa the connection formula's second term is the
-    # conjugate of its first, so one M series gives the whole sum, exactly
-    for kappa in (0.0, 1.0):
-        for beta in (0.05, 0.2, 0.7, 1.5, 3.0):
-            b = complex(0.0, beta)
-            plan = WPlan(kappa, b)
-            for z in (1e-3, 0.02, 0.5, 3.0, 13.0):
-                route, two_term = _w_reference(kappa, b, z)
-                assert route == "connection"
-                got = plan(z)
-                assert got == two_term, (kappa, beta, z)
-                assert got.imag == 0.0, (kappa, beta, z)
+# cutoffs whose solved index b = xi/2 the W kernel is checked at: imaginary
+# b, b through 0 near A = 10.248, and 2b within 1e-4 of 1 at large A
+W_CHECK_CUTOFFS = (0.7, 1.0, 3.0, 10.248157433479623, 20.0, 1e3, 1e4, 50145.466016517465, 1e5)
 
 
-def test_w_plan_reuse_across_routes_in_mixed_order():
-    for kappa, b in ((1.0, 0.5 - 1e-4), (0.0, 0.3), (0.0, 0.2j)):
+def test_w_matches_mpmath_at_solved_indices():
+    mpmath = pytest.importorskip("mpmath")
+    worst0 = worst1 = worst_k = 0.0
+    with mpmath.workdps(40):
+        for A in W_CHECK_CUTOFFS:
+            b = 0.5 * solve_lambda(A).xi
+            plans = (WPlan(0.0, b), WPlan(1.0, b))
+            for j in range(13):
+                z = 2.0 / A * (350.0 * A) ** (j / 12)  # log-spaced over [2/A, 700]
+                w0 = mpmath.whitw(0, b, z)
+                w1 = mpmath.whitw(1, b, z)
+                scale1 = max(abs(w1), abs(z * w0))  # W1 = z W0 - (1/4 - b^2) W-1
+                for got0, got1 in ((whittaker_w(0.0, b, z), whittaker_w(1.0, b, z)),
+                                   (plans[0](z), plans[1](z))):
+                    worst0 = max(worst0, float(abs(got0 - w0) / abs(w0)))
+                    worst1 = max(worst1, float(abs(got1 - w1) / scale1))
+        # the other indices the suite evaluates W at
+        others = [(0.3, 0.4, 1.1)]
+        others += [(0.8, b, z) for b in (0.37, 1.21) for z in (0.6, 2.5, 9.0)]
+        for A in (20.0, 100.0):
+            xi = solve_lambda(A).xi.real
+            others += [(0.5, 0.5 * (xi - sigma), 2.0 / A) for sigma in (1, -1)]
+        for kappa, b, z in others:
+            want = mpmath.whitw(kappa, b, z)
+            for got in (whittaker_w(kappa, b, z), WPlan(kappa, b)(z)):
+                worst_k = max(worst_k, float(abs(got - want) / abs(want)))
+    assert max(worst0, worst1, worst_k) < 1e-13, (worst0, worst1, worst_k)
+
+
+def test_w_plan_reuse_in_mixed_order():
+    # a plan, and whittaker_w with its per-z factors, give the same bits
+    # whatever z they served before
+    zs = (3.0, 0.4, 25.0, 0.05, 15.0, 2.0, 0.4, 3.0, 250.0, 9.0)
+    for kappa, b in ((1.0, 0.5 - 1e-4), (0.0, 0.3), (0.0, 0.2j), (1.0, 2.7j), (0.8, 1.21)):
         plan = WPlan(kappa, b)
-        for z in (3.0, 0.4, 25.0, 0.05, 15.0, 2.0, 0.4, 3.0, 250.0, 9.0):
-            assert plan(z) == _w_reference(kappa, b, z)[1], (kappa, b, z)
+        first = {}
+        for z in zs:
+            assert plan(z) == WPlan(kappa, b)(z), (kappa, b, z)
+            w = first.setdefault(z, whittaker_w(kappa, b, z))
+            assert whittaker_w(kappa, b, z) == w, (kappa, b, z)
+            whittaker_w(1.0 - kappa, 0.25, z)  # another index at the same z
 
 
 def test_whittaker_w_dz_anchor():

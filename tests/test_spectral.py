@@ -24,6 +24,8 @@ ANCHORS = {
     100.0: (0.0105631060745850857798, 1.09737591318576402216),
     1000.0: (0.00100951719976295748869, 1.01351278279727610642),
     10000.0: (0.000100139277975385582812, 1.00179239008329470563),
+    # 2b is 8e-5 from 1 here; an older kernel's rate was 1.8e-10 off
+    50145.466016517465: (1.994879012728765521235e-05, 1.000421115162456517234),
 }
 
 
