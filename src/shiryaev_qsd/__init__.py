@@ -37,7 +37,7 @@ from .moments import (
     moment_singular_shifted,
     moment_special_value,
 )
-from .quadrature import QuadratureSpec, normalization_check, quad_log_moment, quad_moment
+from .quadrature import normalization_check, quad_log_moment, quad_moment
 from .report import CheckRow, EvalReport, ResultRow
 from .verify import run_checks
 
@@ -51,7 +51,6 @@ __all__ = [
     "EvalReport",
     "MomentResult",
     "PoleError",
-    "QuadratureSpec",
     "RegimeError",
     "ResultRow",
     "ToleranceNotMetError",

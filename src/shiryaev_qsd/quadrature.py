@@ -9,7 +9,9 @@ The rule is the classic 15-point Kronrod extension of 7-point Gauss on
 [-1, 1], applied to panels kept in a worst-error-first heap. Everything
 is deterministic: ties in the heap break on insertion order and the
 final sum runs over panels sorted by left endpoint, so repeated calls
-bit-match.
+bit-match. The budget is fixed: refinement stops once the summed error
+gauge is within max(1e-12, 1e-10 * |estimate|), and raises
+ToleranceNotMetError after 2,000 panel splits.
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .distribution import UNDERFLOW_X, qsd_pdf
 from .errors import DomainError, ToleranceNotMetError
 from .spectral import EigenSystem
 
 __all__ = [
-    "QuadratureSpec",
     "quad_moment",
     "quad_log_moment",
     "normalization_check",
@@ -59,25 +59,10 @@ _WG = (
     0.41795918367346938775510204081633,
 )
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Error budget and effort cap for one adaptive integration."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if not (self.rel_tol >= 0.0 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be nonnegative, got {self.rel_tol!r}")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# error budget max(abs, rel * |estimate|) and split cap of every integration
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+_MAX_SPLITS = 2000
 
 
 def _gk15(f, a: float, b: float) -> tuple[float, float]:
@@ -108,7 +93,7 @@ def _seed_panels(lo: float, hi: float) -> list[tuple[float, float]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _adapt(f, lo: float, hi: float, spec: QuadratureSpec) -> float:
+def _adapt(f, lo: float, hi: float) -> float:
     heap: list[tuple[float, int, float, float, float, float]] = []
     seq = 0
     for a, b in _seed_panels(lo, hi):
@@ -119,12 +104,12 @@ def _adapt(f, lo: float, hi: float, spec: QuadratureSpec) -> float:
     while True:
         total = math.fsum(item[4] for item in heap)
         err_total = math.fsum(item[5] for item in heap)
-        budget = max(spec.abs_tol, spec.rel_tol * abs(total))
+        budget = max(_ABS_TOL, _REL_TOL * abs(total))
         if err_total <= budget:
             break
-        if splits >= spec.max_subdivisions:
+        if splits >= _MAX_SPLITS:
             raise ToleranceNotMetError(
-                f"adaptive refinement hit the {spec.max_subdivisions}-split cap "
+                f"adaptive refinement hit the {_MAX_SPLITS}-split cap "
                 f"with error {err_total:.3e} over budget {budget:.3e}",
                 estimate=total,
                 error_bound=err_total,
@@ -143,7 +128,6 @@ def _adapt(f, lo: float, hi: float, spec: QuadratureSpec) -> float:
 def _expect(
     weight: Callable[[float], float],
     sys: EigenSystem,
-    spec: QuadratureSpec,
     pdf: Callable[[float], float] | None,
 ) -> float:
     # weight * pdf over [UNDERFLOW_X, A]; below the cutoff the density
@@ -151,14 +135,11 @@ def _expect(
     if sys.A <= UNDERFLOW_X:
         raise DomainError(f"cutoff {UNDERFLOW_X} swallows the whole support [0, {sys.A}]")
     density = pdf or (lambda x: qsd_pdf(x, sys))
-    return _adapt(lambda x: weight(x) * density(x), UNDERFLOW_X, sys.A, spec)
+    return _adapt(lambda x: weight(x) * density(x), UNDERFLOW_X, sys.A)
 
 
 def quad_moment(
-    s: float,
-    sys: EigenSystem,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    pdf: Callable[[float], float] | None = None,
+    s: float, sys: EigenSystem, pdf: Callable[[float], float] | None = None
 ) -> float:
     """E[X^s] under the confined law by adaptive quadrature.
 
@@ -169,21 +150,17 @@ def quad_moment(
     """
     if not math.isfinite(s):
         raise DomainError(f"order must be finite, got {s!r}")
-    return _expect(lambda x: math.pow(x, s), sys, spec, pdf)
+    return _expect(lambda x: math.pow(x, s), sys, pdf)
 
 
-def quad_log_moment(
-    sys: EigenSystem, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def quad_log_moment(sys: EigenSystem) -> float:
     """E[log X] under the confined law by adaptive quadrature."""
-    return _expect(math.log, sys, spec, None)
+    return _expect(math.log, sys, None)
 
 
 def normalization_check(
-    sys: EigenSystem,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    pdf: Callable[[float], float] | None = None,
+    sys: EigenSystem, pdf: Callable[[float], float] | None = None
 ) -> float:
     """Integral of the pdf over the support; 1 up to quadrature error.
     pdf as for quad_moment."""
-    return _expect(lambda x: 1.0, sys, spec, pdf)
+    return _expect(lambda x: 1.0, sys, pdf)

@@ -14,6 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -90,8 +91,7 @@ class ResultRow:
             )
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     """One verification outcome; residual is the measured metric, whatever
     the check's own scale is (relative error, signed slack, ...), or inf
     when evaluating the check raised."""
@@ -107,7 +107,6 @@ class EvalReport:
     inputs: dict
     results: list[ResultRow] = field(default_factory=list)
     checks: list[CheckRow] = field(default_factory=list)
-    schema_version: str = SCHEMA_VERSION
 
     @property
     def ok(self) -> bool:
@@ -115,7 +114,7 @@ class EvalReport:
 
     def to_json(self) -> str:
         doc = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "inputs": self.inputs,
             "results": [

@@ -11,10 +11,12 @@ EigenSystem the distribution and moment code can trust blindly.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
+from .report import CheckRow
 from .specfun import WPlan, documented_real, gamma, hyp1f1, whittaker_w
 
 _EPS = 2.220446049250313e-16
@@ -146,37 +148,35 @@ def _normalizer_series(A: float, lam: float, xi: complex, sigma: int) -> float:
     return documented_real(val, "series form of the normalizer")
 
 
-def eigen_checks(
-    A: float, lam: float, xi: complex, C: float
-) -> list[tuple[str, bool, float]]:
+def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
     """Invariant battery for a candidate (A, lam, xi, C) quadruple.
 
-    Returns (name, passed, metric) rows; every metric is the dimensionless
-    residual the pass/fail threshold applies to. Recomputes everything from
-    scratch so a stale or tampered field cannot hide.
+    Every row's residual is the dimensionless metric the pass/fail
+    threshold applies to. Recomputes everything from scratch so a stale or
+    tampered field cannot hide.
     """
     A = _check_cutoff(A)
-    rows: list[tuple[str, bool, float]] = []
+    rows: list[CheckRow] = []
 
     lo, hi = lambda_bounds(A)
     in_bracket = lo * (1.0 - _BRACKET_SLACK) <= lam <= hi * (1.0 + _BRACKET_SLACK)
-    rows.append(("rate-bracket", in_bracket, (lam - lo) / (hi - lo)))
+    rows.append(CheckRow("rate-bracket", in_bracket, (lam - lo) / (hi - lo)))
 
     ident = abs(xi * xi + 8.0 * lam - 1.0) / max(1.0, 8.0 * lam)
-    rows.append(("index-identity", ident <= _XI_IDENTITY_TOL, ident))
+    rows.append(CheckRow("index-identity", ident <= _XI_IDENTITY_TOL, ident))
 
     z = 2.0 / A
     w1 = whittaker_w(1.0, 0.5 * xi, z)
     w0 = whittaker_w(0.0, 0.5 * xi, z)
     res = abs(w1) / max(1.0, abs(w0))
-    rows.append(("eigencondition-residual", res <= _RESIDUAL_TOL, res))
+    rows.append(CheckRow("eigencondition-residual", res <= _RESIDUAL_TOL, res))
 
     ok_c = math.isfinite(C) and C > 0.0
-    rows.append(("normalizer-positive", ok_c, C))
+    rows.append(CheckRow("normalizer-positive", ok_c, C))
 
     if ok_c and w0.real > 0.0:
         rel = abs(_normalizer_endpoint(A, w0.real) - C) / C
-        rows.append(("normalizer-endpoint", rel <= _DUAL_C_TOL, rel))
+        rows.append(CheckRow("normalizer-endpoint", rel <= _DUAL_C_TOL, rel))
         worst = 0.0
         for sigma in (1, -1):
             try:
@@ -185,10 +185,10 @@ def eigen_checks(
                 worst = math.inf
                 break
             worst = max(worst, abs(alt - C) / C)
-        rows.append(("normalizer-series", worst <= _DUAL_C_TOL, worst))
+        rows.append(CheckRow("normalizer-series", worst <= _DUAL_C_TOL, worst))
     else:
-        rows.append(("normalizer-endpoint", False, math.inf))
-        rows.append(("normalizer-series", False, math.inf))
+        rows.append(CheckRow("normalizer-endpoint", False, math.inf))
+        rows.append(CheckRow("normalizer-series", False, math.inf))
     return rows
 
 
@@ -209,45 +209,31 @@ class EigenSystem:
     C: float
     residual: float
     validate: InitVar[bool] = True
-    _w_plans: tuple[WPlan, WPlan] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _checks: tuple[tuple[str, bool, float], ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self, validate: bool) -> None:
         _check_cutoff(self.A)
         if not validate:
             return
-        failed = [(name, metric) for name, passed, metric in self.checks if not passed]
+        failed = [row for row in self.checks if not row.passed]
         if failed:
             raise ConsistencyError(
                 "eigdata invariants violated: "
-                + ", ".join(f"{name} (metric {metric:.3e})" for name, metric in failed)
+                + ", ".join(f"{row.name} (metric {row.residual:.3e})" for row in failed)
             )
 
-    @property
-    def checks(self) -> tuple[tuple[str, bool, float], ...]:
+    @functools.cached_property
+    def checks(self) -> tuple[CheckRow, ...]:
         """eigen_checks rows of this system: those construction computed, or
         computed on first use when it skipped validation. A race between
         threads computes equal rows twice."""
-        rows = self._checks
-        if rows is None:
-            rows = tuple(eigen_checks(self.A, self.lam, self.xi, self.C))
-            object.__setattr__(self, "_checks", rows)
-        return rows
+        return tuple(eigen_checks(self.A, self.lam, self.xi, self.C))
 
-    @property
+    @functools.cached_property
     def w_plans(self) -> tuple[WPlan, WPlan]:
         """Plans of W_{0, xi/2} and W_{1, xi/2}, indexed by kappa; built on
         first use. A race between threads builds equal plans twice."""
-        plans = self._w_plans
-        if plans is None:
-            b = 0.5 * self.xi
-            plans = (WPlan(0.0, b), WPlan(1.0, b))
-            object.__setattr__(self, "_w_plans", plans)
-        return plans
+        b = 0.5 * self.xi
+        return WPlan(0.0, b), WPlan(1.0, b)
 
 
 def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:

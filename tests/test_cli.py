@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiryaev_qsd.cli as cli
 from shiryaev_qsd.errors import (
@@ -193,3 +197,49 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
 
     info = cli._build_parser.cache_info()
     assert info.misses == 1 and info.hits == 5
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+def _value(inside):
+    # arbitrary floats mixed with values inside the domain
+    return st.one_of(_ANY_FLOAT, st.sampled_from(inside))
+
+
+def _values(inside):
+    return st.lists(_value(inside), min_size=1, max_size=3)
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["eig", "pdf", "cdf", "moment", "table", "verify"]))
+    a = draw(_value([0.7, 1.0, 3.0, 20.0, 1e3, 1e5]))
+    argv = [cmd, f"--A={a!r}"]
+    if cmd in ("pdf", "cdf"):
+        argv += [f"--x={x!r}" for x in draw(_values([0.0, 0.3, 0.5, 1.0, 2.5]))]
+    if cmd == "moment":
+        argv += [f"--s={s!r}" for s in draw(_values([-1.2, 0.3, 0.5, 1.0, 2.5]))]
+        if draw(st.booleans()):
+            argv.append("--log")
+    if cmd in ("pdf", "cdf", "moment") and draw(st.booleans()):
+        argv.append("--check")
+    if cmd == "table":
+        argv.append(f"--points={draw(st.integers(-2, 40))}")
+    fmt = draw(st.sampled_from(["json", "csv"]))
+    return argv + [f"--format={fmt}"], fmt
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_argv())
+def test_any_argv_exits_with_a_documented_code(case):
+    # the exit-code contract of cli.main: a documented code for any float
+    # input, never a traceback, and JSON output that parses
+    argv, fmt = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if fmt == "json" and out.getvalue():
+        json.loads(out.getvalue())

@@ -3,15 +3,10 @@ import math
 import pytest
 import scipy.integrate
 
+import shiryaev_qsd.quadrature as quadrature
 from shiryaev_qsd.distribution import UNDERFLOW_X, qsd_pdf
 from shiryaev_qsd.errors import DomainError, ToleranceNotMetError
-from shiryaev_qsd.quadrature import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    normalization_check,
-    quad_log_moment,
-    quad_moment,
-)
+from shiryaev_qsd.quadrature import normalization_check, quad_log_moment, quad_moment
 from shiryaev_qsd.spectral import EigenSystem
 
 # oracle-frozen values, same provenance as the anchors in test_moments
@@ -21,21 +16,6 @@ QUAD_FRAC_20 = {
     3.7: 706.829627314892243863,
 }
 QUAD_LOG = {20.0: 0.76869754340116908, 100.0: 1.0685916998164794}
-
-
-def test_spec_validation():
-    for bad in (
-        dict(abs_tol=0.0),
-        dict(abs_tol=-1e-12),
-        dict(rel_tol=-1.0),
-        dict(max_subdivisions=0),
-    ):
-        with pytest.raises(DomainError):
-            QuadratureSpec(**bad)
-
-
-def test_spec_defaults_sane():
-    assert DEFAULT_QUADRATURE.abs_tol <= 1e-10
 
 
 def test_frozen_moments(solved):
@@ -64,11 +44,13 @@ def test_bit_determinism(solved):
     assert normalization_check(es) == normalization_check(es)
 
 
-def test_tolerance_failure_carries_estimate(solved):
+def test_tolerance_failure_carries_estimate(solved, monkeypatch):
     es = solved(20.0)
-    tight = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
+    monkeypatch.setattr(quadrature, "_ABS_TOL", 1e-15)
+    monkeypatch.setattr(quadrature, "_REL_TOL", 1e-15)
+    monkeypatch.setattr(quadrature, "_MAX_SPLITS", 3)
     with pytest.raises(ToleranceNotMetError) as exc:
-        quad_moment(0.3, es, tight)
+        quad_moment(0.3, es)
     err = exc.value
     # partial estimate still usable, bound honest
     assert abs(err.estimate - QUAD_FRAC_20[0.3]) < 1e-6
