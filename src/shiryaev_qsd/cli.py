@@ -18,7 +18,7 @@ from .moments import moment_frac, moment_log
 from .quadrature import quad_log_moment, quad_moment
 from .report import EvalReport, ResultRow
 from .spectral import assemble_system, solve_lambda
-from .verify import dual_route_row, run_checks
+from .verify import _memo_pdf, dual_route_row, run_checks
 
 __all__ = ["main"]
 
@@ -108,18 +108,19 @@ def _cmd_moment(args) -> EvalReport:
         command="moment",
         inputs={"A": args.A, "tol": args.tol, "s": list(args.s), "log": args.log},
     )
+    pdf = _memo_pdf(es)
     for s in args.s:
         m = moment_frac(s, es)
         rep.results.append(ResultRow(f"moment[s={s!r}]", m.value, "closed_form"))
         if args.check:
-            q = quad_moment(s, es)
+            q = quad_moment(s, es, pdf)
             rep.results.append(ResultRow(f"moment-quad[s={s!r}]", q, "quadrature"))
             rep.checks.append(dual_route_row(f"dual-route[s={s!r}]", m.value, q))
     if args.log:
         lv = moment_log(es)
         rep.results.append(ResultRow("log-moment", lv, "closed_form"))
         if args.check:
-            q = quad_log_moment(es)
+            q = quad_log_moment(es, pdf)
             rep.results.append(ResultRow("log-moment-quad", q, "quadrature"))
             rep.checks.append(dual_route_row("dual-route[log]", lv, q))
     return rep

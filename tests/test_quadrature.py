@@ -9,20 +9,35 @@ from shiryaev_qsd.errors import DomainError, ToleranceNotMetError
 from shiryaev_qsd.quadrature import normalization_check, quad_log_moment, quad_moment
 from shiryaev_qsd.spectral import EigenSystem
 
-# oracle-frozen values, same provenance as the anchors in test_moments
-QUAD_FRAC_20 = {
-    -0.7: 0.681515360166309512937,
-    0.3: 1.29761742395592314376,
-    3.7: 706.829627314892243863,
+# oracle-frozen values, same provenance as the anchors in test_moments; the
+# ends of the benchmark grid (imaginary index at A = 0.7) from bench/oracle.py
+# at 40 digits
+QUAD_FRAC = {
+    0.7: {
+        -0.7: 1.83120573665026054878,
+        0.5: 0.662221836702259658395,
+        math.pi: 0.0940456194489488439815,
+    },
+    20.0: {
+        -0.7: 0.681515360166309512937,
+        0.3: 1.29761742395592314376,
+        3.7: 706.829627314892243863,
+    },
+    1e5: {
+        -0.7: 0.559442574256293089804,
+        0.5: 2.48198780067230997412,
+        math.pi: 15176596208.4897484735,
+    },
 }
 QUAD_LOG = {20.0: 0.76869754340116908, 100.0: 1.0685916998164794}
 
 
 def test_frozen_moments(solved):
-    es = solved(20.0)
-    for s, ref in QUAD_FRAC_20.items():
-        v = quad_moment(s, es)
-        assert abs(v - ref) <= 1e-11 * abs(ref), s
+    for A, refs in QUAD_FRAC.items():
+        es = solved(A)
+        for s, ref in refs.items():
+            v = quad_moment(s, es)
+            assert abs(v - ref) <= 1e-11 * abs(ref), (A, s)
 
 
 def test_frozen_log_moments(solved):
@@ -34,6 +49,22 @@ def test_frozen_log_moments(solved):
 def test_normalization_near_one(solved):
     for A in (1.0, 5.0, 20.0, 100.0, 10000.0):
         assert abs(normalization_check(solved(A)) - 1.0) < 1e-11, A
+
+
+def test_nodes_stay_in_support(solved):
+    # log A lies a few ulps past a seed edge, so the last seed panel is a
+    # few ulps wide and exp rounds some of its nodes past A, where qsd_pdf
+    # raises; they must land on A itself
+    es = solved(23.405714285714296)
+    nodes = []
+
+    def pdf(x):
+        nodes.append(x)
+        return qsd_pdf(x, es)
+
+    assert abs(normalization_check(es, pdf) - 1.0) < 1e-11
+    assert UNDERFLOW_X < min(nodes)
+    assert max(nodes) == es.A
 
 
 def test_bit_determinism(solved):
@@ -53,7 +84,7 @@ def test_tolerance_failure_carries_estimate(solved, monkeypatch):
         quad_moment(0.3, es)
     err = exc.value
     # partial estimate still usable, bound honest
-    assert abs(err.estimate - QUAD_FRAC_20[0.3]) < 1e-6
+    assert abs(err.estimate - QUAD_FRAC[20.0][0.3]) < 1e-6
     assert err.error_bound > 0.0
 
 
