@@ -6,6 +6,17 @@ xi = sqrt(1 - 8 lam). This module brackets that root with the proven
 two-sided bounds, polishes it with Brent iteration, checks that no
 smaller root was skipped, and packages the result as a validated
 EigenSystem the distribution and moment code can trust blindly.
+
+The skipped-root guard asks that W_{1, xi/2}(2/A) keep one sign at rates
+from floor = min(1e-8, lo / 2) up to the lower bound lo. Its samples lie
+on lines of uniform steps in xi, so that each line costs one full W sum
+and a multiply a node per further sample (specfun.whittaker_w_line): the
+real segment xi in [xi(min(lo, 1/8)), xi(floor)] and, when lo > 1/8, the
+imaginary one, cut where |Im xi/2| crosses a change of W's rule. Since
+|d lam / d xi| = |xi| / 4, a line spanning |xi| in [m1, m2] steps by at
+most 8 r / m2, which puts every rate of [floor, lo] within
+r = (lo - floor) / 100 of a sample: the covering radius of 50 midpoints
+evenly spaced in rate.
 """
 
 from __future__ import annotations
@@ -17,14 +28,26 @@ from dataclasses import InitVar, dataclass
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .report import CheckRow
-from .specfun import WPlan, documented_real, gamma, hyp1f1, whittaker_w
+from .specfun import (
+    WPlan,
+    documented_real,
+    gamma,
+    hyp1f1,
+    w_rule_breaks,
+    whittaker_w,
+    whittaker_w_line,
+)
 
 _EPS = 2.220446049250313e-16
 _RESIDUAL_TOL = 1e-9       # eigencondition residual allowance, scaled by |W0|
 _XI_IDENTITY_TOL = 1e-12   # |xi^2 + 8 lam - 1| allowance
 _DUAL_C_TOL = 1e-8         # agreement between the two normalizer routes
 _BRACKET_SLACK = 1e-9      # relative slack when re-checking the bracket
-_SAMPLES_BELOW = 50        # sign samples guarding against a skipped root
+# The skipped-root guard puts every rate below the bracket within
+# (lo - floor) / (2 _SAMPLES_BELOW) of a sample, as _SAMPLES_BELOW midpoints
+# evenly spaced in rate would; its lines of samples in xi (_guard_lines)
+# take 51 to 72 samples over the cutoffs 0.5 to 1e5.
+_SAMPLES_BELOW = 50
 
 
 def _check_cutoff(A: float) -> float:
@@ -292,16 +315,45 @@ def solve_lambda(A: float, tol: float = 1e-12) -> EigenSystem:
 
     # guard against having converged to a higher branch: the boundary
     # function must keep one sign strictly below the bracket
-    floor = min(1e-8, 0.5 * lo)
-    prev = None
-    for i in range(_SAMPLES_BELOW):
-        t = floor + (lo - floor) * (i + 0.5) / _SAMPLES_BELOW
-        s = g(t) > 0.0
-        if prev is not None and s != prev:
-            raise ConsistencyError(
-                f"boundary condition changes sign below the bracket at A={A}; "
-                "a smaller root exists"
-            )
-        prev = s
+    lines = _guard_lines(lo, min(1e-8, 0.5 * lo))
+    signs = []
+    for b0, db, count in lines:
+        for i, w in enumerate(whittaker_w_line(1.0, b0, db, count, 2.0 / A)):
+            signs.append(w.real > 0.0)
+            if signs[-1] != signs[0]:
+                xi = 2.0 * (b0 + i * db)
+                raise ConsistencyError(
+                    f"boundary condition changes sign below the bracket at A={A}, "
+                    f"at rate {((1.0 - xi * xi) / 8.0).real!r} (sample {len(signs)} of "
+                    f"{sum(line[2] for line in lines)}); a smaller root exists"
+                )
 
     return assemble_system(A, lam)
+
+
+def _guard_lines(lo: float, floor: float) -> list[tuple[complex, complex, int]]:
+    # (b0, db, count) lines of W indices b = xi/2 for the skipped-root guard
+    # of solve_lambda, in increasing rate. Each segment of |xi| splits into
+    # pieces of equal width near sqrt(64 r), one line each: a piece of width
+    # w takes about w^2 / (16 r) samples more than the ideal density
+    # |xi| / (8 r), four at that width, about what starting a line costs (a
+    # full W sum and an exponential a node for its steps).
+    r = (lo - floor) / (2 * _SAMPLES_BELOW)
+    segments = [(math.sqrt(max(0.0, 1.0 - 8.0 * lo)), math.sqrt(1.0 - 8.0 * floor), False)]
+    if lo > 0.125:
+        eta = math.sqrt(8.0 * lo - 1.0)
+        edges = [0.0] + [2.0 * e for e in w_rule_breaks(0.5 * eta)] + [eta]
+        segments += [(a, b, True) for a, b in zip(edges, edges[1:])]
+    lines = []
+    for a, b, imag in segments:
+        k = math.ceil((b - a) / math.sqrt(64.0 * r))
+        pieces = [(a + (b - a) * j / k, a + (b - a) * (j + 1) / k) for j in range(k)]
+        # real xi falls as the rate rises, imaginary xi rises with it
+        for m1, m2 in pieces if imag else reversed(pieces):
+            count = math.ceil((m2 - m1) * m2 / (8.0 * r))
+            step = (m2 - m1) / count
+            if imag:
+                lines.append((0.5j * (m1 + 0.5 * step), 0.5j * step, count))
+            else:
+                lines.append((0.5 * (m2 - 0.5 * step), -0.5 * step, count))
+    return lines

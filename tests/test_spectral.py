@@ -1,9 +1,12 @@
 import math
+import re
 
 import pytest
 
+import shiryaev_qsd.cli as cli
 import shiryaev_qsd.spectral as spectral
 from shiryaev_qsd.errors import ConsistencyError, DomainError, PoleError
+from shiryaev_qsd.specfun import whittaker_w, whittaker_w_line
 from shiryaev_qsd.spectral import (
     EigenSystem,
     assemble_system,
@@ -181,3 +184,65 @@ def test_bounds_ordering():
     for A in (0.5, 3.0, 50.0, 2e4):
         lo, hi = lambda_bounds(A)
         assert 0.0 < lo < hi
+
+
+# cutoffs whose skipped-root guard runs imaginary lines under several W rules
+# (0.5 to 3), crosses lam = 1/8 (8.0 to 10.2), or runs real lines only
+GUARD_CUTOFFS = (0.5, 0.7, 1.3, 3.0, 8.0, 8.3, 10.2, 10.3, 20.0, 1e5)
+
+
+def _guard_floor(lo):
+    return min(1e-8, 0.5 * lo)
+
+
+def _rate(b):
+    return ((1.0 - 4.0 * b * b) / 8.0).real  # lam at index b = xi / 2
+
+
+@pytest.mark.parametrize("A", GUARD_CUTOFFS)
+def test_guard_covers_below_bracket_and_matches_scalar_w(A):
+    lo, _ = lambda_bounds(A)
+    floor = _guard_floor(lo)
+    z = 2.0 / A
+    rates = []
+    for b0, db, count in spectral._guard_lines(lo, floor):
+        for i, w in enumerate(whittaker_w_line(1.0, b0, db, count, z)):
+            b = b0 + i * db
+            rates.append(_rate(b))
+            w1, w0 = whittaker_w(1.0, b, z), whittaker_w(0.0, b, z)
+            assert (w.real > 0.0) == (w1.real > 0.0), (A, b)
+            # W1 = z W0 - (1/4 - b^2) W-1: the scale of its terms
+            assert abs(w - w1) <= 1e-12 * max(abs(w1), abs(z * w0)), (A, b)
+    rates.sort()
+    # every rate of [floor, lo] within (lo - floor) / 100 of a sample, as
+    # with 50 midpoints evenly spaced in rate
+    gaps = [rates[0] - floor, lo - rates[-1]]
+    gaps += [0.5 * (hi - lo_) for lo_, hi in zip(rates, rates[1:])]
+    assert 0.0 < min(gaps) and max(gaps) <= (lo - floor) / 100, (A, min(gaps), max(gaps))
+
+
+@pytest.mark.parametrize("A", (3.0, 20.0))
+def test_guard_rejects_a_sign_flip_below_the_bracket(A, monkeypatch, capsys):
+    lo, _ = lambda_bounds(A)
+    floor = _guard_floor(lo)
+    radius = (lo - floor) / 100
+    band = (0.6 * lo - radius, 0.6 * lo + radius)  # holds a sample, by the covering
+    lines = spectral._guard_lines(lo, floor)
+    line = spectral.whittaker_w_line
+
+    def flipped(kappa, b0, db, count, z):
+        out = line(kappa, b0, db, count, z)
+        return [-w if band[0] <= _rate(b0 + i * db) <= band[1] else w for i, w in enumerate(out)]
+
+    monkeypatch.setattr(spectral, "whittaker_w_line", flipped)
+    with pytest.raises(ConsistencyError, match="smaller root") as err:
+        solve_lambda(A)
+    rate, taken, total = re.search(
+        r"at rate (\S+) \(sample (\d+) of (\d+)\)", str(err.value)
+    ).groups()
+    assert band[0] <= float(rate) <= band[1]
+    assert 1 < int(taken) < int(total) == sum(count for _, _, count in lines)
+
+    code = cli.main(["eig", "--A", repr(A)])
+    cap = capsys.readouterr()
+    assert code == 1 and cap.out == "" and "smaller root" in cap.err
