@@ -20,11 +20,6 @@ kappa-recurrence climbs back. h is 1/16, halved each time |Im b| doubles
 past 1.26, as u^b oscillates in log u. There the ray turns by pi/4 toward
 Im b, which halves the exponent of the exp(pi |Im b| / 2) eps that the sum
 loses at imaginary b, where W is far smaller than its integrand.
-
-At one z, the term of node k at index b is w_k exp((b - kappa0 - 1/2) log u_k
-+ (b + kappa0 - 1/2) log(1 + u_k/z)), so along a line of indices b0 + i db
-that share the rule, n and the reflection, each next index multiplies it by
-exp(db (log u_k + log(1 + u_k/z))), bound once per line (whittaker_w_line).
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ import cmath
 import functools
 import math
 from array import array
-from operator import mul
 
 from .errors import (
     ConsistencyError,
@@ -427,77 +421,10 @@ class WPlan:
 @functools.lru_cache(maxsize=1)
 def _z_factors(z: float, rule: tuple) -> tuple[tuple, tuple]:
     # log(1 + u_k/z) and u_k / (1 + u_k/z), kept for the last z: a solve asks
-    # at one z for 9 to 14 scalar W and the 1 to 7 lines of its guard
+    # for 9 to 15 W at one z
     log = cmath.log if rule[1] else math.log
     nodes = _de_rule(*rule)[0]
     return tuple(log(1.0 + u / z) for u in nodes), tuple(u / (1.0 + u / z) for u in nodes)
-
-
-def _signs(b: complex) -> tuple[int, int]:
-    # signs of Re b and Im b: indices that share them share the reflection
-    return (b.real > 0.0) - (b.real < 0.0), (b.imag > 0.0) - (b.imag < 0.0)
-
-
-def w_rule_breaks(im_max: float) -> list[float]:
-    """The |Im b| in (0, im_max) at which the rule of the W sum changes
-    (1.26 * 2^k); a line of whittaker_w_line may end at one, not cross it."""
-    out, edge = [], _DE_IMAG_B
-    while edge < im_max:
-        out.append(edge)
-        edge *= 2.0
-    return out
-
-
-def whittaker_w_line(
-    kappa: complex, b0: complex, db: complex, count: int, z: float
-) -> list[complex]:
-    """Whittaker W_{kappa,b}(z) at the indices b = b0 + i db, i < count
-    (count >= 1), for real z > 0.
-
-    The first index is summed as whittaker_w sums it; each further index
-    multiplies every node's term by exp(db (log u_k + log(1 + u_k/z))),
-    bound once per line, so it costs a multiply a node instead of an
-    exponential. The terms then carry about i eps more rounding than a
-    fresh sum.
-
-    Raises:
-        DomainError: z is not a positive real, or |Im b| is past the
-            rule's node ceiling.
-        ConsistencyError: the indices do not all share the rule, the
-            number n of kappa-recurrence steps and the signs of Re b and
-            Im b, which fix the reflection b -> -b: the line crosses a
-            value of w_rule_breaks, reaches Re b = 0, or changes n.
-    """
-    z = _require_positive_real(z)
-    ix = b, kappa0, n, _, rule, real = _w_index(kappa, b0)
-    _, logs, weights = _de_rule(*rule)
-    log1p, ratio = _z_factors(z, rule)
-    exp = math.exp if real else cmath.exp
-    am1, p = b - kappa0 - 0.5, b + kappa0 - 0.5
-    terms = [w * exp(am1 * s + p * q) for s, w, q in zip(logs, weights, log1p)]
-    out = [_w_climb(ix, z, sum(terms), sum(map(mul, terms, ratio)) if n else 0.0)]
-    if count < 2:
-        return out
-    b0, db = complex(b0), complex(db)
-    end = b0 + (count - 1) * db
-    last = _w_index(kappa, end)
-    if last[2] != n or last[4:] != ix[4:] or _signs(b0) != _signs(end):
-        raise ConsistencyError(
-            f"W line from b = {b0} by {db} over {count} indices changes its rule, "
-            "its kappa-recurrence or its side of the reflection b -> -b"
-        )
-    if b != b0:  # reflected: the line runs through -b0 by -db
-        db = -db
-    if real:
-        db = db.real
-    steps = [exp(db * (s + q)) for s, q in zip(logs, log1p)]
-    for i in range(1, count):
-        terms = list(map(mul, terms, steps))
-        bi = b + i * db
-        rg = rgamma(0.5 + bi - kappa0)
-        ixi = bi, kappa0, n, rg.real if real else rg, rule, real
-        out.append(_w_climb(ixi, z, sum(terms), sum(map(mul, terms, ratio)) if n else 0.0))
-    return out
 
 
 def whittaker_w(kappa: complex, b: complex, z: float) -> complex:
@@ -505,13 +432,20 @@ def whittaker_w(kappa: complex, b: complex, z: float) -> complex:
 
     WPlan's sum, with the factors of each node that depend on z kept for
     the last z asked: another call at that z costs one exponential a node.
-    The line of whittaker_w_line with one index.
 
     Raises:
         DomainError: z is not a positive real, or |Im b| is past the
             rule's node ceiling.
     """
-    return whittaker_w_line(kappa, b, 0.0, 1, z)[0]
+    z = _require_positive_real(z)
+    ix = b, kappa0, n, _, rule, real = _w_index(kappa, b)
+    _, logs, weights = _de_rule(*rule)
+    log1p, ratio = _z_factors(z, rule)
+    exp = math.exp if real else cmath.exp
+    am1, p = b - kappa0 - 0.5, b + kappa0 - 0.5
+    terms = [w * exp(am1 * s + p * q) for s, w, q in zip(logs, weights, log1p)]
+    j1 = sum(t * r for t, r in zip(terms, ratio)) if n else 0.0
+    return _w_climb(ix, z, sum(terms), j1)
 
 
 def whittaker_w_dz(kappa: complex, b: complex, z: float) -> complex:

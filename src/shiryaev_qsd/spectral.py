@@ -3,20 +3,20 @@
 Everything downstream hangs off one number per cutoff A: the smallest
 positive root lam of the boundary condition W_{1, xi/2}(2/A) = 0 with
 xi = sqrt(1 - 8 lam). This module brackets that root with the proven
-two-sided bounds, polishes it with Brent iteration, checks that no
-smaller root was skipped, and packages the result as a validated
-EigenSystem the distribution and moment code can trust blindly.
+two-sided bounds, polishes it with Brent iteration, checks that the root
+found is the smallest, and packages the result as a validated EigenSystem
+the distribution and moment code can trust blindly.
 
-The skipped-root guard asks that W_{1, xi/2}(2/A) keep one sign at rates
-from floor = min(1e-8, lo / 2) up to the lower bound lo. Its samples lie
-on lines of uniform steps in xi, so that each line costs one full W sum
-and a multiply a node per further sample (specfun.whittaker_w_line): the
-real segment xi in [xi(min(lo, 1/8)), xi(floor)] and, when lo > 1/8, the
-imaginary one, cut where |Im xi/2| crosses a change of W's rule. Since
-|d lam / d xi| = |xi| / 4, a line spanning |xi| in [m1, m2] steps by at
-most 8 r / m2, which puts every rate of [floor, lo] within
-r = (lo - floor) / 100 of a sample: the covering radius of 50 midpoints
-evenly spaced in rate.
+The check needs no W. At the n-th root lam, the eigenfunction f of
+1/2 x^2 f'' + f' + lam f = 0 with f(0) = 1 vanishes at A and, by the
+oscillation theorem, has n - 1 zeros in (0, A): it keeps its sign only at
+the smallest root. _interior_zeros marches f from near 0 to A by Taylor
+steps and counts its sign changes. With g = e^{-1/x} f the equation reads
+g'' + Q g = 0, Q = 2 lam/x^2 + 2/x^3 - 1/x^4 < 2 lam/x^2 + 2/x^3, a bound
+that falls with x. A step from x whose length h has
+h sqrt(2 lam/x^2 + 2/x^3) < pi is then shorter than the least distance
+between two zeros that Sturm comparison allows on it, so it holds at most
+one zero, which shows as a sign change.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from .specfun import (
     documented_real,
     gamma,
     hyp1f1,
-    w_rule_breaks,
     whittaker_w,
-    whittaker_w_line,
 )
 
 _EPS = 2.220446049250313e-16
@@ -43,11 +41,7 @@ _RESIDUAL_TOL = 1e-9       # eigencondition residual allowance, scaled by |W0|
 _XI_IDENTITY_TOL = 1e-12   # |xi^2 + 8 lam - 1| allowance
 _DUAL_C_TOL = 1e-8         # agreement between the two normalizer routes
 _BRACKET_SLACK = 1e-9      # relative slack when re-checking the bracket
-# The skipped-root guard puts every rate below the bracket within
-# (lo - floor) / (2 _SAMPLES_BELOW) of a sample, as _SAMPLES_BELOW midpoints
-# evenly spaced in rate would; its lines of samples in xi (_guard_lines)
-# take 51 to 72 samples over the cutoffs 0.5 to 1e5.
-_SAMPLES_BELOW = 50
+_SIGN_TOL = 1e-12          # Taylor terms of the zero count stop here: only signs are used
 
 
 def _check_cutoff(A: float) -> float:
@@ -284,9 +278,11 @@ def solve_lambda(A: float, tol: float = 1e-12) -> EigenSystem:
     """Solve the boundary condition for the principal rate at cutoff A.
 
     tol is the relative width the bracketing iteration must reach. Raises
-    ConvergenceError if no sign change is found or iteration stalls,
-    ConsistencyError if the polished root fails its invariants
-    (for example outside the kernel's reliable window, A below ~0.35).
+    ConvergenceError if no sign change is found or iteration stalls, and
+    ConsistencyError if the eigenfunction at the polished root has a zero
+    in (0, A), so that a smaller root exists, or if the root fails its
+    invariants (at A = 0.1, where W's sum loses accuracy at the large
+    imaginary index; the solve succeeds from A = 0.2 up).
     """
     A = _check_cutoff(A)
     if not (0.0 < tol <= 1e-6):
@@ -313,47 +309,71 @@ def solve_lambda(A: float, tol: float = 1e-12) -> EigenSystem:
 
     lam = _brent(g, lo, hi, glo, ghi, tol)
 
-    # guard against having converged to a higher branch: the boundary
-    # function must keep one sign strictly below the bracket
-    lines = _guard_lines(lo, min(1e-8, 0.5 * lo))
-    signs = []
-    for b0, db, count in lines:
-        for i, w in enumerate(whittaker_w_line(1.0, b0, db, count, 2.0 / A)):
-            signs.append(w.real > 0.0)
-            if signs[-1] != signs[0]:
-                xi = 2.0 * (b0 + i * db)
-                raise ConsistencyError(
-                    f"boundary condition changes sign below the bracket at A={A}, "
-                    f"at rate {((1.0 - xi * xi) / 8.0).real!r} (sample {len(signs)} of "
-                    f"{sum(line[2] for line in lines)}); a smaller root exists"
-                )
-
+    zeros = _interior_zeros(A, lam)
+    if zeros:
+        raise ConsistencyError(
+            f"eigenfunction at rate {lam!r} has {len(zeros)} zero(s) in (0, {A!r}), "
+            f"the first near x = {zeros[0]:.6g}; a smaller root exists"
+        )
     return assemble_system(A, lam)
 
 
-def _guard_lines(lo: float, floor: float) -> list[tuple[complex, complex, int]]:
-    # (b0, db, count) lines of W indices b = xi/2 for the skipped-root guard
-    # of solve_lambda, in increasing rate. Each segment of |xi| splits into
-    # pieces of equal width near sqrt(64 r), one line each: a piece of width
-    # w takes about w^2 / (16 r) samples more than the ideal density
-    # |xi| / (8 r), four at that width, about what starting a line costs (a
-    # full W sum and an exponential a node for its steps).
-    r = (lo - floor) / (2 * _SAMPLES_BELOW)
-    segments = [(math.sqrt(max(0.0, 1.0 - 8.0 * lo)), math.sqrt(1.0 - 8.0 * floor), False)]
-    if lo > 0.125:
-        eta = math.sqrt(8.0 * lo - 1.0)
-        edges = [0.0] + [2.0 * e for e in w_rule_breaks(0.5 * eta)] + [eta]
-        segments += [(a, b, True) for a, b in zip(edges, edges[1:])]
-    lines = []
-    for a, b, imag in segments:
-        k = math.ceil((b - a) / math.sqrt(64.0 * r))
-        pieces = [(a + (b - a) * j / k, a + (b - a) * (j + 1) / k) for j in range(k)]
-        # real xi falls as the rate rises, imaginary xi rises with it
-        for m1, m2 in pieces if imag else reversed(pieces):
-            count = math.ceil((m2 - m1) * m2 / (8.0 * r))
-            step = (m2 - m1) / count
-            if imag:
-                lines.append((0.5j * (m1 + 0.5 * step), 0.5j * step, count))
-            else:
-                lines.append((0.5 * (m2 - 0.5 * step), -0.5 * step, count))
-    return lines
+def _interior_zeros(A: float, lam: float) -> list[float]:
+    # zeros in (0, A) of f, 1/2 x^2 f'' + f' + lam f = 0, f(0) = 1 (module
+    # docstring), each placed by linear interpolation in the step that holds
+    # it. f and x f' start at x = min(0.03, A/4, 0.1/lam) from the asymptotic
+    # series f = sum c_n x^n, c_{n+1} = -(n(n-1)/2 + lam) c_n / (n+1), summed
+    # in terms t_n = c_n x^n. It diverges, but its terms fall until n nears
+    # 2/x, to about e^{-2/x}: far below _SIGN_TOL at x <= 0.03.
+    x = min(0.03, 0.25 * A, 0.1 / lam)
+    t, f, g, n = 1.0, 1.0, 0.0, 0
+    while n == 0 or n * abs(t) > _SIGN_TOL:
+        t *= -(0.5 * n * (n - 1) + lam) * x / (n + 1)
+        n += 1
+        f += t
+        g += n * t
+    # Each step of length h = min(x/2, x^2) is halved while it may hold two
+    # zeros. h <= x^2 keeps the rounding of the other solution, e^{2/x} near
+    # 0, from growing. A step that would leave less than 1/1000 of itself to
+    # A runs to A instead, so that no node lies too close to A for the sign
+    # of f there to be resolved; the sign at A itself is never counted. The
+    # Taylor terms b_k = a_k h^k of f(x + s) = sum a_k s^k obey
+    # b_{k+2} = -[(x k(k+1) + k+1) h b_{k+1} + (k(k-1)/2 + lam) h^2 b_k]
+    #           / (x^2 (k+2)(k+1)/2),
+    # with b_0 = f(x), b_1 = h f'(x); f(x+h) = sum b_k, h f'(x+h) = sum k b_k.
+    # The sums stop once (k+1)(|b_k| + |b_{k+1}|) falls below _SIGN_TOL
+    # (|f(x)| + |h f'(x)|).
+    zeros: list[float] = []
+    h, lam2 = x, 2.0 * lam              # g = h f'(x) from here on
+    while True:
+        step = min(0.5 * x, x * x)
+        last = x + 1.001 * step >= A
+        if last:
+            step = A - x
+        bound = (lam2 + 2.0 / x) / (x * x) * step * step
+        while bound >= math.pi**2:
+            step *= 0.5
+            bound *= 0.25
+            last = False
+        g *= step / h
+        h = step
+        u = 2.0 * h / x
+        v = u / x
+        q = 0.5 * h * v
+        small = _SIGN_TOL * (abs(f) + abs(g))
+        # b0, b1, b2 hold b_{k-1}, b_k, b_{k+1}; c = ((k-1)(k-2) + 2 lam) h^2/x^2
+        b0, b1, fn, gn, k, c = f, g, f + g, g, 1.0, lam2 * q
+        while True:
+            b2 = -(((k - 1.0) * u + v) * b1 + c * b0 / k) / (k + 1.0)
+            fn += b2
+            gn += (k + 1.0) * b2
+            if (k + 1.0) * (abs(b2) + abs(b1)) <= small:
+                break
+            c += 2.0 * (k - 1.0) * q
+            k += 1.0
+            b0, b1 = b1, b2
+        if last:
+            return zeros
+        if (fn > 0.0) != (f > 0.0):
+            zeros.append(x + h * f / (f - fn))
+        x, f, g = x + h, fn, gn

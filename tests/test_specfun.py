@@ -20,7 +20,6 @@ from shiryaev_qsd.specfun import (
     whittaker_m,
     whittaker_w,
     whittaker_w_dz,
-    whittaker_w_line,
 )
 from shiryaev_qsd.spectral import solve_lambda
 
@@ -287,39 +286,6 @@ def test_w_plan_reuse_in_mixed_order():
             w = first.setdefault(z, whittaker_w(kappa, b, z))
             assert whittaker_w(kappa, b, z) == w, (kappa, b, z)
             whittaker_w(1.0 - kappa, 0.25, z)  # another index at the same z
-
-
-def test_w_line_matches_scalar_w():
-    # the first index is the scalar sum itself; later ones multiply its
-    # terms, and agree with a fresh sum to rounding
-    for kappa, b0, db, z in (
-        (1.0, 0.3, 0.05, 1.0),
-        (1.0, -0.45, 0.1, 0.5),      # reflected: runs through 0.45 by -0.1
-        (0.0, 0.2j, 0.3j, 5.0),
-        (1.0, 1.5j, 0.2j, 0.4),      # one halving, on the turned ray
-        (0.8, 1.21, -0.1, 2.5),
-    ):
-        line = whittaker_w_line(kappa, b0, db, 4, z)
-        assert line[0] == whittaker_w(kappa, b0, z)
-        for i, w in enumerate(line):
-            want = whittaker_w(kappa, b0 + i * db, z)
-            assert abs(w - want) <= 1e-13 * abs(want), (kappa, b0, db, z, i)
-
-
-@pytest.mark.parametrize(
-    "b0, db, count",
-    [
-        (1.2j, 0.05j, 3),    # |Im b| crosses 1.26, where the rule changes
-        (0.3, -0.1, 4),      # from a real start past Re b = 0 (0.3 - 3 * 0.1 < 0)
-        (0.5, -0.25, 3),     # from a real start onto b = 0
-        (0.3, 0.5, 3),       # kappa = 1: n = 1 at b = 0.3, 0 at b = 1.3
-        (-0.2j, 0.3j, 2),    # Im b changes sign, and with it the reflection
-    ],
-)
-def test_w_line_refuses_mixed_lines(b0, db, count):
-    with pytest.raises(ConsistencyError):
-        whittaker_w_line(1.0, b0, db, count, 1.0)
-    whittaker_w_line(1.0, b0, db, 1, 1.0)  # its first index alone is a line
 
 
 def test_whittaker_w_dz_anchor():

@@ -6,7 +6,6 @@ import pytest
 import shiryaev_qsd.cli as cli
 import shiryaev_qsd.spectral as spectral
 from shiryaev_qsd.errors import ConsistencyError, DomainError, PoleError
-from shiryaev_qsd.specfun import whittaker_w, whittaker_w_line
 from shiryaev_qsd.spectral import (
     EigenSystem,
     assemble_system,
@@ -186,63 +185,90 @@ def test_bounds_ordering():
         assert 0.0 < lo < hi
 
 
-# cutoffs whose skipped-root guard runs imaginary lines under several W rules
-# (0.5 to 3), crosses lam = 1/8 (8.0 to 10.2), or runs real lines only
+# cutoffs where the principal rate lies well above 1/8 and W's index is
+# imaginary (0.5 to 3), near 1/8 (8.0 to 10.3), and below it (20, 1e5)
 GUARD_CUTOFFS = (0.5, 0.7, 1.3, 3.0, 8.0, 8.3, 10.2, 10.3, 20.0, 1e5)
+# every 64th of the benchmark's 16,384 cutoffs, log-spaced over [0.5, 1e5]
+GRID_EVERY_64TH = [
+    0.5 * math.exp(math.log(2e5) * (k + 0.5) / 16384) for k in range(0, 16384, 64)
+]
 
 
-def _guard_floor(lo):
-    return min(1e-8, 0.5 * lo)
+def _higher_roots(A, count):
+    # the next count roots of W_{1, xi/2}(2/A) above the proven bracket: a
+    # scan in steps of 2% in rate, then bisection on the sign of eigencondition
+    lam = lambda_bounds(A)[1]
+    g = eigencondition(A, lam)
+    roots = []
+    while len(roots) < count:
+        a, b = lam, 1.02 * lam
+        gb = eigencondition(A, b)
+        if (gb > 0.0) != (g > 0.0):
+            while b - a > 1e-14 * b:
+                mid = 0.5 * (a + b)
+                if (eigencondition(A, mid) > 0.0) == (g > 0.0):
+                    a = mid
+                else:
+                    b = mid
+            roots.append(0.5 * (a + b))
+        lam, g = 1.02 * lam, gb
+    return roots
 
 
-def _rate(b):
-    return ((1.0 - 4.0 * b * b) / 8.0).real  # lam at index b = xi / 2
+def _zeros(A, lam):
+    zeros = spectral._interior_zeros(A, lam)
+    assert zeros == sorted(zeros) and all(0.0 < x < A for x in zeros), (A, lam, zeros)
+    return zeros
 
 
-@pytest.mark.parametrize("A", GUARD_CUTOFFS)
-def test_guard_covers_below_bracket_and_matches_scalar_w(A):
-    lo, _ = lambda_bounds(A)
-    floor = _guard_floor(lo)
-    z = 2.0 / A
-    rates = []
-    for b0, db, count in spectral._guard_lines(lo, floor):
-        for i, w in enumerate(whittaker_w_line(1.0, b0, db, count, z)):
-            b = b0 + i * db
-            rates.append(_rate(b))
-            w1, w0 = whittaker_w(1.0, b, z), whittaker_w(0.0, b, z)
-            assert (w.real > 0.0) == (w1.real > 0.0), (A, b)
-            # W1 = z W0 - (1/4 - b^2) W-1: the scale of its terms
-            assert abs(w - w1) <= 1e-12 * max(abs(w1), abs(z * w0)), (A, b)
-    rates.sort()
-    # every rate of [floor, lo] within (lo - floor) / 100 of a sample, as
-    # with 50 midpoints evenly spaced in rate
-    gaps = [rates[0] - floor, lo - rates[-1]]
-    gaps += [0.5 * (hi - lo_) for lo_, hi in zip(rates, rates[1:])]
-    assert 0.0 < min(gaps) and max(gaps) <= (lo - floor) / 100, (A, min(gaps), max(gaps))
+@pytest.mark.parametrize("A", GUARD_CUTOFFS + (0.2, 1e9))
+def test_march_finds_no_zero_at_the_principal_rate(A, solved):
+    # the march takes its most steps at A = 0.2 (rate 27) and spans most at 1e9
+    assert _zeros(A, solved(A).lam) == []
+
+
+def test_march_finds_no_zero_on_the_grid():
+    for A in GRID_EVERY_64TH:
+        assert _zeros(A, solve_lambda(A).lam) == [], A
+
+
+@pytest.mark.parametrize("A", (0.7, 3.0, 20.0, 1e3))
+def test_march_counts_the_zeros_of_higher_eigenfunctions(A):
+    # the n-th eigenfunction has n - 1 zeros in (0, A)
+    second, third = _higher_roots(A, 2)
+    assert len(_zeros(A, second)) == 1
+    assert len(_zeros(A, third)) == 2
+
+
+def test_march_keeps_two_zeros_out_of_one_step():
+    # the ninth eigenfunction at A = 3: unsplit steps of min(x/2, x^2) hold
+    # two of its eight zeros at once, twice, and the count would read 6
+    ninth = _higher_roots(3.0, 8)[-1]
+    assert len(_zeros(3.0, ninth)) == 8
+
+
+@pytest.mark.parametrize(
+    "A",
+    # from x = 0.03, the march's steps reach 1.1381729323879970 and then
+    # 1.7072593985819955: 1.6e-4 before the first cutoff, one ulp before the
+    # second, where f(x) is rounding noise
+    (1.7074219126822299, math.nextafter(1.7072593985819955, 2.0)),
+)
+def test_march_runs_a_short_last_step_to_a(A, solved):
+    assert _zeros(A, solved(A).lam) == []
 
 
 @pytest.mark.parametrize("A", (3.0, 20.0))
-def test_guard_rejects_a_sign_flip_below_the_bracket(A, monkeypatch, capsys):
-    lo, _ = lambda_bounds(A)
-    floor = _guard_floor(lo)
-    radius = (lo - floor) / 100
-    band = (0.6 * lo - radius, 0.6 * lo + radius)  # holds a sample, by the covering
-    lines = spectral._guard_lines(lo, floor)
-    line = spectral.whittaker_w_line
-
-    def flipped(kappa, b0, db, count, z):
-        out = line(kappa, b0, db, count, z)
-        return [-w if band[0] <= _rate(b0 + i * db) <= band[1] else w for i, w in enumerate(out)]
-
-    monkeypatch.setattr(spectral, "whittaker_w_line", flipped)
+def test_solve_rejects_a_higher_root(A, monkeypatch, capsys):
+    # a bracket around the second root: the principal one lies below it
+    second = _higher_roots(A, 1)[0]
+    monkeypatch.setattr(spectral, "lambda_bounds", lambda A: (0.99 * second, 1.01 * second))
     with pytest.raises(ConsistencyError, match="smaller root") as err:
         solve_lambda(A)
-    rate, taken, total = re.search(
-        r"at rate (\S+) \(sample (\d+) of (\d+)\)", str(err.value)
-    ).groups()
-    assert band[0] <= float(rate) <= band[1]
-    assert 1 < int(taken) < int(total) == sum(count for _, _, count in lines)
+    rate, x = re.search(r"at rate (\S+) .* near x = (\S+);", str(err.value)).groups()
+    assert abs(float(rate) - second) < 1e-9 * second and 0.0 < float(x) < A
 
     code = cli.main(["eig", "--A", repr(A)])
     cap = capsys.readouterr()
     assert code == 1 and cap.out == "" and "smaller root" in cap.err
+    assert "Traceback" not in cap.err
