@@ -221,7 +221,17 @@ def _zeros(A, lam):
     return zeros
 
 
-@pytest.mark.parametrize("A", GUARD_CUTOFFS + (0.2, 1e9))
+@pytest.mark.parametrize("A", GUARD_CUTOFFS)
+def test_guard_covers_below_bracket_and_matches_scalar_w(A, solved):
+    # the march's zero count at the solved rate rules out every smaller root;
+    # the scalar W_{1, xi/2}(2/A) at 100 rates of (0, lo] agrees: one sign
+    lo, _ = lambda_bounds(A)
+    assert _zeros(A, solved(A).lam) == []
+    signs = {eigencondition(A, lo * k / 100) > 0.0 for k in range(1, 101)}
+    assert len(signs) == 1, A
+
+
+@pytest.mark.parametrize("A", (0.2, 1e9))
 def test_march_finds_no_zero_at_the_principal_rate(A, solved):
     # the march takes its most steps at A = 0.2 (rate 27) and spans most at 1e9
     assert _zeros(A, solved(A).lam) == []
@@ -259,8 +269,9 @@ def test_march_runs_a_short_last_step_to_a(A, solved):
 
 
 @pytest.mark.parametrize("A", (3.0, 20.0))
-def test_solve_rejects_a_higher_root(A, monkeypatch, capsys):
-    # a bracket around the second root: the principal one lies below it
+def test_guard_rejects_a_sign_flip_below_the_bracket(A, monkeypatch, capsys):
+    # a bracket around the second root: W's sign flips at the principal root,
+    # below the bracket, and Brent lands on a higher root inside it
     second = _higher_roots(A, 1)[0]
     monkeypatch.setattr(spectral, "lambda_bounds", lambda A: (0.99 * second, 1.01 * second))
     with pytest.raises(ConsistencyError, match="smaller root") as err:
