@@ -1,9 +1,10 @@
 """Adaptive Gauss-Kronrod quadrature used to cross-check the closed forms.
 
-Deliberately independent of the moment formulas: the only shared code is
-the pdf evaluation itself, so an agreement between quad_moment and
-moment_frac exercises the eigenvalue, the normalizer, the Whittaker
-kernel and the hypergeometric reductions end to end.
+Deliberately independent of the moment formulas: it integrates the density
+of the generator's eigenfunction (EigenSystem.generator, no Whittaker W),
+so it shares only the rate with moment_frac, and an agreement between the
+two exercises the rate, the normalizer, the Whittaker kernel and the
+hypergeometric reductions end to end.
 
 The rule is the classic 15-point Kronrod extension of 7-point Gauss on
 [-1, 1], applied to panels kept in a worst-error-first heap. It runs in
@@ -25,7 +26,7 @@ import heapq
 import math
 from collections.abc import Callable
 
-from .distribution import UNDERFLOW_X, qsd_pdf
+from .distribution import UNDERFLOW_X
 from .errors import DomainError, ToleranceNotMetError
 from .spectral import EigenSystem
 
@@ -141,11 +142,11 @@ def _expect(
     # the cutoff the density underflows to zero in doubles
     if sys.A <= UNDERFLOW_X:
         raise DomainError(f"cutoff {UNDERFLOW_X} swallows the whole support [0, {sys.A}]")
-    density = pdf or (lambda x: qsd_pdf(x, sys))
+    density = pdf or sys.generator.pdf
     A = sys.A
 
     def f(t: float) -> float:
-        # exp may round a node next to log A past A, where qsd_pdf raises
+        # exp may round a node next to log A past A, where the pdf raises
         x = min(math.exp(t), A)
         return weight(x) * density(x) * x
 
@@ -159,8 +160,8 @@ def quad_moment(
 
     For s > -50 the mass lost below the underflow cutoff is far beneath
     the error budget (the integrand carries exp(-1/x)). pdf, if given,
-    must return qsd_pdf(x, sys); callers that integrate several functions
-    of one system pass a memoised density to share its nodes.
+    must return sys.generator.pdf(x); callers that integrate several
+    functions of one system pass a memoised density to share its nodes.
     """
     if not math.isfinite(s):
         raise DomainError(f"order must be finite, got {s!r}")

@@ -10,10 +10,11 @@ the distribution and moment code can trust blindly.
 The check needs no W. At the n-th root lam, the eigenfunction f of
 1/2 x^2 f'' + f' + lam f = 0 with f(0) = 1 vanishes at A and, by the
 oscillation theorem, has n - 1 zeros in (0, A): it keeps its sign only at
-the smallest root. _interior_zeros marches f from near 0 to A by Taylor
-steps and counts its sign changes. With g = e^{-1/x} f the equation reads
-g'' + Q g = 0, Q = 2 lam/x^2 + 2/x^3 - 1/x^4 < 2 lam/x^2 + 2/x^3, a bound
-that falls with x. A step from x whose length h has
+the smallest root. _interior_zeros counts the sign changes of f at the
+nodes of generator.march, which steps from near 0 to A by Taylor series.
+With g = e^{-1/x} f the equation reads g'' + Q g = 0,
+Q = 2 lam/x^2 + 2/x^3 - 1/x^4 < 2 lam/x^2 + 2/x^3, a bound that falls
+with x. A step from x whose length h has
 h sqrt(2 lam/x^2 + 2/x^3) < pi is then shorter than the least distance
 between two zeros that Sturm comparison allows on it, so it holds at most
 one zero, which shows as a sign change.
@@ -27,6 +28,7 @@ import math
 from dataclasses import InitVar, dataclass
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
+from .generator import Eigenfunction, march
 from .report import CheckRow
 from .specfun import (
     WPlan,
@@ -252,6 +254,14 @@ class EigenSystem:
         b = 0.5 * self.xi
         return WPlan(0.0, b), WPlan(1.0, b)
 
+    @functools.cached_property
+    def generator(self) -> Eigenfunction:
+        """Dense march of the generator's eigenfunction at this rate, the
+        W-free route to the pdf and cdf; built on first use. Raises
+        ConsistencyError (and caches nothing) when its endpoint flux is not
+        positive and finite."""
+        return Eigenfunction(self.A, self.lam)
+
 
 def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:
     """Build the full spectral record for a given rate.
@@ -319,61 +329,11 @@ def solve_lambda(A: float, tol: float = 1e-12) -> EigenSystem:
 
 
 def _interior_zeros(A: float, lam: float) -> list[float]:
-    # zeros in (0, A) of f, 1/2 x^2 f'' + f' + lam f = 0, f(0) = 1 (module
-    # docstring), each placed by linear interpolation in the step that holds
-    # it. f and x f' start at x = min(0.03, A/4, 0.1/lam) from the asymptotic
-    # series f = sum c_n x^n, c_{n+1} = -(n(n-1)/2 + lam) c_n / (n+1), summed
-    # in terms t_n = c_n x^n. It diverges, but its terms fall until n nears
-    # 2/x, to about e^{-2/x}: far below _SIGN_TOL at x <= 0.03.
-    x = min(0.03, 0.25 * A, 0.1 / lam)
-    t, f, g, n = 1.0, 1.0, 0.0, 0
-    while n == 0 or n * abs(t) > _SIGN_TOL:
-        t *= -(0.5 * n * (n - 1) + lam) * x / (n + 1)
-        n += 1
-        f += t
-        g += n * t
-    # Each step of length h = min(x/2, x^2) is halved while it may hold two
-    # zeros. h <= x^2 keeps the rounding of the other solution, e^{2/x} near
-    # 0, from growing. A step that would leave less than 1/1000 of itself to
-    # A runs to A instead, so that no node lies too close to A for the sign
-    # of f there to be resolved; the sign at A itself is never counted. The
-    # Taylor terms b_k = a_k h^k of f(x + s) = sum a_k s^k obey
-    # b_{k+2} = -[(x k(k+1) + k+1) h b_{k+1} + (k(k-1)/2 + lam) h^2 b_k]
-    #           / (x^2 (k+2)(k+1)/2),
-    # with b_0 = f(x), b_1 = h f'(x); f(x+h) = sum b_k, h f'(x+h) = sum k b_k.
-    # The sums stop once (k+1)(|b_k| + |b_{k+1}|) falls below _SIGN_TOL
-    # (|f(x)| + |h f'(x)|).
-    zeros: list[float] = []
-    h, lam2 = x, 2.0 * lam              # g = h f'(x) from here on
-    while True:
-        step = min(0.5 * x, x * x)
-        last = x + 1.001 * step >= A
-        if last:
-            step = A - x
-        bound = (lam2 + 2.0 / x) / (x * x) * step * step
-        while bound >= math.pi**2:
-            step *= 0.5
-            bound *= 0.25
-            last = False
-        g *= step / h
-        h = step
-        u = 2.0 * h / x
-        v = u / x
-        q = 0.5 * h * v
-        small = _SIGN_TOL * (abs(f) + abs(g))
-        # b0, b1, b2 hold b_{k-1}, b_k, b_{k+1}; c = ((k-1)(k-2) + 2 lam) h^2/x^2
-        b0, b1, fn, gn, k, c = f, g, f + g, g, 1.0, lam2 * q
-        while True:
-            b2 = -(((k - 1.0) * u + v) * b1 + c * b0 / k) / (k + 1.0)
-            fn += b2
-            gn += (k + 1.0) * b2
-            if (k + 1.0) * (abs(b2) + abs(b1)) <= small:
-                break
-            c += 2.0 * (k - 1.0) * q
-            k += 1.0
-            b0, b1 = b1, b2
-        if last:
-            return zeros
-        if (fn > 0.0) != (f > 0.0):
-            zeros.append(x + h * f / (f - fn))
-        x, f, g = x + h, fn, gn
+    # zeros in (0, A) of f (module docstring), each placed by linear
+    # interpolation between the march's nodes; the sign at A is never counted
+    xs, fs, _ = march(A, lam, _SIGN_TOL, joint=True)
+    return [
+        x + (xn - x) * f / (f - fn)
+        for x, xn, f, fn in zip(xs, xs[1:-1], fs, fs[1:-1])
+        if (fn > 0.0) != (f > 0.0)
+    ]

@@ -2,14 +2,17 @@
 
 Every check pits two independent computations against each other:
 spectral invariants (bracket, index identity, boundary residual, dual
-normalizer), quadrature against the closed-form moments, the recurrence
-against the hypergeometric route, and the distribution function against
-its unrestricted stationary bound. A system built from a perturbed rate
-fails several of these at once; that is the point.
+normalizer), the generator's eigenfunction against the Whittaker closed
+forms (its zero against the rate, its pdf and cdf on a grid), quadrature
+of its density against the closed-form moments, the recurrence against
+the hypergeometric route, and the distribution function against its
+unrestricted stationary bound. A system built from a perturbed rate fails
+several of these at once; that is the point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .distribution import qsd_cdf, qsd_pdf, stationary_cdf
@@ -28,6 +31,12 @@ _RECUR_TOL = 1e-8
 _INT_CONSIST_TOL = 1e-10
 _DUAL_ROUTE_TOL = 1e-8
 _MONOTONE_SLACK = 1e-12
+# generator route against the W route, each 10x the worst over the
+# 16,384 log-spaced cutoffs in [0.5, 1e5] of the benchmark's grid, rounded
+# up: 1.84e-12 at A = 94039, 6.1e-14 and 2.5e-14 at A = 0.504
+_RATE_GEN_TOL = 2e-11
+_PDF_GEN_TOL = 7e-13
+_CDF_GEN_TOL = 3e-13
 
 _RECUR_ORDERS = (0.5, 1.5, math.pi)
 _DUAL_ORDERS = (0.5, math.pi)
@@ -64,13 +73,14 @@ def _memo_pdf(sys: EigenSystem):
     # keyed on the exact node. run_checks and `moment --check` share one
     # per request: the battery's three integrals then take 135 pdf
     # evaluations at A = 20 and 240 at A = 1e5, as many as the
-    # normalization integral alone.
+    # normalization integral alone. The march behind the density is built
+    # on the first call, so a flux that is not positive raises there.
     seen: dict[float, float] = {}
 
     def pdf(x: float) -> float:
         val = seen.get(x)
         if val is None:
-            val = seen[x] = qsd_pdf(x, sys)
+            val = seen[x] = sys.generator.pdf(x)
         return val
 
     return pdf
@@ -79,6 +89,14 @@ def _memo_pdf(sys: EigenSystem):
 def run_checks(sys: EigenSystem) -> list[CheckRow]:
     pdf = _memo_pdf(sys)
     rows = list(sys.checks)
+
+    # the relative distance from A to the march's zero of f
+    _guarded(
+        rows,
+        "rate-generator",
+        lambda: sys.generator.residual,
+        lambda m: m <= _RATE_GEN_TOL,
+    )
 
     _guarded(
         rows,
@@ -118,15 +136,23 @@ def run_checks(sys: EigenSystem) -> list[CheckRow]:
             rows.append(CheckRow(name, False, math.inf))
 
     xs = _grid(sys.A)
+    # the closed forms on the grid, evaluated once for all rows that read
+    # them (again by each such row when they raise)
+    pdfs = functools.cache(lambda: [qsd_pdf(x, sys) for x in xs])
+    cdfs = functools.cache(lambda: [qsd_cdf(x, sys) for x in xs])
+
+    _guarded(rows, "pdf-nonnegative", lambda: min(pdfs()), lambda m: m >= 0.0)
+    # the largest gap to the generator's pdf, relative to the peak W pdf
     _guarded(
         rows,
-        "pdf-nonnegative",
-        lambda: min(qsd_pdf(x, sys) for x in xs),
-        lambda m: m >= 0.0,
+        "pdf-generator",
+        lambda: max(abs(p - sys.generator.pdf(x)) for x, p in zip(xs, pdfs()))
+        / max(pdfs()),
+        lambda m: m <= _PDF_GEN_TOL,
     )
 
     def cdf_rows():
-        cs = [qsd_cdf(x, sys) for x in xs]
+        cs = cdfs()
         worst_step = min(b - a for a, b in zip(cs, cs[1:]))
         # qsd_cdf is 1 from A on by definition; the closed form must reach it
         end_gap = abs(qsd_cdf(math.nextafter(sys.A, 0.0), sys) - 1.0)
@@ -145,5 +171,12 @@ def run_checks(sys: EigenSystem) -> list[CheckRow]:
         rows.append(CheckRow("cdf-monotone", False, math.inf))
         rows.append(CheckRow("cdf-endpoint", False, math.inf))
         rows.append(CheckRow("dominates-stationary-cdf", False, math.inf))
+    # the largest absolute gap to the generator's cdf
+    _guarded(
+        rows,
+        "cdf-generator",
+        lambda: max(abs(c - sys.generator.cdf(x)) for x, c in zip(xs, cdfs())),
+        lambda m: m <= _CDF_GEN_TOL,
+    )
 
     return rows

@@ -1,0 +1,109 @@
+import pytest
+
+from shiryaev_qsd.errors import DomainError
+from shiryaev_qsd.generator import Eigenfunction
+
+# 40-digit mpmath values of the closed forms pdf = C e^{-1/x} W_{1,xi/2}(2/x)/x
+# and cdf = C e^{-1/x} W_{0,xi/2}(2/x), C = 1 / (e^{-1/A} W_{0,xi/2}(2/A)), at
+# the rate given, which is the oracle's root (bench/oracle.py) rounded to a
+# double: the march runs at that same rate, so only the march is tested. Pairs
+# (pdf, cdf) at x = 0.05A, 0.25A, 0.5A, 0.75A and 0.95A.
+FRACTIONS = (0.05, 0.25, 0.5, 0.75, 0.95)
+FROZEN = {
+    0.5: (6.4493762414223745, (
+        (6.49638953005150454963e-29, 2.03413007656560412675e-32),
+        (0.00839156570697133723188, 0.0000687791115948911001848),
+        (2.52584097440050891179, 0.0972122612371888510649),
+        (4.94973712096010683273, 0.642885635276934104814),
+        (1.2792243126872729237, 0.983942523811718441791),
+    )),
+    0.7: (3.925734405123843, (
+        (4.71664130441537666672e-20, 2.89568850714266955668e-23),
+        (0.0767121684614831026941, 0.00124153717986056584167),
+        (2.65025721293902191851, 0.205573692239597516799),
+        (2.74985437837716465359, 0.749752005286359517939),
+        (0.574217573353758943356, 0.990021286691454251396),
+    )),
+    3.0: (0.5471307051568947, (
+        (0.000655227655394925688333, 0.00000741145781855756683609),
+        (0.797204569878269877425, 0.249007885567309048801),
+        (0.45053977304224759706, 0.745704571213765094703),
+        (0.141659705833777601763, 0.954059278899892911521),
+        (0.0198420716585298735552, 0.998553037226513256803),
+    )),
+    20.0: (0.05885614862183967, (
+        (0.359884037495333112649, 0.182949157296968461823),
+        (0.055010444396763657685, 0.834582896366795683509),
+        (0.0109711686197567729614, 0.965352967116843523299),
+        (0.00256444826345729664263, 0.994692673068038764851),
+        (0.000325184846026561620364, 0.999842749884099778294),
+    )),
+    1e3: (0.0010095171997629574, (
+        (0.000739856513797601132944, 0.968297471173073969012),
+        (0.0000241092768472855197643, 0.996750885939524341009),
+        (0.00000403246917969402540677, 0.999380964703061669863),
+        (8.96996030166651292744e-7, 0.999907851290727160687),
+        (1.1185177475209459002e-7, 0.99999729805425257337),
+    )),
+    1e5: (1.0001849315229075e-05, (
+        (7.59864547223021566584e-8, 0.999679916647770155888),
+        (2.4003256334310184825e-9, 0.999967720812288888141),
+        (4.00068426332616499782e-10, 0.999993861859294380855),
+        (8.89049780590309478137e-11, 0.999999086808189069934),
+        (1.10823754829630395679e-11, 0.999999973229368574783),
+    )),
+}
+# points below the march's first node x0, served by the series at 0
+BELOW_X0 = {
+    20.0: (0.02, 2.62090779296465033042e-40, 5.24187609147343876279e-44),
+    0.5: (0.01, 3.42982118075466072383e-80, 1.71545849337521033314e-84),
+}
+
+
+def rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+@pytest.mark.parametrize("A", sorted(FROZEN))
+def test_march_matches_frozen_closed_forms(A):
+    lam, refs = FROZEN[A]
+    e = Eigenfunction(A, lam)
+    for frac, (pdf, cdf) in zip(FRACTIONS, refs):
+        x = frac * A
+        assert rel(e.pdf(x), pdf) <= 1e-13, (A, frac)
+        assert rel(e.cdf(x), cdf) <= 1e-13, (A, frac)
+
+
+def test_series_below_the_first_node():
+    for A, (x, pdf, cdf) in BELOW_X0.items():
+        e = Eigenfunction(A, FROZEN[A][0])
+        assert x < e.xs[0]
+        assert rel(e.pdf(x), pdf) <= 1e-13, A
+        assert rel(e.cdf(x), cdf) <= 1e-13, A
+
+
+def test_march_bit_determinism():
+    for A in (0.7, 1e5):
+        lam = FROZEN[A][0]
+        a, b = Eigenfunction(A, lam), Eigenfunction(A, lam)
+        assert (a.xs, a.fs, a.ds, a.flux) == (b.xs, b.fs, b.ds, b.flux)
+        xs = [A * (i + 1) / 34 for i in range(33)]
+        assert [a.pdf(x) for x in xs] == [b.pdf(x) for x in xs]
+        assert [a.cdf(x) for x in xs] == [b.cdf(x) for x in xs]
+
+
+def test_march_ends_at_A_with_unit_cdf():
+    for A, (lam, _) in FROZEN.items():
+        e = Eigenfunction(A, lam)
+        assert e.xs[-1] == A
+        assert abs(e.cdf(A) - 1.0) <= 4.5e-16, A
+        assert e.residual < 1e-13, A
+
+
+def test_points_outside_the_support():
+    e = Eigenfunction(20.0, FROZEN[20.0][0])
+    for x in (0.0, -1.0, 20.000001):
+        with pytest.raises(DomainError):
+            e.pdf(x)
+        with pytest.raises(DomainError):
+            e.cdf(x)

@@ -1,13 +1,19 @@
 import json
 import math
 
+import pytest
+
 import shiryaev_qsd.cli as cli
 import shiryaev_qsd.verify as verify
 from shiryaev_qsd.distribution import qsd_pdf
+from shiryaev_qsd.errors import ConsistencyError
+from shiryaev_qsd.generator import Eigenfunction
 from shiryaev_qsd.moments import moment_frac, moment_log
 from shiryaev_qsd.quadrature import normalization_check, quad_log_moment, quad_moment
-from shiryaev_qsd.spectral import EigenSystem, assemble_system
+from shiryaev_qsd.spectral import EigenSystem, assemble_system, xi_of_lambda
 from shiryaev_qsd.verify import run_checks
+
+generator_pdf = Eigenfunction.pdf
 
 EXPECTED_ROWS = {
     "rate-bracket",
@@ -21,6 +27,9 @@ EXPECTED_ROWS = {
     "cdf-monotone",
     "cdf-endpoint",
     "dominates-stationary-cdf",
+    "rate-generator",
+    "pdf-generator",
+    "cdf-generator",
 }
 
 
@@ -53,8 +62,9 @@ def test_perturbed_rate_caught(solved):
 
 
 def test_shrunk_normalizer_fails_cdf_endpoint(solved):
-    # the closed-form cdf must reach 1 just below A; a normalizer 1e-9 low
-    # passes every other row
+    # the closed-form cdf must reach 1 just below A, and the closed-form pdf
+    # and cdf must match the generator's, which carry no normalizer; a
+    # normalizer 1e-9 low passes every other row
     for A in (0.8, 20.0, 1e4):
         es = solved(A)
         bad = EigenSystem(
@@ -62,7 +72,29 @@ def test_shrunk_normalizer_fails_cdf_endpoint(solved):
             residual=es.residual, validate=False,
         )
         failed = [r.name for r in run_checks(bad) if not r.passed]
-        assert failed == ["cdf-endpoint"], (A, failed)
+        assert failed == ["pdf-generator", "cdf-endpoint", "cdf-generator"], (A, failed)
+
+
+def test_rate_moved_off_its_normalizer_fails_generator_rows(solved):
+    # a rate moved by a factor 1 + p, its normalizer left behind: the march
+    # no longer vanishes at A, and the W route's pdf no longer matches the
+    # generator's. At p = 1 and A = 0.8 the march's endpoint flux changes
+    # sign, so the rows that read the march fail with no metric.
+    for A in (0.8, 20.0, 1e4):
+        es = solved(A)
+        for p in (1e-9, 1e-6, 1.0):
+            lam = es.lam * (1.0 + p)
+            bad = EigenSystem(
+                A=es.A, lam=lam, xi=xi_of_lambda(lam), C=es.C,
+                residual=es.residual, validate=False,
+            )
+            rows = {r.name: r for r in run_checks(bad)}
+            failed = {name for name, r in rows.items() if not r.passed}
+            assert {"pdf-generator", "rate-generator"} <= failed, (A, p, failed)
+            if (A, p) == (0.8, 1.0):
+                assert rows["rate-generator"].residual == math.inf
+                with pytest.raises(ConsistencyError):
+                    Eigenfunction(A, lam)
 
 
 def test_shared_density_leaves_quadrature_metrics_unchanged(solved, capsys):
@@ -88,18 +120,25 @@ def test_shared_density_leaves_quadrature_metrics_unchanged(solved, capsys):
 
 
 def test_battery_pdf_evaluation_budget(solved, monkeypatch):
-    # qsd_pdf calls of one battery, the 33-point grid included: 168, 243 and
-    # 273 with GK15 on panels in log x, 318, 663 and 753 on panels in x
+    # a battery evaluates the W pdf on the 33-point grid only; its three
+    # quadratures share the generator's pdf, whose budgets are those the W
+    # pdf had when it served both: 168, 243 and 273 calls with GK15 on
+    # panels in log x, 318, 663 and 753 on panels in x
     for A, budget in ((20.0, 185), (1e4, 267), (1e5, 300)):
         es = solved(A)
-        calls = 0
+        calls = {"w": 0, "generator": 0}
 
-        def counted(x, sys):
-            nonlocal calls
-            calls += 1
+        def counted_w(x, sys):
+            calls["w"] += 1
             return qsd_pdf(x, sys)
 
+        def counted_generator(self, x):
+            calls["generator"] += 1
+            return generator_pdf(self, x)
+
         with monkeypatch.context() as m:
-            m.setattr(verify, "qsd_pdf", counted)
+            m.setattr(verify, "qsd_pdf", counted_w)
+            m.setattr(Eigenfunction, "pdf", counted_generator)
             run_checks(es)
-        assert calls <= budget, (A, calls)
+        assert calls["w"] == verify.GRID_POINTS, (A, calls)
+        assert calls["generator"] <= budget, (A, calls)
