@@ -34,16 +34,19 @@ from .errors import ConsistencyError, DomainError
 _TOL = 2e-17
 
 
-def series(x: float, lam: float, tol: float) -> tuple[float, float]:
+def series(x: float, lam: float, tol: float, joint: bool = False):
     """f(x) and x f'(x) from the series at 0, for x <= min(0.03, 0.1/lam):
-    terms stop once n |t_n| is within tol of both sums."""
+    terms stop once n |t_n| is within tol of both sums (of their sum if
+    joint)."""
     t, f, g, n = 1.0, 1.0, 0.0, 0
-    while n == 0 or n * abs(t) > tol * min(abs(f), abs(g)):
+    while True:
         t *= -(0.5 * n * (n - 1) + lam) * x / (n + 1)
         n += 1
         f += t
         g += n * t
-    return f, g
+        size = abs(f) + abs(g) if joint else min(abs(f), abs(g))
+        if n * abs(t) <= tol * size:
+            return f, g
 
 
 def taylor(x: float, h: float, lam: float, f: float, g: float, small: float):
@@ -74,13 +77,13 @@ def taylor(x: float, h: float, lam: float, f: float, g: float, small: float):
 def march(A: float, lam: float, tol: float, joint: bool = False):
     """Nodes (xs, fs, ds) of f and f' from x0 to xs[-1] = A.
 
-    Taylor terms stop at tol of min(|f|, |h f'|) at the step's start, or
-    of their sum if joint (enough for signs). A step that would leave less
-    than 1/1000 of itself to A runs to A instead, so that no node but A
-    lies too close to A for the sign of f there to be resolved.
+    Series and Taylor terms stop at tol of min(|f|, |h f'|) at the step's
+    start, or of their sum if joint (enough for signs). A step that would
+    leave less than 1/1000 of itself to A runs to A instead, so that no
+    node but A lies too close to A for the sign of f there to be resolved.
     """
     x = min(0.03, 0.25 * A, 0.1 / lam)
-    f, g = series(x, lam, tol)
+    f, g = series(x, lam, tol, joint)
     xs, fs, ds = [x], [f], [g / x]
     h, lam2 = x, 2.0 * lam            # g = h f'(x) from here on
     while True:
