@@ -32,6 +32,7 @@ from .errors import ConsistencyError, DomainError
 # Taylor and series terms of the dense march stop at this fraction of |f|
 # and, separately, of |h f'|, so that f' (the cdf) is as accurate as f
 _TOL = 2e-17
+_PI2 = math.pi**2
 
 
 def series(x: float, lam: float, tol: float, joint: bool = False):
@@ -87,12 +88,12 @@ def march(A: float, lam: float, tol: float, joint: bool = False):
     xs, fs, ds = [x], [f], [g / x]
     h, lam2 = x, 2.0 * lam            # g = h f'(x) from here on
     while True:
-        step = min(0.5 * x, x * x)
+        step = x * x if x < 0.5 else 0.5 * x
         last = x + 1.001 * step >= A
         if last:
             step = A - x
         bound = (lam2 + 2.0 / x) / (x * x) * step * step
-        while bound >= math.pi**2:
+        while bound >= _PI2:
             step *= 0.5
             bound *= 0.25
             last = False
