@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys as _sys
 
-from .distribution import qsd_cdf, qsd_pdf
+from .distribution import _pdf_cdf, qsd_cdf, qsd_pdf
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .moments import moment_frac, moment_log
 from .quadrature import quad_log_moment, quad_moment
@@ -136,8 +136,9 @@ def _cmd_table(args) -> EvalReport:
     )
     for i in range(args.points):
         x = args.A * i / (args.points - 1)
-        rep.results.append(ResultRow(f"pdf[x={x!r}]", qsd_pdf(x, es), "closed_form"))
-        rep.results.append(ResultRow(f"cdf[x={x!r}]", qsd_cdf(x, es), "closed_form"))
+        pdf, cdf = _pdf_cdf(x, es)
+        rep.results.append(ResultRow(f"pdf[x={x!r}]", pdf, "closed_form"))
+        rep.results.append(ResultRow(f"cdf[x={x!r}]", cdf, "closed_form"))
     return rep
 
 

@@ -47,14 +47,12 @@ def stationary_pdf(x: float) -> float:
     return 2.0 / (x * x) * math.exp(-2.0 / x)
 
 
-def qsd_pdf(x: float, sys: EigenSystem) -> float:
-    """Conditioned density at x in [0, A]. Exactly 0 at both endpoints."""
-    x = _check_point(x)
-    if not 0.0 <= x <= sys.A:
-        raise DomainError(f"point {x!r} outside [0, {sys.A}]")
-    if x <= UNDERFLOW_X or x == sys.A:
+def _pdf_of(x: float, sys: EigenSystem, w: complex) -> float:
+    # qsd_pdf at x in (0, A) from w = W_{1, xi/2}(2/x), unread at or below
+    # UNDERFLOW_X
+    if x <= UNDERFLOW_X:
         return 0.0
-    w = documented_real(sys.w_plans[1](2.0 / x), "density Whittaker factor")
+    w = documented_real(w, "density Whittaker factor")
     val = sys.C * math.exp(-1.0 / x) * w / x
     if val < 0.0:
         # the boundary zero crossing may land a hair on the wrong side
@@ -62,6 +60,32 @@ def qsd_pdf(x: float, sys: EigenSystem) -> float:
             return 0.0
         raise ConsistencyError(f"density {val!r} at x={x} is negative beyond roundoff")
     return val
+
+
+def _cdf_of(x: float, sys: EigenSystem, w: complex) -> float:
+    # qsd_cdf at x in (0, A) from w = W_{0, xi/2}(2/x), unread at or below
+    # UNDERFLOW_X
+    if x <= UNDERFLOW_X:
+        return 0.0
+    w = documented_real(w, "distribution Whittaker factor")
+    val = sys.C * math.exp(-1.0 / x) * w
+    if val < 0.0 or val > 1.0:
+        if -_CLAMP <= val < 0.0:
+            return 0.0
+        if 1.0 < val <= 1.0 + _CLAMP:
+            return 1.0
+        raise ConsistencyError(f"distribution value {val!r} at x={x} escapes [0, 1]")
+    return val
+
+
+def qsd_pdf(x: float, sys: EigenSystem) -> float:
+    """Conditioned density at x in [0, A]. Exactly 0 at both endpoints."""
+    x = _check_point(x)
+    if not 0.0 <= x <= sys.A:
+        raise DomainError(f"point {x!r} outside [0, {sys.A}]")
+    if x <= UNDERFLOW_X or x == sys.A:
+        return 0.0
+    return _pdf_of(x, sys, sys.w_plan.pair(2.0 / x)[1])
 
 
 def qsd_cdf(x: float, sys: EigenSystem) -> float:
@@ -73,12 +97,14 @@ def qsd_cdf(x: float, sys: EigenSystem) -> float:
         return 1.0
     if x <= UNDERFLOW_X:
         return 0.0
-    w = documented_real(sys.w_plans[0](2.0 / x), "distribution Whittaker factor")
-    val = sys.C * math.exp(-1.0 / x) * w
-    if val < 0.0 or val > 1.0:
-        if -_CLAMP <= val < 0.0:
-            return 0.0
-        if 1.0 < val <= 1.0 + _CLAMP:
-            return 1.0
-        raise ConsistencyError(f"distribution value {val!r} at x={x} escapes [0, 1]")
-    return val
+    return _cdf_of(x, sys, sys.w_plan(2.0 / x))
+
+
+def _pdf_cdf(x: float, sys: EigenSystem) -> tuple[float, float]:
+    # qsd_pdf and qsd_cdf at x, with their values and errors, from one W pass
+    # inside (UNDERFLOW_X, A)
+    x = _check_point(x)
+    if not UNDERFLOW_X < x < sys.A:
+        return qsd_pdf(x, sys), qsd_cdf(x, sys)
+    w0, w1 = sys.w_plan.pair(2.0 / x)
+    return _pdf_of(x, sys, w1), _cdf_of(x, sys, w0)

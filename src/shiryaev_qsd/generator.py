@@ -147,10 +147,14 @@ class Eigenfunction:
 
     def pdf(self, x: float) -> float:
         """lam m(x) f(x) / F at x in (0, A]."""
-        f, _ = self._at(x)
-        return self.lam * 2.0 / (x * x) * math.exp(-2.0 / x) * f / self.flux
+        return self.pdf_cdf(x)[0]
 
     def cdf(self, x: float) -> float:
         """-e^{-2/x} f'(x) / F at x in (0, A]."""
-        _, d = self._at(x)
-        return -math.exp(-2.0 / x) * d / self.flux
+        return self.pdf_cdf(x)[1]
+
+    def pdf_cdf(self, x: float) -> tuple[float, float]:
+        """pdf and cdf at x in (0, A] from one Taylor step."""
+        f, d = self._at(x)
+        e = math.exp(-2.0 / x)
+        return self.lam * 2.0 / (x * x) * e * f / self.flux, -e * d / self.flux

@@ -366,21 +366,25 @@ def _w_index(kappa: complex, b: complex) -> tuple:
     return b, kappa0, n, rg.real if real else rg, rule, real
 
 
-def _w_climb(ix: tuple, z: float, j0: complex, j1: complex) -> complex:
-    # W_{kappa,b}(z) from j0 = sum of w_k e^{-u_k} u_k^{a0-1} (1 + u_k/z)^{p0},
-    # p0 = b + kappa0 - 1/2, and j1 = the same times u_k / (1 + u_k/z). Over
-    # e^{-z/2} z^{kappa0-1} / Gamma(a0), W_{kappa0} is z j0, W_{kappa0-1} is
-    # j1 / a0, and the recurrence of DLMF 13.15 climbs to kappa, with its
-    # coefficient kept factored, so exact where it vanishes.
+def _w_climb(ix: tuple, z: float, j0: complex, j1: complex, up: int) -> tuple:
+    # (W_{kappa,b}(z),), or (W_{kappa,b}(z), W_{kappa+1,b}(z)) if up, from
+    # j0 = sum of w_k e^{-u_k} u_k^{a0-1} (1 + u_k/z)^{p0}, p0 = b + kappa0 - 1/2,
+    # and j1 = the same times u_k / (1 + u_k/z), needed once the climb has a
+    # rung. Over e^{-z/2} z^{kappa0-1} / Gamma(a0), W_{kappa0} is z j0,
+    # W_{kappa0-1} is j1 / a0, and the recurrence of DLMF 13.15 climbs to
+    # kappa + up, with its coefficient kept factored, so exact where it
+    # vanishes. W_kappa is then the rung below the top, the same bits either way.
     b, k, n, rg, _, real = ix
     scale = math.exp(-0.5 * z) * z ** (k - 1.0) * rg
     prev, cur = j1 / (0.5 + b - k), z * j0
-    for _ in range(n):
+    for _ in range(n + up):
         prev, cur = cur, (z - 2.0 * k) * cur - (k - b - 0.5) * (k + b - 0.5) * prev
         k += 1.0
-    out = complex(scale * cur)
+    out = (complex(scale * prev), complex(scale * cur)) if up else (complex(scale * cur),)
     # at b = i beta and real kappa, W = W_{kappa,-b} is its own conjugate
-    return complex(out.real) if not real and b.real == 0.0 and k.imag == 0.0 else out
+    if not real and b.real == 0.0 and k.imag == 0.0:
+        return tuple(complex(w.real) for w in out)
+    return out
 
 
 class WPlan:
@@ -405,26 +409,49 @@ class WPlan:
 
     def __call__(self, z: float) -> complex:
         """W_{kappa,b}(z)."""
+        return self._sum(z, 0)[0]
+
+    def pair(self, z: float) -> tuple[complex, complex]:
+        """W_{kappa,b}(z) and W_{kappa+1,b}(z) from one sum over the nodes;
+        the first is the same bits as the plan's call."""
+        return self._sum(z, 1)
+
+    def _sum(self, z: float, up: int) -> tuple:
         z = _require_positive_real(z)
         b, kappa0, n = self._ix[:3]
-        iz, p = 1.0 / z, b + kappa0 - 0.5
+        iz, p, climb = 1.0 / z, b + kappa0 - 0.5, n + up
         j0 = j1 = 0.0
         for u, c in zip(self._nodes, self._coef):
             q = 1.0 + u * iz
             t = c * q**p
             j0 += t
-            if n:
+            if climb:
                 j1 += t * u / q
-        return _w_climb(self._ix, z, j0, j1)
+        return _w_climb(self._ix, z, j0, j1, up)
 
 
 @functools.lru_cache(maxsize=1)
 def _z_factors(z: float, rule: tuple) -> tuple[tuple, tuple]:
     # log(1 + u_k/z) and u_k / (1 + u_k/z), kept for the last z: a solve asks
-    # for 9 to 15 W at one z
+    # for 7 to 13 W passes at one z from A = 0.5 to 1e5 (up to 20 at 0.2 and
+    # 1e9), one per bracket end and Brent step and two after Brent
     log = cmath.log if rule[1] else math.log
     nodes = _de_rule(*rule)[0]
     return tuple(log(1.0 + u / z) for u in nodes), tuple(u / (1.0 + u / z) for u in nodes)
+
+
+def _w_sum(kappa: complex, b: complex, z: float, up: int) -> tuple:
+    # WPlan's sum at one z, with the node factors that depend on z shared by
+    # the calls at the last z; _w_climb's values
+    z = _require_positive_real(z)
+    ix = b, kappa0, n, _, rule, real = _w_index(kappa, b)
+    _, logs, weights = _de_rule(*rule)
+    log1p, ratio = _z_factors(z, rule)
+    exp = math.exp if real else cmath.exp
+    am1, p = b - kappa0 - 0.5, b + kappa0 - 0.5
+    terms = [w * exp(am1 * s + p * q) for s, w, q in zip(logs, weights, log1p)]
+    j1 = sum(t * r for t, r in zip(terms, ratio)) if n + up else 0.0
+    return _w_climb(ix, z, sum(terms), j1, up)
 
 
 def whittaker_w(kappa: complex, b: complex, z: float) -> complex:
@@ -437,15 +464,13 @@ def whittaker_w(kappa: complex, b: complex, z: float) -> complex:
         DomainError: z is not a positive real, or |Im b| is past the
             rule's node ceiling.
     """
-    z = _require_positive_real(z)
-    ix = b, kappa0, n, _, rule, real = _w_index(kappa, b)
-    _, logs, weights = _de_rule(*rule)
-    log1p, ratio = _z_factors(z, rule)
-    exp = math.exp if real else cmath.exp
-    am1, p = b - kappa0 - 0.5, b + kappa0 - 0.5
-    terms = [w * exp(am1 * s + p * q) for s, w, q in zip(logs, weights, log1p)]
-    j1 = sum(t * r for t, r in zip(terms, ratio)) if n else 0.0
-    return _w_climb(ix, z, sum(terms), j1)
+    return _w_sum(kappa, b, z, 0)[0]
+
+
+def whittaker_w_pair(kappa: complex, b: complex, z: float) -> tuple[complex, complex]:
+    """W_{kappa,b}(z) and W_{kappa+1,b}(z) from whittaker_w's one sum over
+    the nodes; the first is the same bits as whittaker_w(kappa, b, z)."""
+    return _w_sum(kappa, b, z, 1)
 
 
 def whittaker_w_dz(kappa: complex, b: complex, z: float) -> complex:
@@ -455,9 +480,7 @@ def whittaker_w_dz(kappa: complex, b: complex, z: float) -> complex:
     """
     z = _require_positive_real(z)
     kappa = complex(kappa)
-    b = complex(b)
-    w0 = whittaker_w(kappa, b, z)
-    w1 = whittaker_w(kappa + 1.0, b, z)
+    w0, w1 = whittaker_w_pair(kappa, b, z)
     return ((0.5 * z - kappa) * w0 - w1) / z
 
 

@@ -36,6 +36,7 @@ from .specfun import (
     gamma,
     hyp1f1,
     whittaker_w,
+    whittaker_w_pair,
 )
 
 _EPS = 2.220446049250313e-16
@@ -146,8 +147,10 @@ def _brent(f, a: float, b: float, fa: float, fb: float, rel_tol: float) -> float
 
 
 def _normalizer_endpoint(A: float, w0: float) -> float:
-    # C = 1 / (e^{-1/A} W_{0, xi/2}(2/A)), from w0 = the real part of that W
-    return 1.0 / (math.exp(-1.0 / A) * w0)
+    # C = 1 / (e^{-1/A} W_{0, xi/2}(2/A)), from w0 = the real part of that W;
+    # infinite where the product is 0
+    d = math.exp(-1.0 / A) * w0
+    return 1.0 / d if d else math.inf
 
 
 def _normalizer_series(A: float, lam: float, xi: complex, sigma: int) -> float:
@@ -184,9 +187,7 @@ def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
     ident = abs(xi * xi + 8.0 * lam - 1.0) / max(1.0, 8.0 * lam)
     rows.append(CheckRow("index-identity", ident <= _XI_IDENTITY_TOL, ident))
 
-    z = 2.0 / A
-    w1 = whittaker_w(1.0, 0.5 * xi, z)
-    w0 = whittaker_w(0.0, 0.5 * xi, z)
+    w0, w1 = whittaker_w_pair(0.0, 0.5 * xi, 2.0 / A)
     res = abs(w1) / max(1.0, abs(w0))
     rows.append(CheckRow("eigencondition-residual", res <= _RESIDUAL_TOL, res))
 
@@ -248,11 +249,11 @@ class EigenSystem:
         return tuple(eigen_checks(self.A, self.lam, self.xi, self.C))
 
     @functools.cached_property
-    def w_plans(self) -> tuple[WPlan, WPlan]:
-        """Plans of W_{0, xi/2} and W_{1, xi/2}, indexed by kappa; built on
-        first use. A race between threads builds equal plans twice."""
-        b = 0.5 * self.xi
-        return WPlan(0.0, b), WPlan(1.0, b)
+    def w_plan(self) -> WPlan:
+        """Plan of W_{0, xi/2}, whose pair entry also gives W_{1, xi/2}: the
+        cdf's and the pdf's W; built on first use. A race between threads
+        builds equal plans twice."""
+        return WPlan(0.0, 0.5 * self.xi)
 
     @functools.cached_property
     def generator(self) -> Eigenfunction:
@@ -268,19 +269,22 @@ def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:
 
     The normal path is solve_lambda; this entry exists so a deliberately
     off-eigenvalue rate can be packaged (validate=False) and fed to the
-    verification battery, which must then flag it.
+    verification battery, which must then flag it. Only a validated system
+    needs a positive endpoint W; otherwise C may come out negative or
+    infinite, and the battery's normalizer rows fail.
     """
     A = _check_cutoff(A)
     if not (lam > 0.0 and math.isfinite(lam)):
         raise DomainError(f"rate must be positive and finite, got {lam!r}")
     xi = xi_of_lambda(lam)
-    w0 = documented_real(whittaker_w(0.0, 0.5 * xi, 2.0 / A), "W at the right endpoint")
-    if w0 <= 0.0:
+    w0, w1 = whittaker_w_pair(0.0, 0.5 * xi, 2.0 / A)
+    w0 = documented_real(w0, "W at the right endpoint")
+    if validate and w0 <= 0.0:
         raise ConsistencyError(
             f"endpoint Whittaker value must be positive, got {w0!r} at A={A}"
         )
     C = _normalizer_endpoint(A, w0)
-    residual = abs(whittaker_w(1.0, 0.5 * xi, 2.0 / A))
+    residual = abs(w1)
     return EigenSystem(A=A, lam=lam, xi=xi, C=C, residual=residual, validate=validate)
 
 

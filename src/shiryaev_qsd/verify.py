@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .distribution import qsd_cdf, qsd_pdf, stationary_cdf
+from .distribution import _cdf_of, _pdf_of, qsd_cdf, stationary_cdf
 from .errors import ConsistencyError, ConvergenceError
 from .moments import moment_frac, moment_integer, moment_recurrence_residual
 from .quadrature import normalization_check, quad_moment
@@ -136,18 +136,20 @@ def run_checks(sys: EigenSystem) -> list[CheckRow]:
             rows.append(CheckRow(name, False, math.inf))
 
     xs = _grid(sys.A)
-    # the closed forms on the grid, evaluated once for all rows that read
-    # them (again by each such row when they raise)
-    pdfs = functools.cache(lambda: [qsd_pdf(x, sys) for x in xs])
-    cdfs = functools.cache(lambda: [qsd_cdf(x, sys) for x in xs])
+    # one W pass per grid point serves both closed forms, and one Taylor step
+    # of the march both of the generator's; each list is evaluated once for
+    # all rows that read it (again by each such row when it raises)
+    ws = functools.cache(lambda: [sys.w_plan.pair(2.0 / x) for x in xs])
+    pdfs = functools.cache(lambda: [_pdf_of(x, sys, w) for x, (_, w) in zip(xs, ws())])
+    cdfs = functools.cache(lambda: [_cdf_of(x, sys, w) for x, (w, _) in zip(xs, ws())])
+    gens = functools.cache(lambda: [sys.generator.pdf_cdf(x) for x in xs])
 
     _guarded(rows, "pdf-nonnegative", lambda: min(pdfs()), lambda m: m >= 0.0)
     # the largest gap to the generator's pdf, relative to the peak W pdf
     _guarded(
         rows,
         "pdf-generator",
-        lambda: max(abs(p - sys.generator.pdf(x)) for x, p in zip(xs, pdfs()))
-        / max(pdfs()),
+        lambda: max(abs(p - g) for p, (g, _) in zip(pdfs(), gens())) / max(pdfs()),
         lambda m: m <= _PDF_GEN_TOL,
     )
 
@@ -175,7 +177,7 @@ def run_checks(sys: EigenSystem) -> list[CheckRow]:
     _guarded(
         rows,
         "cdf-generator",
-        lambda: max(abs(c - sys.generator.cdf(x)) for x, c in zip(xs, cdfs())),
+        lambda: max(abs(c - g) for c, (_, g) in zip(cdfs(), gens())),
         lambda m: m <= _CDF_GEN_TOL,
     )
 

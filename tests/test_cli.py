@@ -107,6 +107,23 @@ def test_verify_clean_and_perturbed(capsys):
     assert doc["ok"] is False
 
 
+@pytest.mark.parametrize("A", ["0.8", "20"])
+def test_verify_far_off_rate_still_reports(capsys, A):
+    # a doubled rate: at A = 0.8 the endpoint W is negative, so the system's
+    # normalizer is too, and the rows that read it fail instead of the
+    # request aborting before the battery
+    code, out, err = run(capsys, "verify", "--A", A, "--perturb-lambda", "1")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    rows = {c["name"]: c for c in doc["checks"]}
+    assert doc["ok"] is False
+    assert rows["rate-bracket"]["passed"] is False
+    assert rows["pdf-generator"]["passed"] is False
+    if A == "0.8":
+        assert rows["normalizer-positive"]["residual"] < 0.0
+        assert rows["normalizer-endpoint"]["residual"] is None
+
+
 def test_exit_code_bad_inputs(capsys):
     assert run(capsys, "pdf", "--A", "20", "--x", "-3")[0] == 2
     assert run(capsys, "eig", "--A", "-1")[0] == 2

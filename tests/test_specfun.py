@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from shiryaev_qsd.specfun import (
     whittaker_m,
     whittaker_w,
     whittaker_w_dz,
+    whittaker_w_pair,
 )
 from shiryaev_qsd.spectral import solve_lambda
 
@@ -276,16 +278,44 @@ def test_w_matches_mpmath_at_solved_indices():
 
 def test_w_plan_reuse_in_mixed_order():
     # a plan, and whittaker_w with its per-z factors, give the same bits
-    # whatever z they served before
+    # whatever z and entry they served before; the pair entries too
     zs = (3.0, 0.4, 25.0, 0.05, 15.0, 2.0, 0.4, 3.0, 250.0, 9.0)
     for kappa, b in ((1.0, 0.5 - 1e-4), (0.0, 0.3), (0.0, 0.2j), (1.0, 2.7j), (0.8, 1.21)):
         plan = WPlan(kappa, b)
         first = {}
-        for z in zs:
-            assert plan(z) == WPlan(kappa, b)(z), (kappa, b, z)
-            w = first.setdefault(z, whittaker_w(kappa, b, z))
-            assert whittaker_w(kappa, b, z) == w, (kappa, b, z)
+        for i, z in enumerate(zs):
+            pair = plan.pair(z)
+            if i % 2:
+                assert plan(z) == WPlan(kappa, b)(z) == pair[0], (kappa, b, z)
+            else:
+                assert plan.pair(z) == WPlan(kappa, b).pair(z) == pair, (kappa, b, z)
+            w = first.setdefault(z, whittaker_w_pair(kappa, b, z))
+            assert whittaker_w(kappa, b, z) == w[0], (kappa, b, z)
+            assert whittaker_w_pair(kappa, b, z) == w, (kappa, b, z)
             whittaker_w(1.0 - kappa, 0.25, z)  # another index at the same z
+
+
+def _bits(w: complex) -> tuple[str, str]:
+    return w.real.hex(), w.imag.hex()
+
+
+def test_w_pair_is_the_two_single_passes_bit_for_bit():
+    # W_{0,b} and W_{1,b} from one sum equal the separate passes at kappa = 0
+    # and kappa = 1, through the plan and through whittaker_w: at real b in
+    # (0, 1/2], at b = 0 (rate 1/8), and at imaginary b in every band of the
+    # rule's step up to the index of A = 0.2 (|Im b| = 7.34)
+    rng = random.Random(20250613)
+    bs = [rng.uniform(1e-3, 0.5) for _ in range(4)] + [0.5, 0.0]
+    edges = (0.0, 1.26, 2.52, 5.04, 7.34)
+    bs += [1j * rng.uniform(lo, hi) for lo, hi in zip(edges, edges[1:]) for _ in range(2)]
+    bs += [1j * (hi + 1e-9) for hi in edges[1:-1]]
+    for b in bs:
+        plan = WPlan(0.0, b)
+        for z in [math.exp(rng.uniform(math.log(2e-3), math.log(1400.0))) for _ in range(6)]:
+            got = [_bits(w) for w in plan.pair(z)]
+            assert got == [_bits(plan(z)), _bits(WPlan(1.0, b)(z))], (b, z)
+            got = [_bits(w) for w in whittaker_w_pair(0.0, b, z)]
+            assert got == [_bits(whittaker_w(0.0, b, z)), _bits(whittaker_w(1.0, b, z))], (b, z)
 
 
 def test_whittaker_w_dz_anchor():

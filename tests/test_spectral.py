@@ -4,8 +4,10 @@ import re
 import pytest
 
 import shiryaev_qsd.cli as cli
+import shiryaev_qsd.specfun as specfun
 import shiryaev_qsd.spectral as spectral
 from shiryaev_qsd.errors import ConsistencyError, DomainError, PoleError
+from shiryaev_qsd.specfun import WPlan
 from shiryaev_qsd.spectral import (
     EigenSystem,
     assemble_system,
@@ -141,16 +143,42 @@ def test_eigensystem_validate_false_admits_anything(solved):
 
 
 def test_binding_w_plans_keeps_equality_and_repr(solved):
+    # one plan serves W_{0, xi/2} and, by its pair entry, W_{1, xi/2}
     es = solve_lambda(20.0)
     twin = EigenSystem(
         A=es.A, lam=es.lam, xi=es.xi, C=es.C, residual=es.residual, validate=False
     )
     before = repr(es)
-    plans = es.w_plans
-    assert es.w_plans is plans
+    plan = es.w_plan
+    assert es.w_plan is plan
+    assert plan.pair(3.0) == (plan(3.0), WPlan(1.0, 0.5 * es.xi)(3.0))
     assert twin.checks
     assert repr(es) == before == repr(twin)
     assert es == twin and hash(es) == hash(twin) and es == solved(20.0)
+
+
+def test_solve_takes_two_w_passes_after_brent(monkeypatch):
+    # the endpoint normalizer and the battery's residual each read W_0 and
+    # W_1 at z = 2/A from one pass
+    for A in (20.0, 1e5):
+        passes = []
+        at_brent = []
+
+        def counted_climb(ix, z, *args):
+            passes.append(z)
+            return climb(ix, z, *args)
+
+        def marked_brent(*args):
+            lam = brent(*args)
+            at_brent.append(len(passes))
+            return lam
+
+        climb, brent = specfun._w_climb, spectral._brent
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "_w_climb", counted_climb)
+            m.setattr(spectral, "_brent", marked_brent)
+            solve_lambda(A)
+        assert passes[at_brent[0]:] == [2.0 / A] * 2, (A, len(passes), at_brent)
 
 
 def test_assemble_system_matches_solve(solved):
@@ -164,6 +192,18 @@ def test_assemble_system_rejects_bad_rate():
         assemble_system(20.0, -1.0)
     with pytest.raises(ConsistencyError):
         assemble_system(20.0, 0.03)  # positive but nowhere near the rate
+
+
+def test_unvalidated_system_keeps_a_nonpositive_endpoint_w(solved):
+    # off the rate the endpoint W may be negative (a doubled rate at
+    # A = 0.8) or underflow to 0 (A = 1e-3): only validation refuses them
+    es = solved(0.8)
+    bad = assemble_system(0.8, 2.0 * es.lam, validate=False)
+    assert bad.C < 0.0
+    assert assemble_system(1e-3, lambda_bounds(1e-3)[0], validate=False).C == math.inf
+    rows = {r.name: r for r in bad.checks}
+    assert not rows["normalizer-positive"].passed
+    assert rows["normalizer-endpoint"].residual == math.inf
 
 
 def test_solve_rejects_bad_inputs():

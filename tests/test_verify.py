@@ -4,8 +4,8 @@ import math
 import pytest
 
 import shiryaev_qsd.cli as cli
+import shiryaev_qsd.specfun as specfun
 import shiryaev_qsd.verify as verify
-from shiryaev_qsd.distribution import qsd_pdf
 from shiryaev_qsd.errors import ConsistencyError
 from shiryaev_qsd.generator import Eigenfunction
 from shiryaev_qsd.moments import moment_frac, moment_log
@@ -120,25 +120,34 @@ def test_shared_density_leaves_quadrature_metrics_unchanged(solved, capsys):
 
 
 def test_battery_pdf_evaluation_budget(solved, monkeypatch):
-    # a battery evaluates the W pdf on the 33-point grid only; its three
-    # quadratures share the generator's pdf, whose budgets are those the W
-    # pdf had when it served both: 168, 243 and 273 calls with GK15 on
+    # a battery sums W over the nodes once per point of the 33-point grid,
+    # for both closed forms, and once for `cdf-endpoint`; the grid takes one
+    # Taylor step of the march per point for both of the generator's. Its
+    # three quadratures share the generator's pdf, whose budgets are those
+    # the W pdf had when it served both: 168, 243 and 273 calls with GK15 on
     # panels in log x, 318, 663 and 753 on panels in x
     for A, budget in ((20.0, 185), (1e4, 267), (1e5, 300)):
         es = solved(A)
-        calls = {"w": 0, "generator": 0}
+        calls = {"w": 0, "step": 0, "generator": 0}
 
-        def counted_w(x, sys):
+        def counted_climb(*args):
             calls["w"] += 1
-            return qsd_pdf(x, sys)
+            return climb(*args)
+
+        def counted_step(self, x):
+            calls["step"] += 1
+            return step(self, x)
 
         def counted_generator(self, x):
             calls["generator"] += 1
             return generator_pdf(self, x)
 
+        climb, step = specfun._w_climb, Eigenfunction._at
         with monkeypatch.context() as m:
-            m.setattr(verify, "qsd_pdf", counted_w)
+            m.setattr(specfun, "_w_climb", counted_climb)
+            m.setattr(Eigenfunction, "_at", counted_step)
             m.setattr(Eigenfunction, "pdf", counted_generator)
             run_checks(es)
-        assert calls["w"] == verify.GRID_POINTS, (A, calls)
+        assert calls["w"] == verify.GRID_POINTS + 1, (A, calls)
+        assert calls["step"] - calls["generator"] == verify.GRID_POINTS, (A, calls)
         assert calls["generator"] <= budget, (A, calls)
