@@ -37,7 +37,7 @@ from .moments import (
     moment_singular_shifted,
     moment_special_value,
 )
-from .quadrature import normalization_check, quad_log_moment, quad_moment
+from .quadrature import normalization_check, quad_log_moment, quad_moment, quad_moments
 from .report import CheckRow, EvalReport, ResultRow
 from .verify import run_checks
 
@@ -72,6 +72,7 @@ __all__ = [
     "qsd_pdf",
     "quad_log_moment",
     "quad_moment",
+    "quad_moments",
     "run_checks",
     "solve_lambda",
     "stationary_cdf",

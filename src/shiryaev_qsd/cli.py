@@ -15,10 +15,10 @@ import sys as _sys
 from .distribution import _pdf_cdf, qsd_cdf, qsd_pdf
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .moments import moment_frac, moment_log
-from .quadrature import quad_log_moment, quad_moment
+from .quadrature import quad_moments
 from .report import EvalReport, ResultRow
 from .spectral import assemble_system, solve_lambda
-from .verify import _memo_pdf, dual_route_row, run_checks
+from .verify import dual_route_row, run_checks
 
 __all__ = ["main"]
 
@@ -108,19 +108,20 @@ def _cmd_moment(args) -> EvalReport:
         command="moment",
         inputs={"A": args.A, "tol": args.tol, "s": list(args.s), "log": args.log},
     )
-    pdf = _memo_pdf(es)
-    for s in args.s:
-        m = moment_frac(s, es)
-        rep.results.append(ResultRow(f"moment[s={s!r}]", m.value, "closed_form"))
+    closed = [moment_frac(s, es).value for s in args.s]
+    lv = moment_log(es) if args.log else None
+    # one quadrature pass recomputes every order and the logarithm
+    quads = quad_moments(es, args.s, args.log)[1:] if args.check else ()
+    for k, (s, m) in enumerate(zip(args.s, closed)):
+        rep.results.append(ResultRow(f"moment[s={s!r}]", m, "closed_form"))
         if args.check:
-            q = quad_moment(s, es, pdf)
+            q = quads[k]
             rep.results.append(ResultRow(f"moment-quad[s={s!r}]", q, "quadrature"))
-            rep.checks.append(dual_route_row(f"dual-route[s={s!r}]", m.value, q))
+            rep.checks.append(dual_route_row(f"dual-route[s={s!r}]", m, q))
     if args.log:
-        lv = moment_log(es)
         rep.results.append(ResultRow("log-moment", lv, "closed_form"))
         if args.check:
-            q = quad_log_moment(es, pdf)
+            q = quads[-1]
             rep.results.append(ResultRow("log-moment-quad", q, "quadrature"))
             rep.checks.append(dual_route_row("dual-route[log]", lv, q))
     return rep
@@ -134,8 +135,10 @@ def _cmd_table(args) -> EvalReport:
         command="table",
         inputs={"A": args.A, "tol": args.tol, "points": args.points},
     )
+    last = args.points - 1
     for i in range(args.points):
-        x = args.A * i / (args.points - 1)
+        # A * last / last may round one ulp past A, outside the support
+        x = args.A if i == last else args.A * i / last
         pdf, cdf = _pdf_cdf(x, es)
         rep.results.append(ResultRow(f"pdf[x={x!r}]", pdf, "closed_form"))
         rep.results.append(ResultRow(f"cdf[x={x!r}]", cdf, "closed_form"))

@@ -20,6 +20,12 @@ Taylor series over h = min(x/2, x^2, A - x). h <= x^2 keeps the rounding
 of the other solution, e^{2/x} near 0, from growing. A step is halved
 while h sqrt(2 lam/x^2 + 2/x^3) >= pi; the zero count of the rate solver
 relies on that bound (see spectral).
+
+Eigenfunction keeps each step's scaled Taylor terms b_k, which taylor()
+appends as it sums them, and gives f, and f' where the cdf needs it, at
+any point of a step by Horner in (x - x_j) / h_j, about a quarter of the
+cost of a fresh Taylor step for the pdf. The sign-only march of the rate
+solver keeps no terms.
 """
 
 from __future__ import annotations
@@ -50,14 +56,16 @@ def series(x: float, lam: float, tol: float, joint: bool = False):
             return f, g
 
 
-def taylor(x: float, h: float, lam: float, f: float, g: float, small: float):
+def taylor(x: float, h: float, lam: float, f: float, g: float, small: float,
+           out: list | None = None):
     """f(x + h) and h f'(x + h) from f(x) and g = h f'(x).
 
     The scaled terms b_k = a_k h^k of f(x + s) = sum a_k s^k obey
     b_{k+2} = -[(x k(k+1) + k+1) h b_{k+1} + (k(k-1)/2 + lam) h^2 b_k]
               / (x^2 (k+2)(k+1)/2),
     with b_0 = f(x), b_1 = g; f(x + h) = sum b_k, h f'(x + h) = sum k b_k.
-    The sums stop once (k+1)(|b_k| + |b_{k+1}|) <= small.
+    The sums stop once (k+1)(|b_k| + |b_{k+1}|) <= small. Each b_k from
+    b_2 on is appended to out, if given.
     """
     u = 2.0 * h / x
     v = u / x
@@ -68,6 +76,8 @@ def taylor(x: float, h: float, lam: float, f: float, g: float, small: float):
         b2 = -(((k - 1.0) * u + v) * b1 + c * b0 / k) / (k + 1.0)
         fn += b2
         gn += (k + 1.0) * b2
+        if out is not None:
+            out.append(b2)
         if (k + 1.0) * (abs(b2) + abs(b1)) <= small:
             return fn, gn
         c += 2.0 * (k - 1.0) * q
@@ -75,13 +85,16 @@ def taylor(x: float, h: float, lam: float, f: float, g: float, small: float):
         b0, b1 = b1, b2
 
 
-def march(A: float, lam: float, tol: float, joint: bool = False):
+def march(A: float, lam: float, tol: float, joint: bool = False,
+          dense: list | None = None):
     """Nodes (xs, fs, ds) of f and f' from x0 to xs[-1] = A.
 
     Series and Taylor terms stop at tol of min(|f|, |h f'|) at the step's
     start, or of their sum if joint (enough for signs). A step that would
     leave less than 1/1000 of itself to A runs to A instead, so that no
     node but A lies too close to A for the sign of f there to be resolved.
+    If dense is a list, each step appends to it its length h and its scaled
+    Taylor terms b_k, highest k first.
     """
     x = min(0.03, 0.25 * A, 0.1 / lam)
     f, g = series(x, lam, tol, joint)
@@ -100,7 +113,10 @@ def march(A: float, lam: float, tol: float, joint: bool = False):
         g *= step / h
         h = step
         small = tol * (abs(f) + abs(g) if joint else min(abs(f), abs(g)))
-        f, g = taylor(x, h, lam, f, g, small)
+        bs = None if dense is None else [f, g]
+        f, g = taylor(x, h, lam, f, g, small, bs)
+        if bs is not None:
+            dense.append((h, bs[::-1]))
         x = A if last else x + h
         xs.append(x)
         fs.append(f)
@@ -110,8 +126,10 @@ def march(A: float, lam: float, tol: float, joint: bool = False):
 
 
 class Eigenfunction:
-    """Dense march of f at rate lam on (0, A]: pdf and cdf at any point by
-    one Taylor step from the node below it (by the series below x0).
+    """Dense march of f at rate lam on (0, A]: pdf and cdf at any point
+    from the Taylor terms of the step that holds it, summed by Horner in
+    (x - x_j) / h_j (by the series below x0). At a node they are the
+    march's own values, so cdf(A) = 1.
 
     Raises ConsistencyError when the endpoint flux -e^{-2/A} f'(A) is not
     positive and finite, as at a rate far from the spectrum.
@@ -119,7 +137,8 @@ class Eigenfunction:
 
     def __init__(self, A: float, lam: float):
         self.A, self.lam = A, lam
-        self.xs, self.fs, self.ds = march(A, lam, _TOL)
+        self.steps: list[tuple[float, list[float]]] = []
+        self.xs, self.fs, self.ds = march(A, lam, _TOL, dense=self.steps)
         self.flux = -math.exp(-2.0 / A) * self.ds[-1]
         if not 0.0 < self.flux < math.inf:
             raise ConsistencyError(
@@ -132,29 +151,51 @@ class Eigenfunction:
         f, relative to A."""
         return abs(self.fs[-1]) / (self.A * abs(self.ds[-1]))
 
-    def _at(self, x: float) -> tuple[float, float]:
+    def _step(self, x: float) -> int:
+        # j with xs[j] < x <= xs[j + 1], or -1 below the first node
         if not 0.0 < x <= self.A:
             raise DomainError(f"point {x!r} outside (0, {self.A}]")
-        j = bisect_left(self.xs, x) - 1
+        return bisect_left(self.xs, x) - 1
+
+    def _f(self, x: float) -> float:
+        j = self._step(x)
+        if j < 0:
+            return series(x, self.lam, _TOL)[0]
+        if x == self.xs[j + 1]:
+            return self.fs[j + 1]
+        h, bs = self.steps[j]
+        t = (x - self.xs[j]) / h
+        f = 0.0
+        for b in bs:
+            f = f * t + b
+        return f
+
+    def _fd(self, x: float) -> tuple[float, float]:
+        j = self._step(x)
         if j < 0:
             f, g = series(x, self.lam, _TOL)
             return f, g / x
-        x0, f = self.xs[j], self.fs[j]
-        h = x - x0
-        g = h * self.ds[j]
-        f, g = taylor(x0, h, self.lam, f, g, _TOL * min(abs(f), abs(g)))
+        if x == self.xs[j + 1]:
+            return self.fs[j + 1], self.ds[j + 1]
+        h, bs = self.steps[j]
+        t = (x - self.xs[j]) / h
+        f = g = 0.0                   # g = h f'(x) = sum k b_k t^{k-1}
+        for b in bs:
+            g = g * t + f
+            f = f * t + b
         return f, g / h
 
     def pdf(self, x: float) -> float:
         """lam m(x) f(x) / F at x in (0, A]."""
-        return self.pdf_cdf(x)[0]
+        f = self._f(x)
+        return self.lam * 2.0 / (x * x) * math.exp(-2.0 / x) * f / self.flux
 
     def cdf(self, x: float) -> float:
         """-e^{-2/x} f'(x) / F at x in (0, A]."""
         return self.pdf_cdf(x)[1]
 
     def pdf_cdf(self, x: float) -> tuple[float, float]:
-        """pdf and cdf at x in (0, A] from one Taylor step."""
-        f, d = self._at(x)
+        """pdf and cdf at x in (0, A] from one Horner pass."""
+        f, d = self._fd(x)
         e = math.exp(-2.0 / x)
         return self.lam * 2.0 / (x * x) * e * f / self.flux, -e * d / self.flux

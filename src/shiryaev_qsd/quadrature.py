@@ -7,30 +7,30 @@ two exercises the rate, the normalizer, the Whittaker kernel and the
 hypergeometric reductions end to end.
 
 The rule is the classic 15-point Kronrod extension of 7-point Gauss on
-[-1, 1], applied to panels kept in a worst-error-first heap. It runs in
-t = log x over [log(1/700), log A], on seed panels of width log 4 (x
-growing by a factor 4), where weight(e^t) * pdf(e^t) * e^t is smooth on
-every panel, so few splits follow: one integral takes 105-165 pdf
-evaluations at A = 20 and 210-270 at A = 1e5, and the verify battery's
-three, sharing a density, take 135 and 240. Everything is deterministic:
-ties in the heap break on insertion order and the final sum runs over
-panels sorted by left endpoint, so repeated calls bit-match. The budget
-is fixed: refinement stops once the summed error gauge is within
-max(1e-12, 1e-10 * |estimate|), and raises ToleranceNotMetError after
-2,000 panel splits.
+[-1, 1]. It runs in t = log x over [log(1/700), log A], on seed panels of
+width log 4 (x growing by a factor 4), where weight(e^t) * pdf(e^t) * e^t
+is smooth on every panel, so few splits follow. One pass integrates
+several weights, the mass, x^s for each order s and log x, against the
+density evaluated once per node. Each component has its own budget
+max(1e-12, 1e-10 * |estimate|); while any is over it, the component
+furthest over splits its worst panel. The verify battery's three
+integrals take one pass of 135 pdf evaluations at A = 20, 165 at 224, 210
+at 1e4 and 240 at 1e5. Everything is deterministic: among panels of equal
+error the earliest made splits first and every total is an exactly
+rounded fsum, so repeated calls bit-match. A pass raises
+ToleranceNotMetError after 2,000 panel splits.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections.abc import Callable
 
 from .distribution import UNDERFLOW_X
 from .errors import DomainError, ToleranceNotMetError
 from .spectral import EigenSystem
 
 __all__ = [
+    "quad_moments",
     "quad_moment",
     "quad_log_moment",
     "normalization_check",
@@ -73,20 +73,23 @@ _MAX_SPLITS = 2000
 _LOG4 = math.log(4.0)
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """Kronrod estimate and |K15 - G7| error gauge on [a, b]."""
+def _gk15(f, a: float, b: float) -> tuple[list[float], list[float]]:
+    """Kronrod estimates and |K15 - G7| error gauges on [a, b], one per
+    component of the list-valued f."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fc = f(mid)
-    k = _WGK[7] * fc
-    g = _WG[3] * fc
+    k = [_WGK[7] * v for v in fc]
+    g = [_WG[3] * v for v in fc]
     for i in range(7):
         off = half * _XGK[i]
-        pair = f(mid - off) + f(mid + off)
-        k += _WGK[i] * pair
+        pair = [u + v for u, v in zip(f(mid - off), f(mid + off))]
+        w = _WGK[i]
+        k = [kc + w * p for kc, p in zip(k, pair)]
         if i % 2 == 1:
-            g += _WG[i // 2] * pair
-    return k * half, abs((k - g) * half)
+            w = _WG[i // 2]
+            g = [gc + w * p for gc, p in zip(g, pair)]
+    return [kc * half for kc in k], [abs((kc - gc) * half) for kc, gc in zip(k, g)]
 
 
 def _seed_panels(lo: float, hi: float) -> list[tuple[float, float]]:
@@ -101,84 +104,80 @@ def _seed_panels(lo: float, hi: float) -> list[tuple[float, float]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _adapt(f, lo: float, hi: float) -> float:
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    seq = 0
-    for a, b in _seed_panels(lo, hi):
-        val, err = _gk15(f, a, b)
-        heapq.heappush(heap, (-err, seq, a, b, val, err))
-        seq += 1
+def _adapt(f, lo: float, hi: float, m: int) -> list[float]:
+    # panels (a, b, estimates, error gauges) in the order they were made
+    panels = [(a, b, *_gk15(f, a, b)) for a, b in _seed_panels(lo, hi)]
     splits = 0
     while True:
-        total = math.fsum(item[4] for item in heap)
-        err_total = math.fsum(item[5] for item in heap)
-        budget = max(_ABS_TOL, _REL_TOL * abs(total))
-        if err_total <= budget:
-            break
+        totals = [math.fsum(p[2][c] for p in panels) for c in range(m)]
+        errs = [math.fsum(p[3][c] for p in panels) for c in range(m)]
+        budgets = [max(_ABS_TOL, _REL_TOL * abs(t)) for t in totals]
+        over = [c for c in range(m) if errs[c] > budgets[c]]
+        if not over:
+            return totals
+        # the component furthest over its budget splits its worst panel,
+        # the earliest made among equals
+        c = max(over, key=lambda c: errs[c] / budgets[c])
         if splits >= _MAX_SPLITS:
             raise ToleranceNotMetError(
                 f"adaptive refinement hit the {_MAX_SPLITS}-split cap "
-                f"with error {err_total:.3e} over budget {budget:.3e}",
-                estimate=total,
-                error_bound=err_total,
+                f"with error {errs[c]:.3e} over budget {budgets[c]:.3e}",
+                estimate=totals[c],
+                error_bound=errs[c],
             )
-        _, _, a, b, _, _ = heapq.heappop(heap)
+        i = max(range(len(panels)), key=lambda i: panels[i][3][c])
+        a, b = panels.pop(i)[:2]
         mid = 0.5 * (a + b)
-        for a2, b2 in ((a, mid), (mid, b)):
-            val, err = _gk15(f, a2, b2)
-            heapq.heappush(heap, (-err, seq, a2, b2, val, err))
-            seq += 1
+        panels += [(a, mid, *_gk15(f, a, mid)), (mid, b, *_gk15(f, mid, b))]
         splits += 1
-    panels = sorted((item[2], item[4]) for item in heap)
-    return math.fsum(v for _, v in panels)
 
 
-def _expect(
-    weight: Callable[[float], float],
-    sys: EigenSystem,
-    pdf: Callable[[float], float] | None,
-) -> float:
-    # weight * pdf over [UNDERFLOW_X, A], integrated in t = log x; below
-    # the cutoff the density underflows to zero in doubles
+def _expect(sys: EigenSystem, orders, log: bool) -> list[float]:
+    # x^s * pdf for each order s, then log x * pdf if log, over
+    # [UNDERFLOW_X, A] in one pass, integrated in t = log x; below the
+    # cutoff the density underflows to zero in doubles
+    for s in orders:
+        if not math.isfinite(s):
+            raise DomainError(f"order must be finite, got {s!r}")
     if sys.A <= UNDERFLOW_X:
         raise DomainError(f"cutoff {UNDERFLOW_X} swallows the whole support [0, {sys.A}]")
-    density = pdf or sys.generator.pdf
+    density = sys.generator.pdf
     A = sys.A
 
-    def f(t: float) -> float:
+    def f(t: float) -> list[float]:
         # exp may round a node next to log A past A, where the pdf raises
         x = min(math.exp(t), A)
-        return weight(x) * density(x) * x
+        d = density(x)
+        row = [math.pow(x, s) * d * x for s in orders]
+        if log:
+            row.append(math.log(x) * d * x)
+        return row
 
-    return _adapt(f, math.log(UNDERFLOW_X), math.log(A))
+    return _adapt(f, math.log(UNDERFLOW_X), math.log(A), len(orders) + log)
 
 
-def quad_moment(
-    s: float, sys: EigenSystem, pdf: Callable[[float], float] | None = None
-) -> float:
-    """E[X^s] under the confined law by adaptive quadrature.
+def quad_moments(sys: EigenSystem, orders, log: bool = False) -> tuple[float, ...]:
+    """The mass, E[X^s] for each s in orders and, if log, E[log X] under
+    the confined law, from one adaptive pass: each is refined to its own
+    budget, and the density is evaluated once per node for all of them.
 
     For s > -50 the mass lost below the underflow cutoff is far beneath
-    the error budget (the integrand carries exp(-1/x)). pdf, if given,
-    must return sys.generator.pdf(x); callers that integrate several
-    functions of one system pass a memoised density to share its nodes.
+    the error budget (the integrand carries exp(-1/x)).
     """
-    if not math.isfinite(s):
-        raise DomainError(f"order must be finite, got {s!r}")
-    return _expect(lambda x: math.pow(x, s), sys, pdf)
+    return tuple(_expect(sys, (0.0, *orders), log))
 
 
-def quad_log_moment(
-    sys: EigenSystem, pdf: Callable[[float], float] | None = None
-) -> float:
-    """E[log X] under the confined law by adaptive quadrature. pdf as for
-    quad_moment."""
-    return _expect(math.log, sys, pdf)
+def quad_moment(s: float, sys: EigenSystem) -> float:
+    """E[X^s] under the confined law by adaptive quadrature, as for
+    quad_moments."""
+    return _expect(sys, (s,), False)[0]
 
 
-def normalization_check(
-    sys: EigenSystem, pdf: Callable[[float], float] | None = None
-) -> float:
-    """Integral of the pdf over the support; 1 up to quadrature error.
-    pdf as for quad_moment."""
-    return _expect(lambda x: 1.0, sys, pdf)
+def quad_log_moment(sys: EigenSystem) -> float:
+    """E[log X] under the confined law by adaptive quadrature."""
+    return _expect(sys, (), True)[0]
+
+
+def normalization_check(sys: EigenSystem) -> float:
+    """Integral of the pdf over the support; 1 up to quadrature error."""
+    return _expect(sys, (0.0,), False)[0]

@@ -18,7 +18,7 @@ import math
 from .distribution import _cdf_of, _pdf_of, qsd_cdf, stationary_cdf
 from .errors import ConsistencyError, ConvergenceError
 from .moments import moment_frac, moment_integer, moment_recurrence_residual
-from .quadrature import normalization_check, quad_moment
+from .quadrature import quad_moments
 from .report import CheckRow
 from .spectral import EigenSystem
 
@@ -67,28 +67,12 @@ def _guarded(rows: list[CheckRow], name: str, metric_fn, predicate) -> None:
     rows.append(CheckRow(name, predicate(metric), metric))
 
 
-def _memo_pdf(sys: EigenSystem):
-    # Quadratures of one system start from the same seed panels in
-    # t = log x and bisect them alike, so most nodes repeat; the memo is
-    # keyed on the exact node. run_checks and `moment --check` share one
-    # per request: the battery's three integrals then take 135 pdf
-    # evaluations at A = 20 and 240 at A = 1e5, as many as the
-    # normalization integral alone. The march behind the density is built
-    # on the first call, so a flux that is not positive raises there.
-    seen: dict[float, float] = {}
-
-    def pdf(x: float) -> float:
-        val = seen.get(x)
-        if val is None:
-            val = seen[x] = sys.generator.pdf(x)
-        return val
-
-    return pdf
-
-
 def run_checks(sys: EigenSystem) -> list[CheckRow]:
-    pdf = _memo_pdf(sys)
     rows = list(sys.checks)
+    # one quadrature pass gives the mass and the dual-route moments; the
+    # march behind its density is built on first use, so a flux that is
+    # not positive raises there (again for each row that reads it)
+    quads = functools.cache(lambda: quad_moments(sys, _DUAL_ORDERS))
 
     # the relative distance from A to the march's zero of f
     _guarded(
@@ -101,7 +85,7 @@ def run_checks(sys: EigenSystem) -> list[CheckRow]:
     _guarded(
         rows,
         "quadrature-normalization",
-        lambda: abs(normalization_check(sys, pdf) - 1.0),
+        lambda: abs(quads()[0] - 1.0),
         lambda m: m <= _NORM_TOL,
     )
 
@@ -127,18 +111,19 @@ def run_checks(sys: EigenSystem) -> list[CheckRow]:
             lambda m: m <= _INT_CONSIST_TOL,
         )
 
-    for s in _DUAL_ORDERS:
+    for i, s in enumerate(_DUAL_ORDERS, 1):
         name = f"moment-dual-route[s={s:g}]"
         try:
             closed = moment_frac(s, sys).value
-            rows.append(dual_route_row(name, closed, quad_moment(s, sys, pdf)))
+            rows.append(dual_route_row(name, closed, quads()[i]))
         except _SOFT:
             rows.append(CheckRow(name, False, math.inf))
 
     xs = _grid(sys.A)
-    # one W pass per grid point serves both closed forms, and one Taylor step
-    # of the march both of the generator's; each list is evaluated once for
-    # all rows that read it (again by each such row when it raises)
+    # one W pass per grid point serves both closed forms, and one Horner
+    # pass over the march's stored terms both of the generator's; each list
+    # is evaluated once for all rows that read it (again by each such row
+    # when it raises)
     ws = functools.cache(lambda: [sys.w_plan.pair(2.0 / x) for x in xs])
     pdfs = functools.cache(lambda: [_pdf_of(x, sys, w) for x, (_, w) in zip(xs, ws())])
     cdfs = functools.cache(lambda: [_cdf_of(x, sys, w) for x, (w, _) in zip(xs, ws())])

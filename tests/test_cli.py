@@ -88,6 +88,20 @@ def test_table_grid(capsys):
     assert doc["results"][0]["name"] == "pdf[x=0.0]"
 
 
+@pytest.mark.parametrize(
+    "A, points",
+    [("7.804667522990713", 10), ("6488.24373215018", 4), ("445.75230493229776", 7)],
+)
+def test_table_ends_at_A(capsys, A, points):
+    # A * (n - 1) / (n - 1) rounds one ulp past A at these inputs; the last
+    # point must be A itself, where the pdf is 0 and the cdf 1
+    code, out, err = run(capsys, "table", "--A", A, "--points", str(points))
+    assert code == 0, err
+    last_pdf, last_cdf = json.loads(out)["results"][-2:]
+    assert last_pdf["name"] == f"pdf[x={float(A)!r}]"
+    assert (last_pdf["value"], last_cdf["value"]) == (0.0, 1.0)
+
+
 def test_verify_clean_and_perturbed(capsys):
     code, out, _ = run(capsys, "verify", "--A", "20")
     assert code == 0
@@ -166,7 +180,7 @@ def test_exceptions_map_to_exit_codes(capsys, monkeypatch, exc, expected):
     def boom(*a, **k):
         raise exc
 
-    monkeypatch.setattr(cli, "quad_moment", boom)
+    monkeypatch.setattr(cli, "quad_moments", boom)
     code, out, err = run(capsys, "moment", "--A", "20", "--s", "0.3", "--check")
     assert code == expected
     assert out == ""

@@ -6,7 +6,13 @@ import scipy.integrate
 import shiryaev_qsd.quadrature as quadrature
 from shiryaev_qsd.distribution import UNDERFLOW_X, qsd_pdf
 from shiryaev_qsd.errors import DomainError, ToleranceNotMetError
-from shiryaev_qsd.quadrature import normalization_check, quad_log_moment, quad_moment
+from shiryaev_qsd.generator import Eigenfunction
+from shiryaev_qsd.quadrature import (
+    normalization_check,
+    quad_log_moment,
+    quad_moment,
+    quad_moments,
+)
 from shiryaev_qsd.spectral import EigenSystem
 
 # oracle-frozen values, same provenance as the anchors in test_moments; the
@@ -51,18 +57,38 @@ def test_normalization_near_one(solved):
         assert abs(normalization_check(solved(A)) - 1.0) < 1e-11, A
 
 
-def test_nodes_stay_in_support(solved):
+def test_one_pass_matches_one_weight_calls(solved):
+    # each component of the joint pass is refined to its own budget, so it
+    # lies within that budget of the integral taken alone
+    orders = (-0.7, 0.5, math.pi)
+    for A in (0.7, 20.0, 1e4, 1e5):
+        es = solved(A)
+        got = quad_moments(es, orders, log=True)
+        want = (
+            normalization_check(es),
+            *(quad_moment(s, es) for s in orders),
+            quad_log_moment(es),
+        )
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= max(1e-12, 1e-10 * abs(w)), (A, g, w)
+    assert quad_moments(es, ()) == (normalization_check(es),)
+
+
+def test_nodes_stay_in_support(solved, monkeypatch):
     # log A lies a few ulps past a seed edge, so the last seed panel is a
-    # few ulps wide and exp rounds some of its nodes past A, where qsd_pdf
-    # raises; they must land on A itself
+    # few ulps wide and exp rounds some of its nodes past A, where the
+    # density raises; they must land on A itself
     es = solved(23.405714285714296)
     nodes = []
+    density = Eigenfunction.pdf
 
-    def pdf(x):
+    def pdf(self, x):
         nodes.append(x)
-        return qsd_pdf(x, es)
+        return density(self, x)
 
-    assert abs(normalization_check(es, pdf) - 1.0) < 1e-11
+    monkeypatch.setattr(Eigenfunction, "pdf", pdf)
+    assert abs(normalization_check(es) - 1.0) < 1e-11
     assert UNDERFLOW_X < min(nodes)
     assert max(nodes) == es.A
 
@@ -73,6 +99,7 @@ def test_bit_determinism(solved):
         assert quad_moment(s, es) == quad_moment(s, es)
     assert quad_log_moment(es) == quad_log_moment(es)
     assert normalization_check(es) == normalization_check(es)
+    assert quad_moments(es, (0.5, 3.7), log=True) == quad_moments(es, (0.5, 3.7), log=True)
 
 
 def test_tolerance_failure_carries_estimate(solved, monkeypatch):
@@ -109,6 +136,8 @@ def test_domain_errors(solved):
         quad_moment(float("nan"), es)
     with pytest.raises(DomainError):
         quad_moment(float("inf"), es)
+    with pytest.raises(DomainError):
+        quad_moments(es, (0.5, float("nan")))
     tiny = EigenSystem(
         A=1e-3, lam=1.0, xi=complex(1.0), C=1.0, residual=0.0, validate=False
     )

@@ -9,7 +9,7 @@ import shiryaev_qsd.verify as verify
 from shiryaev_qsd.errors import ConsistencyError
 from shiryaev_qsd.generator import Eigenfunction
 from shiryaev_qsd.moments import moment_frac, moment_log
-from shiryaev_qsd.quadrature import normalization_check, quad_log_moment, quad_moment
+from shiryaev_qsd.quadrature import quad_moments
 from shiryaev_qsd.spectral import EigenSystem, assemble_system, xi_of_lambda
 from shiryaev_qsd.verify import run_checks
 
@@ -98,56 +98,58 @@ def test_rate_moved_off_its_normalizer_fails_generator_rows(solved):
 
 
 def test_shared_density_leaves_quadrature_metrics_unchanged(solved, capsys):
-    # the battery's quadratures, and those of one `moment --check` request,
-    # share one memoised density; every metric must equal the one
-    # recomputed through the unshared public routes
+    # the battery's three integrals, and those of one `moment --check`
+    # request, come from one quadrature pass each; every metric must equal
+    # the one recomputed from the public quad_moments call, bit for bit
     for A in (0.8, 20.0, 1e4):
         es = solved(A)
         got = {r.name: r.residual for r in run_checks(es)}
-        assert got["quadrature-normalization"] == abs(normalization_check(es) - 1.0)
+        mass, *qs = quad_moments(es, (0.5, math.pi))
+        assert got["quadrature-normalization"] == abs(mass - 1.0)
         argv = ["moment", "--A", repr(A), "--s", "0.5", "--s", repr(math.pi), "--log", "--check"]
         assert cli.main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         cli_rows = {c["name"]: c["residual"] for c in doc["checks"]}
-        for s in (0.5, math.pi):
-            q = quad_moment(s, es)
-            want = abs(moment_frac(s, es).value - q) / max(abs(q), 1e-300)
+        _, *cli_qs, q_log = quad_moments(es, (0.5, math.pi), log=True)
+        for s, q, q_cli in zip((0.5, math.pi), qs, cli_qs):
+            closed = moment_frac(s, es).value
+            want = abs(closed - q) / max(abs(q), 1e-300)
             assert got[f"moment-dual-route[s={s:g}]"] == want, (A, s)
+            want = abs(closed - q_cli) / max(abs(q_cli), 1e-300)
             assert cli_rows[f"dual-route[s={s!r}]"] == want, (A, s)
-        q = quad_log_moment(es)
-        want = abs(moment_log(es) - q) / max(abs(q), 1e-300)
+        want = abs(moment_log(es) - q_log) / max(abs(q_log), 1e-300)
         assert cli_rows["dual-route[log]"] == want, A
 
 
 def test_battery_pdf_evaluation_budget(solved, monkeypatch):
     # a battery sums W over the nodes once per point of the 33-point grid,
     # for both closed forms, and once for `cdf-endpoint`; the grid takes one
-    # Taylor step of the march per point for both of the generator's. Its
-    # three quadratures share the generator's pdf, whose budgets are those
-    # the W pdf had when it served both: 168, 243 and 273 calls with GK15 on
-    # panels in log x, 318, 663 and 753 on panels in x
+    # pdf_cdf of the dense march per point for both of the generator's. Its
+    # one quadrature pass evaluates the march's pdf, within the budgets the
+    # W pdf had when it served all three integrals: 168, 243 and 273 calls
+    # with GK15 on panels in log x, 318, 663 and 753 on panels in x
     for A, budget in ((20.0, 185), (1e4, 267), (1e5, 300)):
         es = solved(A)
-        calls = {"w": 0, "step": 0, "generator": 0}
+        calls = {"w": 0, "pdf_cdf": 0, "pdf": 0}
 
         def counted_climb(*args):
             calls["w"] += 1
             return climb(*args)
 
-        def counted_step(self, x):
-            calls["step"] += 1
-            return step(self, x)
+        def counted_pdf_cdf(self, x):
+            calls["pdf_cdf"] += 1
+            return pdf_cdf(self, x)
 
-        def counted_generator(self, x):
-            calls["generator"] += 1
+        def counted_pdf(self, x):
+            calls["pdf"] += 1
             return generator_pdf(self, x)
 
-        climb, step = specfun._w_climb, Eigenfunction._at
+        climb, pdf_cdf = specfun._w_climb, Eigenfunction.pdf_cdf
         with monkeypatch.context() as m:
             m.setattr(specfun, "_w_climb", counted_climb)
-            m.setattr(Eigenfunction, "_at", counted_step)
-            m.setattr(Eigenfunction, "pdf", counted_generator)
+            m.setattr(Eigenfunction, "pdf_cdf", counted_pdf_cdf)
+            m.setattr(Eigenfunction, "pdf", counted_pdf)
             run_checks(es)
         assert calls["w"] == verify.GRID_POINTS + 1, (A, calls)
-        assert calls["step"] - calls["generator"] == verify.GRID_POINTS, (A, calls)
-        assert calls["generator"] <= budget, (A, calls)
+        assert calls["pdf_cdf"] == verify.GRID_POINTS, (A, calls)
+        assert calls["pdf"] <= budget, (A, calls)
