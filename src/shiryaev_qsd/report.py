@@ -31,10 +31,6 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _residual(x: float) -> float | None:
-    return x if math.isfinite(x) else None
-
-
 def _escape(s: str) -> str:
     # isprintable() is False for every character below U+0020 (and for some
     # others, which the loop copies unchanged), so plain names skip the loop
@@ -113,21 +109,24 @@ class EvalReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": [
-                {"name": r.name, "value": r.value, "provenance": r.provenance}
-                for r in self.results
-            ],
-            "checks": [
-                {"name": c.name, "passed": c.passed, "residual": _residual(c.residual)}
-                for c in self.checks
-            ],
-            "ok": self.ok,
-        }
-        return _emit(doc)
+        """One JSON object: schema_version, command, inputs, results (name,
+        value, provenance), checks (name, passed, residual) and ok. The rows
+        are formatted here; _emit renders the values and the inputs."""
+        results = ",".join(
+            f'{{"name":{_escape(r.name)},"value":{_emit(r.value)},'
+            f'"provenance":{_escape(r.provenance)}}}'
+            for r in self.results
+        )
+        checks = ",".join(
+            f'{{"name":{_escape(c.name)},"passed":{"true" if c.passed else "false"},'
+            f'"residual":{_fmt_float(c.residual) if math.isfinite(c.residual) else "null"}}}'
+            for c in self.checks
+        )
+        return (
+            f'{{"schema_version":"{SCHEMA_VERSION}","command":{_escape(self.command)},'
+            f'"inputs":{_emit(self.inputs)},"results":[{results}],"checks":[{checks}],'
+            f'"ok":{"true" if self.ok else "false"}}}'
+        )
 
     def to_csv(self) -> str:
         """Results as a flat table; a report with only checks tabulates
@@ -151,7 +150,6 @@ class EvalReport:
         else:
             w.writerow(["name", "passed", "residual"])
             for c in self.checks:
-                res = _residual(c.residual)
-                text = "" if res is None else _fmt_float(res)
+                text = _fmt_float(c.residual) if math.isfinite(c.residual) else ""
                 w.writerow([c.name, str(c.passed).lower(), text])
         return buf.getvalue()

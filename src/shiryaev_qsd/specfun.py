@@ -432,26 +432,42 @@ class WPlan:
 
 @functools.lru_cache(maxsize=1)
 def _z_factors(z: float, rule: tuple) -> tuple[tuple, tuple]:
-    # log(1 + u_k/z) and u_k / (1 + u_k/z), kept for the last z: a solve asks
-    # for 7 to 13 W passes at one z from A = 0.5 to 1e5 (up to 20 at 0.2 and
-    # 1e9), one per bracket end and Brent step and two after Brent
+    # log(1 + u_k/z) and u_k / (1 + u_k/z), kept for the last z: a solve sums
+    # the nodes at one z 5 to 11 times from A = 0.5 to 1e5 (16 at 0.2), once
+    # per index its bracket ends and Brent steps try; its two W passes after
+    # Brent reuse the sums at the root (_node_sums)
     log = cmath.log if rule[1] else math.log
     nodes = _de_rule(*rule)[0]
     return tuple(log(1.0 + u / z) for u in nodes), tuple(u / (1.0 + u / z) for u in nodes)
+
+
+@functools.lru_cache(maxsize=32)
+def _node_sums(b: complex, kappa0: complex, z: float, rule: tuple, climb: bool) -> tuple:
+    # (j0, j1) of _w_climb for the index (b, kappa0) of _w_index, floats at a
+    # real index, with j1 = 0 unless the climb needs it. Kept for the last 32
+    # keys: W_{1, xi/2} at the rate Brent returns and W_{0, xi/2} there, which
+    # the normalizer and the invariant battery ask for, read the same sums.
+    # The sums run left to right, as sum() did before Python 3.12 compensated
+    # it: the last bits of W stay the same on every version
+    _, logs, weights = _de_rule(*rule)
+    log1p, ratio = _z_factors(z, rule)
+    exp = cmath.exp if isinstance(b, complex) else math.exp
+    am1, p = b - kappa0 - 0.5, b + kappa0 - 0.5
+    j0 = j1 = 0.0
+    for s, w, q, r in zip(logs, weights, log1p, ratio):
+        t = w * exp(am1 * s + p * q)
+        j0 += t
+        if climb:
+            j1 += t * r
+    return j0, j1
 
 
 def _w_sum(kappa: complex, b: complex, z: float, up: int) -> tuple:
     # WPlan's sum at one z, with the node factors that depend on z shared by
     # the calls at the last z; _w_climb's values
     z = _require_positive_real(z)
-    ix = b, kappa0, n, _, rule, real = _w_index(kappa, b)
-    _, logs, weights = _de_rule(*rule)
-    log1p, ratio = _z_factors(z, rule)
-    exp = math.exp if real else cmath.exp
-    am1, p = b - kappa0 - 0.5, b + kappa0 - 0.5
-    terms = [w * exp(am1 * s + p * q) for s, w, q in zip(logs, weights, log1p)]
-    j1 = sum(t * r for t, r in zip(terms, ratio)) if n + up else 0.0
-    return _w_climb(ix, z, sum(terms), j1, up)
+    ix = b, kappa0, n, _, rule, _ = _w_index(kappa, b)
+    return _w_climb(ix, z, *_node_sums(b, kappa0, z, rule, n + up > 0), up)
 
 
 def whittaker_w(kappa: complex, b: complex, z: float) -> complex:
@@ -459,6 +475,8 @@ def whittaker_w(kappa: complex, b: complex, z: float) -> complex:
 
     WPlan's sum, with the factors of each node that depend on z kept for
     the last z asked: another call at that z costs one exponential a node.
+    The sums of the last 32 index and z pairs are kept too, so W_kappa at
+    kappa > Re b and the pair at kappa - 1 share one.
 
     Raises:
         DomainError: z is not a positive real, or |Im b| is past the

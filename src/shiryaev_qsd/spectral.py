@@ -18,6 +18,18 @@ with x. A step from x whose length h has
 h sqrt(2 lam/x^2 + 2/x^3) < pi is then shorter than the least distance
 between two zeros that Sturm comparison allows on it, so it holds at most
 one zero, which shows as a sign change.
+
+The count need not march all the way to A. For lam < 1/8, that is
+xi^2 = 1 - 8 lam > 0, Q <= 1/(4 x^2) once x >= 8/xi^2. Between two zeros
+of g there, Sturm comparison puts a zero of every solution of Euler's
+equation y'' + y/(4 x^2) = 0, but its solution sqrt(x) has none. So g has
+at most one zero on [8/xi^2, inf), f's zero at A, and every zero of f in
+(0, A) lies below 8/xi^2. The march then stops at 16/xi^2, where f has no
+zero and its sign counts, when that is short of A by more than a
+thousandth: f at a node within rounding of A has a random sign (at A
+itself it reads nonpositive at 141 of 256 grid cutoffs). The higher roots
+lie above 1/8 (0.18 to 0.64 for the second and third at A = 1e3 to 1e5),
+so their march still runs to A.
 """
 
 from __future__ import annotations
@@ -334,10 +346,15 @@ def solve_lambda(A: float, tol: float = 1e-12) -> EigenSystem:
 
 def _interior_zeros(A: float, lam: float) -> list[float]:
     # zeros in (0, A) of f (module docstring), each placed by linear
-    # interpolation between the march's nodes; the sign at A is never counted
-    xs, fs, _ = march(A, lam, _SIGN_TOL, joint=True)
+    # interpolation between the march's nodes; the march stops at 16/xi^2
+    # if that is short of A, and the sign at A never counts
+    end = 16.0 / (1.0 - 8.0 * lam) if lam < 0.125 else A
+    if 1.001 * end >= A:
+        end = A
+    xs, fs, _ = march(end, lam, _SIGN_TOL, joint=True)
+    stop = len(xs) - (end == A)
     return [
         x + (xn - x) * f / (f - fn)
-        for x, xn, f, fn in zip(xs, xs[1:-1], fs, fs[1:-1])
+        for x, xn, f, fn in zip(xs, xs[1:stop], fs, fs[1:stop])
         if (fn > 0.0) != (f > 0.0)
     ]

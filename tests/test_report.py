@@ -4,7 +4,7 @@ import math
 import pytest
 
 from shiryaev_qsd.errors import DomainError
-from shiryaev_qsd.report import SCHEMA_VERSION, CheckRow, EvalReport, ResultRow, _escape
+from shiryaev_qsd.report import SCHEMA_VERSION, CheckRow, EvalReport, ResultRow, _emit, _escape
 
 
 def _report(**kw):
@@ -131,3 +131,60 @@ def test_json_is_deterministic():
     )
     assert rep.to_json() == rep.to_json()
     assert rep.to_csv() == rep.to_csv()
+
+
+def _document(rep):
+    # the report as a plain document, rendered by the generic _emit walk
+    return _emit(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "command": rep.command,
+            "inputs": rep.inputs,
+            "results": [
+                {"name": r.name, "value": r.value, "provenance": r.provenance}
+                for r in rep.results
+            ],
+            "checks": [
+                {
+                    "name": c.name,
+                    "passed": c.passed,
+                    "residual": c.residual if math.isfinite(c.residual) else None,
+                }
+                for c in rep.checks
+            ],
+            "ok": rep.ok,
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        # a verify report: checks only, one unevaluated (null), so ok is false
+        _report(
+            command="verify",
+            inputs={"A": 0.8, "tol": 1e-12, "perturb_lambda": 1.0},
+            checks=[
+                CheckRow("rate-bracket", False, 3.5),
+                CheckRow("norm", False, math.inf),
+                CheckRow("gap", True, -0.0),
+                CheckRow("nan", False, math.nan),
+            ],
+        ),
+        # verify with no rows at all
+        _report(command="verify", inputs={"A": 20.0, "tol": 1e-12}),
+        _report(
+            inputs={"A": 7.5, "tol": 1e-12, "x": [0.5, 3.0], "log": True},
+            results=[
+                ResultRow("rate", 0.1 + 0.2, "closed_form"),
+                ResultRow("index", complex(0.0, 0.25), "identity"),
+                ResultRow("index", complex(-1e-300, -5e300), "identity"),
+                ResultRow('say "hi"\\\t\x00\x1f', 1e-320, "quadrature"),
+            ],
+            checks=[CheckRow('q"\\\n', True, 2.5e-13)],
+        ),
+        _report(command='weird "name"\twith\\controls', inputs={'k"\x01': [1, None, "s"]}),
+    ],
+)
+def test_json_matches_the_generic_walk(rep):
+    assert rep.to_json() == _document(rep)

@@ -4,6 +4,7 @@ import re
 import pytest
 
 import shiryaev_qsd.cli as cli
+import shiryaev_qsd.generator as generator
 import shiryaev_qsd.specfun as specfun
 import shiryaev_qsd.spectral as spectral
 from shiryaev_qsd.errors import ConsistencyError, DomainError, PoleError
@@ -159,8 +160,9 @@ def test_binding_w_plans_keeps_equality_and_repr(solved):
 
 def test_solve_takes_two_w_passes_after_brent(monkeypatch):
     # the endpoint normalizer and the battery's residual each read W_0 and
-    # W_1 at z = 2/A from one pass
-    for A in (20.0, 1e5):
+    # W_1 at z = 2/A from one pass, and both passes reuse the node sums of
+    # Brent's last W_1 at the root: no node is summed after Brent
+    for A in (3.0, 20.0, 1e5):
         passes = []
         at_brent = []
 
@@ -170,7 +172,7 @@ def test_solve_takes_two_w_passes_after_brent(monkeypatch):
 
         def marked_brent(*args):
             lam = brent(*args)
-            at_brent.append(len(passes))
+            at_brent.append((len(passes), specfun._node_sums.cache_info().misses))
             return lam
 
         climb, brent = specfun._w_climb, spectral._brent
@@ -178,7 +180,29 @@ def test_solve_takes_two_w_passes_after_brent(monkeypatch):
             m.setattr(specfun, "_w_climb", counted_climb)
             m.setattr(spectral, "_brent", marked_brent)
             solve_lambda(A)
-        assert passes[at_brent[0]:] == [2.0 / A] * 2, (A, len(passes), at_brent)
+        ((climbs, sums),) = at_brent
+        assert passes[climbs:] == [2.0 / A] * 2, (A, len(passes), climbs)
+        assert specfun._node_sums.cache_info().misses == sums, A
+
+
+@pytest.mark.parametrize("A", (3.0, 20.0))
+def test_eigencondition_reads_the_pair_sums_bit_for_bit(A, solved):
+    # W_{1, xi/2} from Brent's entry and from the pair entry at kappa = 0
+    # share one memo key, at an imaginary xi (A = 3) and a real one (A = 20):
+    # fresh or remembered, the sums give the same bits
+    es = solved(A)
+    b, z = 0.5 * es.xi, 2.0 / A
+    values = []
+    for fresh in (True, False):
+        for w1 in (
+            lambda: eigencondition(A, es.lam),
+            lambda: specfun.whittaker_w(1.0, b, z).real,
+            lambda: specfun.whittaker_w_pair(0.0, b, z)[1].real,
+        ):
+            if fresh:
+                specfun._node_sums.cache_clear()
+            values.append(w1())
+    assert len({v.hex() for v in values}) == 1, (A, values)
 
 
 def test_assemble_system_matches_solve(solved):
@@ -273,7 +297,8 @@ def test_guard_covers_below_bracket_and_matches_scalar_w(A, solved):
 
 @pytest.mark.parametrize("A", (0.2, 1e9))
 def test_march_finds_no_zero_at_the_principal_rate(A, solved):
-    # the march takes its most steps at A = 0.2 (rate 27) and spans most at 1e9
+    # the march takes its most steps at A = 0.2 (rate 27); at 1e9 it stops at
+    # 16/xi^2, about 16
     assert _zeros(A, solved(A).lam) == []
 
 
@@ -282,12 +307,73 @@ def test_march_finds_no_zero_on_the_grid():
         assert _zeros(A, solve_lambda(A).lam) == [], A
 
 
-@pytest.mark.parametrize("A", (0.7, 3.0, 20.0, 1e3))
-def test_march_counts_the_zeros_of_higher_eigenfunctions(A):
-    # the n-th eigenfunction has n - 1 zeros in (0, A)
+def _cut_zeros(monkeypatch, A, lam):
+    # the zero count at (A, lam), and the point its march stops at
+    ends = []
+
+    def spy(end, *args, **kw):
+        ends.append(end)
+        return march(end, *args, **kw)
+
+    march = spectral.march
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "march", spy)
+        zeros = _zeros(A, lam)
+    (end,) = ends
+    return zeros, end
+
+
+@pytest.mark.parametrize("A", (0.7, 3.0, 20.0, 1e3, 1e4, 1e5))
+def test_march_counts_the_zeros_of_higher_eigenfunctions(A, monkeypatch):
+    # the n-th eigenfunction has n - 1 zeros in (0, A). The second and third
+    # roots lie above 1/8 (0.18 to 0.64 here), where the Sturm cut does not
+    # apply, so their march runs to A
     second, third = _higher_roots(A, 2)
-    assert len(_zeros(A, second)) == 1
-    assert len(_zeros(A, third)) == 2
+    zeros, end = _cut_zeros(monkeypatch, A, second)
+    assert len(zeros) == 1 and end == A
+    zeros, end = _cut_zeros(monkeypatch, A, third)
+    assert len(zeros) == 2 and end == A
+
+
+def test_sturm_comparison_leaves_one_zero_past_8_over_xi_squared():
+    # below rate 1/8, g = e^{-1/x} f has at most one zero on [8/xi^2, inf).
+    # At the principal rates of the grid, where A falls on either side of
+    # 8/xi^2, f marched a hundred times past both changes sign once, at A
+    for A in GRID_EVERY_64TH:
+        lam = solve_lambda(A).lam
+        if lam >= 0.125:
+            continue
+        bound = 8.0 / (1.0 - 8.0 * lam)
+        xs, fs, _ = generator.march(100.0 * max(A, bound), lam, spectral._SIGN_TOL, joint=True)
+        steps = [
+            (x, xn) for x, xn, f, fn in zip(xs, xs[1:], fs, fs[1:]) if (f > 0.0) != (fn > 0.0)
+        ]
+        assert len(steps) == 1, (A, steps)
+        ((x, xn),) = steps
+        assert x <= A * (1.0 + 1e-9) and A * (1.0 - 1e-9) <= xn, (A, x, xn)
+
+
+def test_march_of_the_principal_rate_stops_at_16_over_xi_squared(monkeypatch, solved):
+    lam = solved(1e5).lam
+    assert _cut_zeros(monkeypatch, 1e5, lam) == ([], 16.0 / (1.0 - 8.0 * lam))
+
+
+@pytest.mark.parametrize(
+    "A, cut",
+    [
+        (25.0, False),
+        # bisected to 16/xi^2 = A (1 - gap) at gap 1e-16, 5e-4 and 2e-3: the
+        # march runs to A unless 16/xi^2 is short of it by a thousandth, as f
+        # at a node within rounding of A has a random sign
+        (25.20691852826326, False),
+        (25.214664400447738, False),
+        (25.23794935250821, True),
+        (35.0, True),
+    ],
+)
+def test_solve_on_both_sides_of_the_sturm_cut(A, cut, monkeypatch):
+    lam = solve_lambda(A).lam
+    assert _cut_zeros(monkeypatch, A, lam) == ([], 16.0 / (1.0 - 8.0 * lam) if cut else A)
 
 
 def test_march_keeps_two_zeros_out_of_one_step():
