@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys as _sys
 
 from .distribution import _pdf_cdf, qsd_cdf, qsd_pdf
@@ -21,6 +22,8 @@ from .spectral import assemble_system, solve_lambda
 from .verify import dual_route_row, run_checks
 
 __all__ = ["main"]
+
+_TABLE_POINTS_MAX = 10_000   # table grid sizes above this are refused
 
 
 @functools.cache
@@ -68,11 +71,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("table", parents=[common], help="density/cdf on a uniform grid")
-    sp.add_argument("--points", type=int, default=33, help="grid size, at least 2")
+    sp.add_argument("--points", type=int, default=33, help=f"grid size, 2 to {_TABLE_POINTS_MAX}")
 
     sp = sub.add_parser("verify", parents=[common], help="run the full check battery")
     sp.add_argument("--perturb-lambda", type=float, default=None, help=argparse.SUPPRESS)
 
+    # argparse reads -1e-3, the repr of a small negative order, as an option
+    # flag; no option here starts with "-" and a digit, so such words are values
+    negative = re.compile(r"^-\.?\d")
+    for sp in sub.choices.values():
+        sp._negative_number_matcher = negative
     return p
 
 
@@ -128,8 +136,8 @@ def _cmd_moment(args) -> EvalReport:
 
 
 def _cmd_table(args) -> EvalReport:
-    if args.points < 2:
-        raise DomainError(f"--points must be at least 2, got {args.points}")
+    if not 2 <= args.points <= _TABLE_POINTS_MAX:
+        raise DomainError(f"--points must be 2 to {_TABLE_POINTS_MAX}, got {args.points}")
     es = solve_lambda(args.A, tol=args.tol)
     rep = EvalReport(
         command="table",

@@ -9,27 +9,21 @@ the distribution and moment code can trust blindly.
 
 The check needs no W. At the n-th root lam, the eigenfunction f of
 1/2 x^2 f'' + f' + lam f = 0 with f(0) = 1 vanishes at A and, by the
-oscillation theorem, has n - 1 zeros in (0, A): it keeps its sign only at
-the smallest root. _interior_zeros counts the sign changes of f at the
-nodes of generator.march, which steps from near 0 to A by Taylor series.
-With g = e^{-1/x} f the equation reads g'' + Q g = 0,
-Q = 2 lam/x^2 + 2/x^3 - 1/x^4 < 2 lam/x^2 + 2/x^3, a bound that falls
-with x. A step from x whose length h has
-h sqrt(2 lam/x^2 + 2/x^3) < pi is then shorter than the least distance
-between two zeros that Sturm comparison allows on it, so it holds at most
-one zero, which shows as a sign change.
+oscillation theorem, has n - 1 zeros in (0, A). Below lam = 1/8 a root is
+the smallest: x = e^y and f = x^{1/2} e^{1/x} v turn the equation into
+v'' + (2 lam - 1/4 - V) v = 0 with the Morse potential
+V = e^{-2y} - 2 e^{-y}, whose only bound state is lam = 0, f = 1 (Morse,
+Phys. Rev. 34, 57, 1929). For 0 < lam < 1/8, below the essential
+spectrum, f then has exactly one zero on (0, inf), at A if lam is a root.
 
-The count need not march all the way to A. For lam < 1/8, that is
-xi^2 = 1 - 8 lam > 0, Q <= 1/(4 x^2) once x >= 8/xi^2. Between two zeros
-of g there, Sturm comparison puts a zero of every solution of Euler's
-equation y'' + y/(4 x^2) = 0, but its solution sqrt(x) has none. So g has
-at most one zero on [8/xi^2, inf), f's zero at A, and every zero of f in
-(0, A) lies below 8/xi^2. The march then stops at 16/xi^2, where f has no
-zero and its sign counts, when that is short of A by more than a
-thousandth: f at a node within rounding of A has a random sign (at A
-itself it reads nonpositive at 141 of 256 grid cutoffs). The higher roots
-lie above 1/8 (0.18 to 0.64 for the second and third at A = 1e3 to 1e5),
-so their march still runs to A.
+From 1/8 up, for A up to about 10.24, _interior_zeros counts the sign
+changes of f at the nodes of generator.march, which steps from near 0 to
+A by Taylor series in about 0.15 ms. With g = e^{-1/x} f the equation
+reads g'' + Q g = 0, Q = 2 lam/x^2 + 2/x^3 - 1/x^4 < 2 lam/x^2 + 2/x^3,
+a bound that falls with x. A step from x whose length h has
+h sqrt(2 lam/x^2 + 2/x^3) < pi is shorter than the least distance between
+two zeros that Sturm comparison allows on it, so it holds at most one
+zero, which shows as a sign change.
 """
 
 from __future__ import annotations
@@ -305,10 +299,13 @@ def solve_lambda(A: float, tol: float = 1e-12) -> EigenSystem:
 
     tol is the relative width the bracketing iteration must reach. Raises
     ConvergenceError if no sign change is found or iteration stalls, and
-    ConsistencyError if the eigenfunction at the polished root has a zero
-    in (0, A), so that a smaller root exists, or if the root fails its
-    invariants (at A = 0.1, where W's sum loses accuracy at the large
-    imaginary index; the solve succeeds from A = 0.2 up).
+    ConsistencyError if the root fails its invariants (at A = 0.1, where
+    W's sum loses accuracy at the large imaginary index; the solve succeeds
+    from A = 0.2 up) or if it is 1/8 or more and the eigenfunction there has
+    a zero in (0, A), so that a smaller root exists. Only such roots, A up
+    to about 10.24, are marched (about 0.15 ms); a root below 1/8 is the
+    smallest (module docstring), and a fresh solve from A = 20 up takes
+    0.20 to 0.25 ms.
     """
     A = _check_cutoff(A)
     if not (0.0 < tol <= 1e-6):
@@ -334,8 +331,7 @@ def solve_lambda(A: float, tol: float = 1e-12) -> EigenSystem:
         )
 
     lam = _brent(g, lo, hi, glo, ghi, tol)
-
-    zeros = _interior_zeros(A, lam)
+    zeros = _interior_zeros(A, lam) if lam >= 0.125 else []
     if zeros:
         raise ConsistencyError(
             f"eigenfunction at rate {lam!r} has {len(zeros)} zero(s) in (0, {A!r}), "
@@ -346,15 +342,10 @@ def solve_lambda(A: float, tol: float = 1e-12) -> EigenSystem:
 
 def _interior_zeros(A: float, lam: float) -> list[float]:
     # zeros in (0, A) of f (module docstring), each placed by linear
-    # interpolation between the march's nodes; the march stops at 16/xi^2
-    # if that is short of A, and the sign at A never counts
-    end = 16.0 / (1.0 - 8.0 * lam) if lam < 0.125 else A
-    if 1.001 * end >= A:
-        end = A
-    xs, fs, _ = march(end, lam, _SIGN_TOL, joint=True)
-    stop = len(xs) - (end == A)
+    # interpolation between the march's nodes; the sign at A never counts
+    xs, fs, _ = march(A, lam, _SIGN_TOL, joint=True)
     return [
         x + (xn - x) * f / (f - fn)
-        for x, xn, f, fn in zip(xs, xs[1:stop], fs, fs[1:stop])
+        for x, xn, f, fn in zip(xs, xs[1:-1], fs, fs[1:-1])
         if (fn > 0.0) != (f > 0.0)
     ]

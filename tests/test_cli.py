@@ -146,6 +146,39 @@ def test_exit_code_bad_inputs(capsys):
     assert run(capsys, "table", "--A", "5", "--points", "1")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moment", "--A", "20", "--s", "-1e-3"),
+        ("moment", "--A", "20", "--s", "-5E-1"),
+        ("cdf", "--A", "20", "--x", "-1e-3"),
+        ("pdf", "--A", "20", "--x", "-1e-3"),
+    ],
+)
+def test_negative_values_in_exponent_notation(capsys, argv):
+    # argparse on its own reads -1e-3, the repr of a small negative order, as
+    # an option flag and exits 2; both spellings must give the same bytes
+    *head, option, value = argv
+    spaced = run(capsys, *argv)
+    joined = run(capsys, *head, f"{option}={value}")
+    assert spaced == joined
+    assert spaced[0] == (2 if argv[0] == "pdf" else 0)
+
+
+def test_table_points_above_the_cap_fail_before_solving(capsys, monkeypatch):
+    def solve(*args, **kw):
+        raise AssertionError("solved")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "solve_lambda", solve)
+        for points in (cli._TABLE_POINTS_MAX + 1, 10**20):
+            code, out, err = run(capsys, "table", "--A", "20", "--points", str(points))
+            assert code == 2 and out == "" and "--points" in err, points
+    monkeypatch.setattr(cli, "_TABLE_POINTS_MAX", 5)
+    assert run(capsys, "table", "--A", "20", "--points", "5")[0] == 0
+    assert run(capsys, "table", "--A", "20", "--points", "6")[0] == 2
+
+
 def test_exit_code_usage_errors(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys, "eig")[0] == 2  # missing --A

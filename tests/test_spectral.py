@@ -297,8 +297,8 @@ def test_guard_covers_below_bracket_and_matches_scalar_w(A, solved):
 
 @pytest.mark.parametrize("A", (0.2, 1e9))
 def test_march_finds_no_zero_at_the_principal_rate(A, solved):
-    # the march takes its most steps at A = 0.2 (rate 27); at 1e9 it stops at
-    # 16/xi^2, about 16
+    # the march takes its most steps at A = 0.2 (rate 27); at 1e9 the rate is
+    # below 1/8, where the solve marches nothing, but the march still runs
     assert _zeros(A, solved(A).lam) == []
 
 
@@ -307,8 +307,15 @@ def test_march_finds_no_zero_on_the_grid():
         assert _zeros(A, solve_lambda(A).lam) == [], A
 
 
-def _cut_zeros(monkeypatch, A, lam):
-    # the zero count at (A, lam), and the point its march stops at
+@pytest.mark.parametrize(
+    "A, marched",
+    # the principal rate is 0.1256 at 10.2 and 0.1242 at 10.3
+    [(0.5, True), (3.0, True), (10.2, True),
+     (10.3, False), (20.0, False), (25.0, False), (35.0, False), (1e5, False)],
+)
+def test_solve_marches_only_at_rates_from_one_eighth(A, marched, monkeypatch):
+    # below the rate 1/8 a root is the principal one (Morse bound), so the
+    # solve counts no zeros there; from 1/8 up it marches once, to A
     ends = []
 
     def spy(end, *args, **kw):
@@ -316,64 +323,47 @@ def _cut_zeros(monkeypatch, A, lam):
         return march(end, *args, **kw)
 
     march = spectral.march
-    with monkeypatch.context() as m:
-        m.setattr(spectral, "march", spy)
-        zeros = _zeros(A, lam)
-    (end,) = ends
-    return zeros, end
+    monkeypatch.setattr(spectral, "march", spy)
+    lam = solve_lambda(A).lam
+    assert (lam >= 0.125) == marched
+    assert ends == ([A] if marched else [])
 
 
 @pytest.mark.parametrize("A", (0.7, 3.0, 20.0, 1e3, 1e4, 1e5))
-def test_march_counts_the_zeros_of_higher_eigenfunctions(A, monkeypatch):
+def test_march_counts_the_zeros_of_higher_eigenfunctions(A):
     # the n-th eigenfunction has n - 1 zeros in (0, A). The second and third
-    # roots lie above 1/8 (0.18 to 0.64 here), where the Sturm cut does not
-    # apply, so their march runs to A
+    # roots lie above 1/8 (0.18 to 0.64 from A = 1e3 up), as the Morse bound
+    # requires, and the solve would march at them
     second, third = _higher_roots(A, 2)
-    zeros, end = _cut_zeros(monkeypatch, A, second)
-    assert len(zeros) == 1 and end == A
-    zeros, end = _cut_zeros(monkeypatch, A, third)
-    assert len(zeros) == 2 and end == A
+    assert 0.125 < second < third
+    assert len(_zeros(A, second)) == 1
+    assert len(_zeros(A, third)) == 2
 
 
-def test_sturm_comparison_leaves_one_zero_past_8_over_xi_squared():
-    # below rate 1/8, g = e^{-1/x} f has at most one zero on [8/xi^2, inf).
-    # At the principal rates of the grid, where A falls on either side of
-    # 8/xi^2, f marched a hundred times past both changes sign once, at A
+def test_one_zero_below_rate_one_eighth():
+    # for 0 < lam < 1/8, f bounded at 0 has exactly one zero on (0, inf)
+    # (Morse bound, spectral's docstring). Marched to x = 1e6, f changes sign
+    # once at fixed rates across (0, 1/8), and at each grid rate below 1/8 in
+    # the step that holds A
+    def sign_changes(lam):
+        xs, fs, _ = generator.march(1e6, lam, spectral._SIGN_TOL, joint=True)
+        return [
+            (x, xn) for x, xn, f, fn in zip(xs, xs[1:], fs, fs[1:]) if (f > 0.0) != (fn > 0.0)
+        ]
+
+    for lam in (1e-5, 1e-4, 1e-3, 0.01, 0.03, 0.06, 0.09, 0.11, 0.12, 0.124, 0.1249, 0.12499):
+        assert len(sign_changes(lam)) == 1, lam
+    below = 0
     for A in GRID_EVERY_64TH:
         lam = solve_lambda(A).lam
         if lam >= 0.125:
             continue
-        bound = 8.0 / (1.0 - 8.0 * lam)
-        xs, fs, _ = generator.march(100.0 * max(A, bound), lam, spectral._SIGN_TOL, joint=True)
-        steps = [
-            (x, xn) for x, xn, f, fn in zip(xs, xs[1:], fs, fs[1:]) if (f > 0.0) != (fn > 0.0)
-        ]
+        below += 1
+        steps = sign_changes(lam)
         assert len(steps) == 1, (A, steps)
         ((x, xn),) = steps
         assert x <= A * (1.0 + 1e-9) and A * (1.0 - 1e-9) <= xn, (A, x, xn)
-
-
-def test_march_of_the_principal_rate_stops_at_16_over_xi_squared(monkeypatch, solved):
-    lam = solved(1e5).lam
-    assert _cut_zeros(monkeypatch, 1e5, lam) == ([], 16.0 / (1.0 - 8.0 * lam))
-
-
-@pytest.mark.parametrize(
-    "A, cut",
-    [
-        (25.0, False),
-        # bisected to 16/xi^2 = A (1 - gap) at gap 1e-16, 5e-4 and 2e-3: the
-        # march runs to A unless 16/xi^2 is short of it by a thousandth, as f
-        # at a node within rounding of A has a random sign
-        (25.20691852826326, False),
-        (25.214664400447738, False),
-        (25.23794935250821, True),
-        (35.0, True),
-    ],
-)
-def test_solve_on_both_sides_of_the_sturm_cut(A, cut, monkeypatch):
-    lam = solve_lambda(A).lam
-    assert _cut_zeros(monkeypatch, A, lam) == ([], 16.0 / (1.0 - 8.0 * lam) if cut else A)
+    assert below > 150
 
 
 def test_march_keeps_two_zeros_out_of_one_step():
