@@ -76,9 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", parents=[common], help="run the full check battery")
     sp.add_argument("--perturb-lambda", type=float, default=None, help=argparse.SUPPRESS)
 
-    # argparse reads -1e-3, the repr of a small negative order, as an option
-    # flag; no option here starts with "-" and a digit, so such words are values
-    negative = re.compile(r"^-\.?\d")
+    # argparse reads -1e-3, the repr of a small negative order, and -inf as
+    # option flags; no option here starts with "-" and a digit or spells a
+    # float's infinity or nan, so such words are values
+    negative = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
     for sp in sub.choices.values():
         sp._negative_number_matcher = negative
     return p

@@ -24,8 +24,9 @@ relies on that bound (see spectral).
 Eigenfunction keeps each step's scaled Taylor terms b_k, which taylor()
 appends as it sums them, and gives f, and f' where the cdf needs it, at
 any point of a step by Horner in (x - x_j) / h_j, about a quarter of the
-cost of a fresh Taylor step for the pdf. The sign-only march of the rate
-solver keeps no terms.
+cost of a fresh Taylor step for the pdf. Its densities() takes a list of
+points; pdf, cdf and pdf_cdf are one-point calls of it. The sign-only
+march of the rate solver keeps no terms.
 """
 
 from __future__ import annotations
@@ -151,51 +152,47 @@ class Eigenfunction:
         f, relative to A."""
         return abs(self.fs[-1]) / (self.A * abs(self.ds[-1]))
 
-    def _step(self, x: float) -> int:
-        # j with xs[j] < x <= xs[j + 1], or -1 below the first node
-        if not 0.0 < x <= self.A:
-            raise DomainError(f"point {x!r} outside (0, {self.A}]")
-        return bisect_left(self.xs, x) - 1
-
-    def _f(self, x: float) -> float:
-        j = self._step(x)
-        if j < 0:
-            return series(x, self.lam, _TOL)[0]
-        if x == self.xs[j + 1]:
-            return self.fs[j + 1]
-        h, bs = self.steps[j]
-        t = (x - self.xs[j]) / h
-        f = 0.0
-        for b in bs:
-            f = f * t + b
-        return f
-
-    def _fd(self, x: float) -> tuple[float, float]:
-        j = self._step(x)
-        if j < 0:
-            f, g = series(x, self.lam, _TOL)
-            return f, g / x
-        if x == self.xs[j + 1]:
-            return self.fs[j + 1], self.ds[j + 1]
-        h, bs = self.steps[j]
-        t = (x - self.xs[j]) / h
-        f = g = 0.0                   # g = h f'(x) = sum k b_k t^{k-1}
-        for b in bs:
-            g = g * t + f
-            f = f * t + b
-        return f, g / h
+    def densities(self, xs, cdf: bool = False) -> list:
+        """pdf at each point of xs in (0, A], or (pdf, cdf) pairs if cdf,
+        from one Horner pass per point (f and f' together for the cdf)."""
+        lam, flux, nodes, fs, ds, steps = (
+            self.lam, self.flux, self.xs, self.fs, self.ds, self.steps)
+        out = []
+        for x in xs:
+            if not 0.0 < x <= self.A:
+                raise DomainError(f"point {x!r} outside (0, {self.A}]")
+            # j with nodes[j] < x <= nodes[j + 1], or -1 below the first node
+            j = bisect_left(nodes, x) - 1
+            if j < 0:
+                f, d = series(x, lam, _TOL)
+                d /= x
+            elif x == nodes[j + 1]:
+                f, d = fs[j + 1], ds[j + 1]
+            else:
+                h, bs = steps[j]
+                t = (x - nodes[j]) / h
+                f = d = 0.0           # d = h f'(x) = sum k b_k t^{k-1}
+                if cdf:
+                    for b in bs:
+                        d = d * t + f
+                        f = f * t + b
+                    d /= h
+                else:
+                    for b in bs:
+                        f = f * t + b
+            e = math.exp(-2.0 / x)
+            pdf = lam * 2.0 / (x * x) * e * f / flux
+            out.append((pdf, -e * d / flux) if cdf else pdf)
+        return out
 
     def pdf(self, x: float) -> float:
         """lam m(x) f(x) / F at x in (0, A]."""
-        f = self._f(x)
-        return self.lam * 2.0 / (x * x) * math.exp(-2.0 / x) * f / self.flux
+        return self.densities((x,))[0]
 
     def cdf(self, x: float) -> float:
         """-e^{-2/x} f'(x) / F at x in (0, A]."""
-        return self.pdf_cdf(x)[1]
+        return self.densities((x,), True)[0][1]
 
     def pdf_cdf(self, x: float) -> tuple[float, float]:
         """pdf and cdf at x in (0, A] from one Horner pass."""
-        f, d = self._fd(x)
-        e = math.exp(-2.0 / x)
-        return self.lam * 2.0 / (x * x) * e * f / self.flux, -e * d / self.flux
+        return self.densities((x,), True)[0]

@@ -329,9 +329,15 @@ def moment_recurrence_residual(s: float, sys: EigenSystem) -> float:
     _check_sys(sys)
     s = _check_order(s, sys.A)
     _check_order(s - 1.0, sys.A)
+    return recurrence_defect(
+        s, sys, moment_frac(s, sys).value, moment_frac(s - 1.0, sys).value
+    )
+
+
+def recurrence_defect(s: float, sys: EigenSystem, ms: float, ms1: float) -> float:
+    """Dimensionless defect of (s(s-1) + 2 lam) M(s) = 2 lam A^s - 2 s M(s-1)
+    at the given values ms = M(s) and ms1 = M(s-1)."""
     lam, A = sys.lam, sys.A
-    ms = moment_frac(s, sys).value
-    ms1 = moment_frac(s - 1.0, sys).value
     lhs = (s * (s - 1.0) + 2.0 * lam) * ms
     r1 = 2.0 * lam * math.pow(A, s)
     r2 = 2.0 * s * ms1

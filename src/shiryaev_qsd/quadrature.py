@@ -11,11 +11,28 @@ The rule is the classic 15-point Kronrod extension of 7-point Gauss on
 width log 4 (x growing by a factor 4), where weight(e^t) * pdf(e^t) * e^t
 is smooth on every panel, so few splits follow. One pass integrates
 several weights, the mass, x^s for each order s and log x, against the
-density evaluated once per node. Each component has its own budget
-max(1e-12, 1e-10 * |estimate|); while any is over it, the component
-furthest over splits its worst panel. The verify battery's three
-integrals take one pass of 135 pdf evaluations at A = 20, 165 at 224, 210
-at 1e4 and 240 at 1e5. Everything is deterministic: among panels of equal
+density evaluated once per node, the 15 nodes of a panel in one batch.
+Each component has its own budget max(1e-12, 1e-10 * |estimate|); while
+any is over it, the component furthest over splits its worst panel.
+
+Leading seed panels that provably hold less than 1e-30 of every integral
+are left out. The principal eigenfunction f of the generator (see
+generator) obeys |f| <= 1 on (0, 2] at any rate lam > 0: its energy
+E = f^2 + x^2 f'^2 / (2 lam) has E' = (x - 2) f'^2 / lam <= 0, and E(0+) = 1.
+So the integrand x^s pdf(x) x is at most (2 lam / F) x^(s-1) e^(-2/x) there,
+which increases in x up to 2/(1 - s); a panel that ends at x_b below both
+bounds holds at most log 4 (2 lam / F) x_b^(s-1) e^(-2/x_b). For log x,
+|log x| / x <= 1/x^2 on (0, 1] bounds it as the order -1. A left-out
+panel's estimates and error gauges would lie below 2e-30 (the GK weights
+are positive), so the full pass never splits it; the kept panels are the
+full pass's, bit for bit, and so are the totals unless a sum lies within
+1e-30 of a rounding boundary. At the battery's orders 0, 1/2 and pi the
+cut leaves out the two panels of [1/700, 16/700]; at s = -30 or -49.5,
+where the integrand peaks near x = 2/(1 - s), only [1/700, 4/700].
+
+The verify battery's three integrals take one pass of 105 pdf evaluations
+at A = 20, 135 at 224, 180 at 1e4 and 210 at 1e5 (135, 165, 210 and 240
+without the cut). Everything is deterministic: among panels of equal
 error the earliest made splits first and every total is an exactly
 rounded fsum, so repeated calls bit-match. A pass raises
 ToleranceNotMetError after 2,000 panel splits.
@@ -69,27 +86,34 @@ _WG = (
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-10
 _MAX_SPLITS = 2000
+# leading seed panels proven to hold less than this of every integral, 1e-18
+# of the absolute budget, are left out
+_CUT_TOL = 1e-18 * _ABS_TOL
 
 _LOG4 = math.log(4.0)
 
 
 def _gk15(f, a: float, b: float) -> tuple[list[float], list[float]]:
     """Kronrod estimates and |K15 - G7| error gauges on [a, b], one per
-    component of the list-valued f."""
+    column that f returns for the panel's 15 nodes: the centre, then the
+    pair mid - off, mid + off of each abscissa."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fc = f(mid)
-    k = [_WGK[7] * v for v in fc]
-    g = [_WG[3] * v for v in fc]
-    for i in range(7):
-        off = half * _XGK[i]
-        pair = [u + v for u, v in zip(f(mid - off), f(mid + off))]
-        w = _WGK[i]
-        k = [kc + w * p for kc, p in zip(k, pair)]
-        if i % 2 == 1:
-            w = _WG[i // 2]
-            g = [gc + w * p for gc, p in zip(g, pair)]
-    return [kc * half for kc in k], [abs((kc - gc) * half) for kc, gc in zip(k, g)]
+    ts = [mid]
+    for xk in _XGK[:7]:
+        off = half * xk
+        ts += (mid - off, mid + off)
+    ks, es = [], []
+    for col in f(ts):
+        p0, p1, p2, p3, p4, p5, p6 = [u + v for u, v in zip(col[1::2], col[2::2])]
+        # the centre, then pair by pair from the outermost abscissa: this
+        # order of the sums fixes the rounding of every estimate
+        k = (_WGK[7] * col[0] + _WGK[0] * p0 + _WGK[1] * p1 + _WGK[2] * p2
+             + _WGK[3] * p3 + _WGK[4] * p4 + _WGK[5] * p5 + _WGK[6] * p6)
+        g = _WG[3] * col[0] + _WG[0] * p1 + _WG[1] * p3 + _WG[2] * p5
+        ks.append(k * half)
+        es.append(abs((k - g) * half))
+    return ks, es
 
 
 def _seed_panels(lo: float, hi: float) -> list[tuple[float, float]]:
@@ -104,9 +128,26 @@ def _seed_panels(lo: float, hi: float) -> list[tuple[float, float]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _adapt(f, lo: float, hi: float, m: int) -> list[float]:
+def _tail_cut(seeds, weight: float, orders) -> int:
+    # how many leading seed panels hold less than _CUT_TOL of every
+    # integral: those ending at x_b <= min(2, 2/(1 - s)) with
+    # log 4 weight x_b^(s-1) e^(-2/x_b) <= _CUT_TOL for every order s, where
+    # weight = 2 lam / F (see the module docstring). Compared in logs, so
+    # that no power overflows; the last panel is always kept
+    cap = 2.0 / (1.0 - min(0.0, *orders))
+    room = math.log(_CUT_TOL / _LOG4) - math.log(weight)
+    n = 0
+    for _, tb in seeds[:-1]:
+        xb = math.exp(tb)
+        if xb > cap or max((s - 1.0) * tb for s in orders) - 2.0 / xb > room:
+            break
+        n += 1
+    return n
+
+
+def _adapt(f, seeds, m: int) -> list[float]:
     # panels (a, b, estimates, error gauges) in the order they were made
-    panels = [(a, b, *_gk15(f, a, b)) for a, b in _seed_panels(lo, hi)]
+    panels = [(a, b, *_gk15(f, a, b)) for a, b in seeds]
     splits = 0
     while True:
         totals = [math.fsum(p[2][c] for p in panels) for c in range(m)]
@@ -141,19 +182,22 @@ def _expect(sys: EigenSystem, orders, log: bool) -> list[float]:
             raise DomainError(f"order must be finite, got {s!r}")
     if sys.A <= UNDERFLOW_X:
         raise DomainError(f"cutoff {UNDERFLOW_X} swallows the whole support [0, {sys.A}]")
-    density = sys.generator.pdf
+    gen = sys.generator
     A = sys.A
 
-    def f(t: float) -> list[float]:
+    def f(ts: list[float]) -> list[list[float]]:
         # exp may round a node next to log A past A, where the pdf raises
-        x = min(math.exp(t), A)
-        d = density(x)
-        row = [math.pow(x, s) * d * x for s in orders]
+        xs = [min(math.exp(t), A) for t in ts]
+        ds = gen.densities(xs)
+        cols = [[math.pow(x, s) * d * x for x, d in zip(xs, ds)] for s in orders]
         if log:
-            row.append(math.log(x) * d * x)
-        return row
+            cols.append([math.log(x) * d * x for x, d in zip(xs, ds)])
+        return cols
 
-    return _adapt(f, math.log(UNDERFLOW_X), math.log(A), len(orders) + log)
+    seeds = _seed_panels(math.log(UNDERFLOW_X), math.log(A))
+    # on (0, 1], |log x| / x <= 1/x^2: the log weight is bounded as order -1
+    cut = _tail_cut(seeds, 2.0 * gen.lam / gen.flux, (*orders, -1.0) if log else orders)
+    return _adapt(f, seeds[cut:], len(orders) + log)
 
 
 def quad_moments(sys: EigenSystem, orders, log: bool = False) -> tuple[float, ...]:

@@ -17,7 +17,7 @@ import math
 
 from .distribution import _cdf_of, _pdf_of, qsd_cdf, stationary_cdf
 from .errors import ConsistencyError, ConvergenceError
-from .moments import moment_frac, moment_integer, moment_recurrence_residual
+from .moments import moment_frac, moment_integer, recurrence_defect
 from .quadrature import quad_moments
 from .report import CheckRow
 from .spectral import EigenSystem
@@ -73,6 +73,9 @@ def run_checks(sys: EigenSystem) -> list[CheckRow]:
     # march behind its density is built on first use, so a flux that is
     # not positive raises there (again for each row that reads it)
     quads = functools.cache(lambda: quad_moments(sys, _DUAL_ORDERS))
+    # each closed-form moment is computed once for all rows that read it
+    # (again by each such row when it raises)
+    moment = functools.cache(lambda s: moment_frac(s, sys).value)
 
     # the relative distance from A to the march's zero of f
     _guarded(
@@ -93,14 +96,14 @@ def run_checks(sys: EigenSystem) -> list[CheckRow]:
         _guarded(
             rows,
             f"moment-recurrence[s={s:g}]",
-            lambda s=s: moment_recurrence_residual(s, sys),
+            lambda s=s: recurrence_defect(s, sys, moment(s), moment(s - 1.0)),
             lambda m: m <= _RECUR_TOL,
         )
 
     for n in (1, 2, 3):
 
         def int_gap(n=n):
-            a = moment_frac(float(n), sys).value
+            a = moment(float(n))
             b = moment_integer(n, sys).value
             return abs(a - b) / max(1.0, abs(b))
 
@@ -114,20 +117,20 @@ def run_checks(sys: EigenSystem) -> list[CheckRow]:
     for i, s in enumerate(_DUAL_ORDERS, 1):
         name = f"moment-dual-route[s={s:g}]"
         try:
-            closed = moment_frac(s, sys).value
+            closed = moment(s)
             rows.append(dual_route_row(name, closed, quads()[i]))
         except _SOFT:
             rows.append(CheckRow(name, False, math.inf))
 
     xs = _grid(sys.A)
-    # one W pass per grid point serves both closed forms, and one Horner
-    # pass over the march's stored terms both of the generator's; each list
-    # is evaluated once for all rows that read it (again by each such row
-    # when it raises)
+    # one W pass per grid point serves both closed forms, and one call of
+    # the march's batched Horner sum both of the generator's; each list is
+    # evaluated once for all rows that read it (again by each such row when
+    # it raises)
     ws = functools.cache(lambda: [sys.w_plan.pair(2.0 / x) for x in xs])
     pdfs = functools.cache(lambda: [_pdf_of(x, sys, w) for x, (_, w) in zip(xs, ws())])
     cdfs = functools.cache(lambda: [_cdf_of(x, sys, w) for x, (w, _) in zip(xs, ws())])
-    gens = functools.cache(lambda: [sys.generator.pdf_cdf(x) for x in xs])
+    gens = functools.cache(lambda: sys.generator.densities(xs, True))
 
     _guarded(rows, "pdf-nonnegative", lambda: min(pdfs()), lambda m: m >= 0.0)
     # the largest gap to the generator's pdf, relative to the peak W pdf

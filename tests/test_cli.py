@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -153,16 +154,28 @@ def test_exit_code_bad_inputs(capsys):
         ("moment", "--A", "20", "--s", "-5E-1"),
         ("cdf", "--A", "20", "--x", "-1e-3"),
         ("pdf", "--A", "20", "--x", "-1e-3"),
+        ("cdf", "--A", "20", "--x", "-inf"),
+        ("pdf", "--A", "20", "--x", "-Infinity"),
+        ("moment", "--A", "20", "--s", "-inf"),
+        ("moment", "--A", "20", "--s", "-NaN"),
+        ("eig", "--A", "-inf"),
+        ("verify", "--A", "-INF"),
     ],
 )
 def test_negative_values_in_exponent_notation(capsys, argv):
-    # argparse on its own reads -1e-3, the repr of a small negative order, as
-    # an option flag and exits 2; both spellings must give the same bytes
+    # argparse on its own reads -1e-3, the repr of a small negative order,
+    # and -inf as option flags and exits 2 with a usage error; both
+    # spellings must give the same bytes, and a value outside the domain
+    # the package's own message
     *head, option, value = argv
     spaced = run(capsys, *argv)
     joined = run(capsys, *head, f"{option}={value}")
     assert spaced == joined
-    assert spaced[0] == (2 if argv[0] == "pdf" else 0)
+    bad = argv[0] == "pdf" or not math.isfinite(float(value))
+    assert spaced[0] == (2 if bad else 0)
+    assert "expected one argument" not in spaced[2]
+    if bad:
+        assert spaced[2].startswith("error: "), spaced[2]
 
 
 def test_table_points_above_the_cap_fail_before_solving(capsys, monkeypatch):

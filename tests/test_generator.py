@@ -1,9 +1,10 @@
+import math
 from bisect import bisect_left
 
 import pytest
 
 from shiryaev_qsd.errors import DomainError
-from shiryaev_qsd.generator import _TOL, Eigenfunction, taylor
+from shiryaev_qsd.generator import _TOL, Eigenfunction, march, taylor
 
 # 40-digit mpmath values of the closed forms pdf = C e^{-1/x} W_{1,xi/2}(2/x)/x
 # and cdf = C e^{-1/x} W_{0,xi/2}(2/x), C = 1 / (e^{-1/A} W_{0,xi/2}(2/A)), at
@@ -114,12 +115,13 @@ def test_points_outside_the_support():
 @pytest.mark.parametrize("A", (0.5, 0.7, 20.0, 1e3, 1e5))
 def test_dense_terms_match_a_fresh_taylor_step(A):
     # Horner over the stored terms of a step against the march's own
-    # Taylor step from the node below, at 1,000 points. f is measured
-    # against |f_j| + |(x - x_j) f'_j|, the size of the leading terms both
-    # sums start from: near A, f -> 0 and both sums cancel, so f's plain
-    # relative gap reads up to 5e-14 there for either sum
+    # Taylor step from the node below, at 1,000 points, each fed through
+    # the pdf and cdf formulas. f is measured against |f_j| + |(x - x_j) f'_j|,
+    # the size of the leading terms both sums start from: near A, f -> 0
+    # and both sums cancel, so f's plain relative gap reads up to 5e-14
+    # there for either sum
     e = Eigenfunction(A, FROZEN[A][0])
-    worst_f = worst_d = 0.0
+    xs, refs = [], []
     for i in range(1000):
         x = A * (i + 1) / 1001
         j = bisect_left(e.xs, x) - 1
@@ -128,10 +130,16 @@ def test_dense_terms_match_a_fresh_taylor_step(A):
         x0, f0, d0 = e.xs[j], e.fs[j], e.ds[j]
         h = x - x0
         f, g = taylor(x0, h, e.lam, f0, h * d0, _TOL * min(abs(f0), abs(h * d0)))
-        hf, hd = e._fd(x)
-        assert hf == e._f(x), x
-        worst_f = max(worst_f, abs(hf - f) / (abs(f0) + abs(h * d0)))
-        worst_d = max(worst_d, rel(hd, g / h))
+        xs.append(x)
+        refs.append((f, g / h, abs(f0) + abs(h * d0)))
+    got = e.densities(xs, True)
+    # the pdf-only Horner sum is the f of the joint one, bit for bit
+    assert e.densities(xs) == [p for p, _ in got]
+    worst_f = worst_d = 0.0
+    for x, (p, c), (f, d, size) in zip(xs, got, refs):
+        unit = e.lam * 2.0 / (x * x) * math.exp(-2.0 / x) / e.flux   # pdf per unit f
+        worst_f = max(worst_f, abs(p - unit * f) / (unit * size))
+        worst_d = max(worst_d, rel(c, -math.exp(-2.0 / x) * d / e.flux))
     assert worst_f <= 2e-15, worst_f
     assert worst_d <= 2e-15, worst_d
 
@@ -139,7 +147,42 @@ def test_dense_terms_match_a_fresh_taylor_step(A):
 @pytest.mark.parametrize("A", (0.5, 20.0, 1e5))
 def test_dense_values_at_nodes_are_the_marched_ones(A):
     e = Eigenfunction(A, FROZEN[A][0])
-    for x, f, d in zip(e.xs, e.fs, e.ds):
-        assert e._fd(x) == (f, d), x
-        assert e._f(x) == f, x
+    want = [
+        (e.lam * 2.0 / (x * x) * math.exp(-2.0 / x) * f / e.flux,
+         -math.exp(-2.0 / x) * d / e.flux)
+        for x, f, d in zip(e.xs, e.fs, e.ds)
+    ]
+    assert e.densities(e.xs, True) == want
+    assert e.densities(e.xs) == [p for p, _ in want]
     assert e.pdf_cdf(A) == (e.pdf(A), 1.0)
+
+
+@pytest.mark.parametrize("A", (0.7, 1e5))
+def test_batch_matches_one_point_calls(A):
+    # the batched entry and the one-point entries share one loop; a batch
+    # spanning the series below x0, march nodes and interior points
+    e = Eigenfunction(A, FROZEN[A][0])
+    xs = [0.5 * e.xs[0], *e.xs[::7], *(A * (i + 1) / 34 for i in range(33))]
+    assert e.densities(xs) == [e.pdf(x) for x in xs]
+    assert e.densities(xs, True) == [e.pdf_cdf(x) for x in xs]
+    assert [c for _, c in e.densities(xs, True)] == [e.cdf(x) for x in xs]
+    with pytest.raises(DomainError):
+        e.densities([A, A * (1.0 + 1e-15)])
+
+
+def test_eigenfunction_bounded_by_one_up_to_2(solved):
+    # E = f^2 + x^2 f'^2 / (2 lam) has E' = (x - 2) f'^2 / lam <= 0 and
+    # E(0+) = 1, so |f| <= 1 on (0, 2] at any rate lam > 0; the quadrature
+    # leaves out its left tail on that bound. Marches at rates from 1e-5 to
+    # 1e3, and at the solved rate of 0.8 and 20 times 2 and 1e3
+    cases = [(2.0, lam) for lam in (1e-5, 1e-3, 0.1, 1.0, 10.0, 1e3)]
+    for A in (0.8, 20.0):
+        lam = solved(A).lam
+        cases += [(A, 2.0 * lam), (A, 1e3 * lam)]
+    for A, lam in cases:
+        nodes = [(x, f, d) for x, f, d in zip(*march(A, lam, _TOL)) if x <= 2.0]
+        assert len(nodes) > 30, (A, lam)
+        assert max(abs(f) for _, f, _ in nodes) < 1.0, (A, lam)
+        energy = [f * f + x * x * d * d / (2.0 * lam) for x, f, d in nodes]
+        assert energy[0] < 1.0, (A, lam)
+        assert all(b < a for a, b in zip(energy, energy[1:])), (A, lam)

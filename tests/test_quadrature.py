@@ -81,16 +81,68 @@ def test_nodes_stay_in_support(solved, monkeypatch):
     # density raises; they must land on A itself
     es = solved(23.405714285714296)
     nodes = []
-    density = Eigenfunction.pdf
+    densities = Eigenfunction.densities
 
-    def pdf(self, x):
-        nodes.append(x)
-        return density(self, x)
+    def spy(self, xs, cdf=False):
+        nodes.extend(xs)
+        return densities(self, xs, cdf)
 
-    monkeypatch.setattr(Eigenfunction, "pdf", pdf)
+    monkeypatch.setattr(Eigenfunction, "densities", spy)
     assert abs(normalization_check(es) - 1.0) < 1e-11
+    assert len(nodes) >= 15 and len(nodes) % 15 == 0
     assert UNDERFLOW_X < min(nodes)
     assert max(nodes) == es.A
+
+
+def test_tail_cut_is_bit_equal_to_the_full_pass(solved, monkeypatch):
+    # the orders of the verify battery and of `moment --check`; the cut
+    # leaves out the seed panels [1/700, 4/700] and [4/700, 16/700], whose
+    # integrals are proven below 1e-30, and the pass over the rest of the
+    # panels gives the same bits as the pass over all of them
+    cases = (((0.5, math.pi), False), ((0.5, math.pi), True), ((-0.7, 3.7), True))
+    cutoffs = (0.5, 0.7, 3.0, 20.0, 224.0, 1e4, 1e5)
+    tail_cut = quadrature._tail_cut
+    dropped = []
+
+    def spy(*args):
+        dropped.append(tail_cut(*args))
+        return dropped[-1]
+
+    monkeypatch.setattr(quadrature, "_tail_cut", spy)
+    cut = [quad_moments(solved(A), o, log) for A in cutoffs for o, log in cases]
+    assert dropped == [2] * len(cut)
+    monkeypatch.setattr(quadrature, "_tail_cut", lambda *args: 0)
+    assert [quad_moments(solved(A), o, log) for A in cutoffs for o, log in cases] == cut
+
+
+def test_tail_cut_keeps_every_panel_with_weight(solved, monkeypatch):
+    # at s = -30 and -49.5 the integrand peaks near x = 2/(1 - s), inside the
+    # third seed panel; the bound leaves out only the first, [1/700, 4/700],
+    # and a GK15 estimate on each seed panel agrees: below 1e-30 on the one
+    # left out, far above it on the next. The result is the full pass's
+    for A in (0.7, 20.0):
+        es = solved(A)
+        gen = es.generator
+        seeds = quadrature._seed_panels(math.log(UNDERFLOW_X), math.log(A))
+        for orders, log in (((0.0, -30.0), False), ((0.0, -49.5), True)):
+            bounded = (*orders, -1.0) if log else orders
+            n = quadrature._tail_cut(seeds, 2.0 * es.lam / gen.flux, bounded)
+            assert n == 1, (A, orders)
+
+            def f(ts):
+                xs = [math.exp(t) for t in ts]
+                ds = gen.densities(xs)
+                cols = [[math.pow(x, s) * d * x for x, d in zip(xs, ds)] for s in orders]
+                if log:
+                    cols.append([math.log(x) * d * x for x, d in zip(xs, ds)])
+                return cols
+
+            assert max(map(abs, quadrature._gk15(f, *seeds[0])[0])) <= 1e-30
+            assert max(map(abs, quadrature._gk15(f, *seeds[1])[0])) > 1e-10
+            cut = quad_moments(es, orders[1:], log)
+            with monkeypatch.context() as m:
+                m.setattr(quadrature, "_tail_cut", lambda *args: 0)
+                assert quad_moments(es, orders[1:], log) == cut, (A, orders)
 
 
 def test_bit_determinism(solved):

@@ -13,8 +13,6 @@ from shiryaev_qsd.quadrature import quad_moments
 from shiryaev_qsd.spectral import EigenSystem, assemble_system, xi_of_lambda
 from shiryaev_qsd.verify import run_checks
 
-generator_pdf = Eigenfunction.pdf
-
 EXPECTED_ROWS = {
     "rate-bracket",
     "index-identity",
@@ -124,32 +122,32 @@ def test_shared_density_leaves_quadrature_metrics_unchanged(solved, capsys):
 def test_battery_pdf_evaluation_budget(solved, monkeypatch):
     # a battery sums W over the nodes once per point of the 33-point grid,
     # for both closed forms, and once for `cdf-endpoint`; the grid takes one
-    # pdf_cdf of the dense march per point for both of the generator's. Its
-    # one quadrature pass evaluates the march's pdf, within the budgets the
-    # W pdf had when it served all three integrals: 168, 243 and 273 calls
-    # with GK15 on panels in log x, 318, 663 and 753 on panels in x
-    for A, budget in ((20.0, 185), (1e4, 267), (1e5, 300)):
+    # batched call of the dense march for both of the generator's values at
+    # all 33 points. Its one quadrature pass evaluates the march's pdf in
+    # one batch of 15 nodes per GK15 panel: 105, 180 and 210 nodes, within
+    # 5% here, after the two leading seed panels that the tail bound leaves
+    # out (135, 210 and 240 nodes with them)
+    for A, budget in ((20.0, 110), (1e4, 189), (1e5, 220)):
         es = solved(A)
         calls = {"w": 0, "pdf_cdf": 0, "pdf": 0}
+        nodes = {"pdf_cdf": 0, "pdf": 0}
 
         def counted_climb(*args):
             calls["w"] += 1
             return climb(*args)
 
-        def counted_pdf_cdf(self, x):
-            calls["pdf_cdf"] += 1
-            return pdf_cdf(self, x)
+        def counted_densities(self, xs, cdf=False):
+            key = "pdf_cdf" if cdf else "pdf"
+            calls[key] += 1
+            nodes[key] += len(xs)
+            return densities(self, xs, cdf)
 
-        def counted_pdf(self, x):
-            calls["pdf"] += 1
-            return generator_pdf(self, x)
-
-        climb, pdf_cdf = specfun._w_climb, Eigenfunction.pdf_cdf
+        climb, densities = specfun._w_climb, Eigenfunction.densities
         with monkeypatch.context() as m:
             m.setattr(specfun, "_w_climb", counted_climb)
-            m.setattr(Eigenfunction, "pdf_cdf", counted_pdf_cdf)
-            m.setattr(Eigenfunction, "pdf", counted_pdf)
+            m.setattr(Eigenfunction, "densities", counted_densities)
             run_checks(es)
         assert calls["w"] == verify.GRID_POINTS + 1, (A, calls)
-        assert calls["pdf_cdf"] == verify.GRID_POINTS, (A, calls)
-        assert calls["pdf"] <= budget, (A, calls)
+        assert (calls["pdf_cdf"], nodes["pdf_cdf"]) == (1, verify.GRID_POINTS), (A, calls)
+        assert nodes["pdf"] == 15 * calls["pdf"], (A, calls, nodes)
+        assert 0 < nodes["pdf"] <= budget, (A, nodes)
