@@ -1,9 +1,11 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 verification or invariant failure
+Every command first solves the rate at --A by solve_lambda, which has no
+options. Exit codes: 0 success, 1 verification or invariant failure
 (ConsistencyError, OverflowError), 2 usage or domain error (DomainError),
-3 convergence failure (ConvergenceError); see errors.py. Output is a
-single JSON document (default) or CSV on stdout; diagnostics go to stderr.
+3 convergence failure (ConvergenceError), such as no sign change of W on
+the proven rate bracket; see errors.py. Output is a single JSON document
+(default) or CSV on stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--A", type=float, required=True, help="confinement cutoff, > 0")
-    common.add_argument(
-        "--tol", type=float, default=1e-12, help="rate solver relative tolerance"
-    )
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output shape"
     )
@@ -86,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eig(args) -> EvalReport:
-    es = solve_lambda(args.A, tol=args.tol)
-    rep = EvalReport(command="eig", inputs={"A": args.A, "tol": args.tol})
+    es = solve_lambda(args.A)
+    rep = EvalReport(command="eig", inputs={"A": args.A})
     rep.results = [
         ResultRow("rate", es.lam, "closed_form"),
         ResultRow("index", es.xi, "identity"),
@@ -99,11 +98,9 @@ def _cmd_eig(args) -> EvalReport:
 
 
 def _cmd_points(args, which: str) -> EvalReport:
-    es = solve_lambda(args.A, tol=args.tol)
+    es = solve_lambda(args.A)
     f = qsd_pdf if which == "pdf" else qsd_cdf
-    rep = EvalReport(
-        command=which, inputs={"A": args.A, "tol": args.tol, "x": list(args.x)}
-    )
+    rep = EvalReport(command=which, inputs={"A": args.A, "x": list(args.x)})
     for x in args.x:
         rep.results.append(ResultRow(f"{which}[x={x!r}]", f(x, es), "closed_form"))
     if args.check:
@@ -112,10 +109,9 @@ def _cmd_points(args, which: str) -> EvalReport:
 
 
 def _cmd_moment(args) -> EvalReport:
-    es = solve_lambda(args.A, tol=args.tol)
+    es = solve_lambda(args.A)
     rep = EvalReport(
-        command="moment",
-        inputs={"A": args.A, "tol": args.tol, "s": list(args.s), "log": args.log},
+        command="moment", inputs={"A": args.A, "s": list(args.s), "log": args.log}
     )
     closed = [moment_frac(s, es).value for s in args.s]
     lv = moment_log(es) if args.log else None
@@ -139,11 +135,8 @@ def _cmd_moment(args) -> EvalReport:
 def _cmd_table(args) -> EvalReport:
     if not 2 <= args.points <= _TABLE_POINTS_MAX:
         raise DomainError(f"--points must be 2 to {_TABLE_POINTS_MAX}, got {args.points}")
-    es = solve_lambda(args.A, tol=args.tol)
-    rep = EvalReport(
-        command="table",
-        inputs={"A": args.A, "tol": args.tol, "points": args.points},
-    )
+    es = solve_lambda(args.A)
+    rep = EvalReport(command="table", inputs={"A": args.A, "points": args.points})
     last = args.points - 1
     for i in range(args.points):
         # A * last / last may round one ulp past A, outside the support
@@ -155,8 +148,8 @@ def _cmd_table(args) -> EvalReport:
 
 
 def _cmd_verify(args) -> EvalReport:
-    inputs = {"A": args.A, "tol": args.tol}
-    es = solve_lambda(args.A, tol=args.tol)
+    inputs = {"A": args.A}
+    es = solve_lambda(args.A)
     if args.perturb_lambda is not None:
         inputs["perturb_lambda"] = args.perturb_lambda
         es = assemble_system(args.A, es.lam * (1.0 + args.perturb_lambda), validate=False)

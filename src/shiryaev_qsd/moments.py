@@ -28,7 +28,15 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, RegimeError
-from .specfun import digamma, documented_real, gamma, hyp2f2, pochhammer, rgamma
+from .specfun import (
+    digamma,
+    documented_real,
+    gamma,
+    hyp2f2,
+    nonnegative_int,
+    pochhammer,
+    rgamma,
+)
 from .spectral import EigenSystem, one_minus_xi
 
 _MAX_ORDER = 50.0
@@ -74,9 +82,9 @@ def moment_integer(n: int, sys: EigenSystem) -> MomentResult:
     cross-check partner for moment_frac at integer orders.
     """
     _check_sys(sys)
-    if n != int(n) or not 0 <= int(n) <= _MAX_ORDER:
+    n = nonnegative_int(n, "integer order")
+    if n > _MAX_ORDER:
         raise DomainError(f"integer order must lie in [0, {int(_MAX_ORDER)}], got {n!r}")
-    n = int(n)
     _check_order(float(n), sys.A)
     lam, A = sys.lam, sys.A
     m = 1.0
@@ -276,9 +284,7 @@ def moment_singular_shifted(sys: EigenSystem, sigma: int, k: int) -> MomentResul
     from the bottom-order value by the finite ladder relation."""
     _check_sys(sys)
     xi = _require_real_index(sys, "the degenerate-order branch")
-    if k != int(k) or k < 0:
-        raise DomainError(f"ladder shift must be a nonnegative integer, got {k!r}")
-    k = int(k)
+    k = nonnegative_int(k, "ladder shift")
     base = moment_singular_base(sys, sigma)
     if k == 0:
         return base

@@ -208,17 +208,23 @@ def digamma(z: complex) -> complex:
     return out + acc
 
 
+def nonnegative_int(n, what: str) -> int:
+    """n as an int; DomainError naming `what` unless n is a nonnegative
+    integer (nan and the infinities are not)."""
+    if not (isinstance(n, int) or math.isfinite(n)) or n < 0 or n != int(n):
+        raise DomainError(f"{what} must be a nonnegative integer, got {n!r}")
+    return int(n)
+
+
 def pochhammer(z: complex, n: int) -> complex:
     """Rising factorial (z)_n = z (z+1) ... (z+n-1); (z)_0 = 1.
 
     Exact zeros for nonpositive-integer z with n > -z come out of the product
     naturally. n must be a nonnegative integer.
     """
-    if n != int(n) or n < 0:
-        raise DomainError(f"pochhammer order must be a nonnegative integer, got {n}")
     out = 1.0 + 0j
     z = complex(z)
-    for k in range(int(n)):
+    for k in range(nonnegative_int(n, "pochhammer order")):
         out *= z + k
     return out
 

@@ -50,6 +50,7 @@ _RESIDUAL_TOL = 1e-9       # eigencondition residual allowance, scaled by |W0|
 _XI_IDENTITY_TOL = 1e-12   # |xi^2 + 8 lam - 1| allowance
 _DUAL_C_TOL = 1e-8         # agreement between the two normalizer routes
 _BRACKET_SLACK = 1e-9      # relative slack when re-checking the bracket
+_BRENT_REL_TOL = 1e-12     # relative width at which Brent stops
 _SIGN_TOL = 1e-12          # Taylor terms of the zero count stop here: only signs are used
 
 
@@ -106,14 +107,13 @@ def eigencondition(A: float, lam: float) -> float:
     return whittaker_w(1.0, 0.5 * xi, 2.0 / A).real
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float, rel_tol: float) -> float:
-    # classic Brent: bisection safeguarded by secant / inverse quadratic steps
+def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
+    # classic Brent: bisection safeguarded by secant / inverse quadratic
+    # steps; the caller has checked that exactly one of fa, fb is positive
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise ConvergenceError(f"no sign change on [{a}, {b}]")
     c, fc = a, fa
     d = e = b - a
     for _ in range(200):
@@ -123,7 +123,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float, rel_tol: float) -> float
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * rel_tol * abs(b)
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * _BRENT_REL_TOL * abs(b)
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b
@@ -180,8 +180,9 @@ def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
     """Invariant battery for a candidate (A, lam, xi, C) quadruple.
 
     Every row's residual is the dimensionless metric the pass/fail
-    threshold applies to. Recomputes everything from scratch so a stale or
-    tampered field cannot hide.
+    threshold applies to. Every row is recomputed from the four fields, so
+    a stale or tampered field cannot hide. The W pair at 2/A comes through
+    specfun's memo of node sums, which holds the bits a fresh sum gives.
     """
     A = _check_cutoff(A)
     rows: list[CheckRow] = []
@@ -280,8 +281,6 @@ def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:
     infinite, and the battery's normalizer rows fail.
     """
     A = _check_cutoff(A)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise DomainError(f"rate must be positive and finite, got {lam!r}")
     xi = xi_of_lambda(lam)
     w0, w1 = whittaker_w_pair(0.0, 0.5 * xi, 2.0 / A)
     w0 = documented_real(w0, "W at the right endpoint")
@@ -294,43 +293,32 @@ def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:
     return EigenSystem(A=A, lam=lam, xi=xi, C=C, residual=residual, validate=validate)
 
 
-def solve_lambda(A: float, tol: float = 1e-12) -> EigenSystem:
+def solve_lambda(A: float) -> EigenSystem:
     """Solve the boundary condition for the principal rate at cutoff A.
 
-    tol is the relative width the bracketing iteration must reach. Raises
-    ConvergenceError if no sign change is found or iteration stalls, and
-    ConsistencyError if the root fails its invariants (at A = 0.1, where
-    W's sum loses accuracy at the large imaginary index; the solve succeeds
-    from A = 0.2 up) or if it is 1/8 or more and the eigenfunction there has
-    a zero in (0, A), so that a smaller root exists. Only such roots, A up
-    to about 10.24, are marched (about 0.15 ms); a root below 1/8 is the
-    smallest (module docstring), and a fresh solve from A = 20 up takes
-    0.20 to 0.25 ms.
+    Brent iteration on the proven bracket (lambda_bounds) stops at a
+    relative width of 1e-12. Raises ConvergenceError if W has no sign
+    change on that bracket (at many cutoffs from about 1.5e9 up) or the
+    iteration stalls, and ConsistencyError if the root fails its
+    invariants (at A = 0.1, where W's sum loses accuracy at the large
+    imaginary index; the solve succeeds from A = 0.2 up) or if it is 1/8
+    or more and the eigenfunction there has a zero in (0, A), so that a
+    smaller root exists. Only such roots, A up to about 10.24, are
+    marched; a root below 1/8 is the smallest (module docstring).
     """
     A = _check_cutoff(A)
-    if not (0.0 < tol <= 1e-6):
-        raise DomainError(f"tol out of range (0, 1e-6]: {tol!r}")
 
     def g(lam: float) -> float:
         return eigencondition(A, lam)
 
     lo, hi = lambda_bounds(A)
-    width = hi - lo
-    glo = g(lo)
-    ghi = g(hi)
-    # the proven bounds are strict, but allow the upper end to drift in case
-    # roundoff parks g(hi) on the wrong side of zero
-    grow = 0
-    while (glo > 0.0) == (ghi > 0.0) and grow < 8:
-        grow += 1
-        hi = lo + width * 1.5**grow
-        ghi = g(hi)
+    glo, ghi = g(lo), g(hi)
     if (glo > 0.0) == (ghi > 0.0):
         raise ConvergenceError(
-            f"eigencondition does not change sign near the proven bracket at A={A}"
+            f"eigencondition does not change sign on the proven bracket "
+            f"[{lo!r}, {hi!r}] at A={A!r}"
         )
-
-    lam = _brent(g, lo, hi, glo, ghi, tol)
+    lam = _brent(g, lo, hi, glo, ghi)
     zeros = _interior_zeros(A, lam) if lam >= 0.125 else []
     if zeros:
         raise ConsistencyError(

@@ -30,6 +30,7 @@ def test_eig_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["command"] == "eig"
+    assert doc["inputs"] == {"A": 20.0}
     assert doc["ok"] is True
     by_name = {r["name"]: r for r in doc["results"]}
     assert abs(by_name["rate"]["value"] - 0.0588561486218396688) < 1e-12
@@ -178,6 +179,18 @@ def test_negative_values_in_exponent_notation(capsys, argv):
         assert spaced[2].startswith("error: "), spaced[2]
 
 
+@pytest.mark.parametrize("A", ("0.0625", "1.2724849808380784e+162"))
+def test_no_sign_change_on_the_bracket_exits_3(capsys, A):
+    # at 0.0625 W has one sign on the proven rate bracket; the solve tries
+    # no wider bracket, on which a root failed `normalizer-series` (exit 1).
+    # At 1.27e162 the bracket is one point and W there is 0, which is no
+    # sign change either; Brent would return it and the battery would
+    # divide by the bracket's zero width
+    code, out, err = run(capsys, "eig", "--A", A)
+    assert code == 3 and out == ""
+    assert "proven bracket" in err
+
+
 def test_table_points_above_the_cap_fail_before_solving(capsys, monkeypatch):
     def solve(*args, **kw):
         raise AssertionError("solved")
@@ -195,6 +208,7 @@ def test_table_points_above_the_cap_fail_before_solving(capsys, monkeypatch):
 def test_exit_code_usage_errors(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys, "eig")[0] == 2  # missing --A
+    assert run(capsys, "eig", "--A", "20", "--tol", "1e-12")[0] == 2  # no such option
     assert run(capsys)[0] == 2
 
 

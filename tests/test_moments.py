@@ -14,6 +14,7 @@ from shiryaev_qsd.moments import (
     moment_special_value,
 )
 from shiryaev_qsd.quadrature import quad_moment
+from shiryaev_qsd.specfun import pochhammer
 from shiryaev_qsd.spectral import EigenSystem
 
 # frozen from 40-digit quadrature of the solved-density integrand
@@ -147,6 +148,19 @@ def test_order_domain_errors(solved):
         moment_integer(-1, es)
     with pytest.raises(DomainError):
         moment_integer(2.5, es)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, -1, 2.5))
+def test_integer_arguments_reject_non_integers(bad, solved):
+    # nan and the infinities included: int() would raise ValueError or
+    # OverflowError before the domain check
+    es = solved(20.0)
+    with pytest.raises(DomainError, match="nonnegative integer"):
+        moment_integer(bad, es)
+    with pytest.raises(DomainError, match="nonnegative integer"):
+        moment_singular_shifted(es, 1, bad)
+    with pytest.raises(DomainError, match="nonnegative integer"):
+        pochhammer(0.5, bad)
 
 
 def test_order_overflow_guard():

@@ -7,7 +7,7 @@ import shiryaev_qsd.cli as cli
 import shiryaev_qsd.generator as generator
 import shiryaev_qsd.specfun as specfun
 import shiryaev_qsd.spectral as spectral
-from shiryaev_qsd.errors import ConsistencyError, DomainError, PoleError
+from shiryaev_qsd.errors import ConsistencyError, ConvergenceError, DomainError, PoleError
 from shiryaev_qsd.specfun import WPlan
 from shiryaev_qsd.spectral import (
     EigenSystem,
@@ -237,10 +237,21 @@ def test_solve_rejects_bad_inputs():
         solve_lambda(0.0)
     with pytest.raises(DomainError):
         solve_lambda(1e-300)  # the proven bounds leave the double range
-    with pytest.raises(DomainError):
-        solve_lambda(20.0, tol=0.0)
-    with pytest.raises(DomainError):
-        solve_lambda(20.0, tol=1e-3)
+
+
+def test_no_sign_change_on_the_bracket_fails_at_once(monkeypatch):
+    # at A = 1e10 W has the same sign at both proven bounds: the solve
+    # raises after evaluating W there, and tries no wider bracket
+    calls = []
+
+    def counted(A, lam):
+        calls.append(lam)
+        return eigencondition(A, lam)
+
+    monkeypatch.setattr(spectral, "eigencondition", counted)
+    with pytest.raises(ConvergenceError, match="proven bracket"):
+        solve_lambda(1e10)
+    assert calls == list(lambda_bounds(1e10))
 
 
 def test_bounds_ordering():
