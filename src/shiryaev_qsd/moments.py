@@ -25,7 +25,7 @@ half-integers; xi near 1: pairs around integers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError, RegimeError
 from .specfun import (
@@ -46,15 +46,12 @@ _CROWDED = 6e-3        # ladder families closer than this are handled jointly
 _EXP_LIMIT = 700.0     # |s ln A| beyond this cannot be represented anyway
 
 
-@dataclass(frozen=True)
-class MomentResult:
-    """Moment of the conditioned law: order, value, and which evaluation
+class MomentResult(namedtuple("MomentResult", "s value branch")):
+    """Moment of the conditioned law: order s, value, and which evaluation
     branch produced it ("series", "interpolated", "singular", "special",
     or "recurrence")."""
 
-    s: float
-    value: float
-    branch: str
+    __slots__ = ()
 
 
 def _check_sys(sys: EigenSystem) -> EigenSystem:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import InitVar, dataclass
+from collections import namedtuple
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .generator import Eigenfunction, march
@@ -189,7 +189,9 @@ def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
 
     lo, hi = lambda_bounds(A)
     in_bracket = lo * (1.0 - _BRACKET_SLACK) <= lam <= hi * (1.0 + _BRACKET_SLACK)
-    rows.append(CheckRow("rate-bracket", in_bracket, (lam - lo) / (hi - lo)))
+    # from about A = 1e33 on, lo and hi round to one point: 0 on it, inf off it
+    where = (lam - lo) / (hi - lo) if hi > lo else (0.0 if lam == lo else math.inf)
+    rows.append(CheckRow("rate-bracket", in_bracket, where))
 
     ident = abs(xi * xi + 8.0 * lam - 1.0) / max(1.0, 8.0 * lam)
     rows.append(CheckRow("index-identity", ident <= _XI_IDENTITY_TOL, ident))
@@ -219,34 +221,37 @@ def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(namedtuple("EigenSystem", "A lam xi C residual")):
     """Validated spectral data for one cutoff: rate lam, index xi,
     normalizer C, and the eigencondition residual left by the solver.
 
     Construction re-runs the invariant battery and raises ConsistencyError
     if anything fails; validate=False skips that (used to inject known-bad
     systems when exercising the verification path, never in normal flow).
-    The battery's rows are kept and served by `checks`.
+    The battery's rows are kept and served by `checks`. The fields are
+    read-only; the class has no __slots__, so the cached properties below
+    keep their values in the instance __dict__.
     """
 
-    A: float
-    lam: float
-    xi: complex
-    C: float
-    residual: float
-    validate: InitVar[bool] = True
+    def __new__(
+        cls, A: float, lam: float, xi: complex, C: float, residual: float,
+        validate: bool = True,
+    ):
+        _check_cutoff(A)
+        self = tuple.__new__(cls, (A, lam, xi, C, residual))
+        if validate:
+            failed = [row for row in self.checks if not row.passed]
+            if failed:
+                raise ConsistencyError(
+                    "eigdata invariants violated: "
+                    + ", ".join(f"{row.name} (metric {row.residual:.3e})" for row in failed)
+                )
+        return self
 
-    def __post_init__(self, validate: bool) -> None:
-        _check_cutoff(self.A)
-        if not validate:
-            return
-        failed = [row for row in self.checks if not row.passed]
-        if failed:
-            raise ConsistencyError(
-                "eigdata invariants violated: "
-                + ", ".join(f"{row.name} (metric {row.residual:.3e})" for row in failed)
-            )
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__: keep an unvalidated
+        # system unvalidated (a validated one carries its checks along)
+        return (*self, False)
 
     @functools.cached_property
     def checks(self) -> tuple[CheckRow, ...]:

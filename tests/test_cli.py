@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,30 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+_IMPORT_SET = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import shiryaev_qsd.cli as cli
+heavy = {"dataclasses", "inspect", "typing", "csv"}
+print(sorted(heavy & set(sys.modules)))
+cli.main(["pdf", "--A", "20", "--x", "3", "--format", "csv"])
+"""
+
+
+def test_cli_import_loads_no_heavy_standard_modules():
+    # -S: a site module may load typing on its own; csv loads only to write
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_SET, str(_SRC)],
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out == (
+        "[]\n"
+        "name,value,provenance\n"
+        "pdf[x=3.0],0.13402287711300784,closed_form\n"
+    )
 
 
 def test_eig_json(capsys):

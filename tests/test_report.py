@@ -4,6 +4,7 @@ import math
 import pytest
 
 from shiryaev_qsd.errors import DomainError
+from shiryaev_qsd.moments import moment_frac
 from shiryaev_qsd.report import SCHEMA_VERSION, CheckRow, EvalReport, ResultRow, _emit, _escape
 
 
@@ -93,6 +94,26 @@ def test_provenance_validated():
         ResultRow("x", 1.0, "vibes")
     for p in ("closed_form", "quadrature", "identity"):
         ResultRow("x", 1.0, p)
+
+
+def test_records_are_read_only(solved):
+    es = solved(20.0)
+    records = [
+        (es, "lam"),
+        (moment_frac(0.5, es), "value"),
+        (ResultRow("x", 1.0, "identity"), "value"),
+        (CheckRow("a", True, 0.0), "passed"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2.0)
+
+
+def test_reports_get_fresh_lists():
+    a, b = EvalReport("eig", {}), EvalReport("eig", {})
+    a.results.append(ResultRow("x", 1.0, "identity"))
+    a.checks.append(CheckRow("a", True, 0.0))
+    assert b.results == [] and b.checks == []
 
 
 def test_ok_follows_checks():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 
 import pytest
@@ -133,6 +135,35 @@ def test_eigensystem_rejects_corrupt_rate(solved):
     bad = es.lam * 1.01
     with pytest.raises(ConsistencyError):
         EigenSystem(A=es.A, lam=bad, xi=xi_of_lambda(bad), C=es.C, residual=0.0)
+
+
+def test_eigensystem_positional_construction_validates(solved):
+    es = solved(20.0)
+    assert EigenSystem(es.A, es.lam, es.xi, es.C, es.residual) == es
+    bad = es.lam * 1.01
+    with pytest.raises(ConsistencyError):
+        EigenSystem(es.A, bad, xi_of_lambda(bad), es.C, 0.0)
+
+
+def test_copies_keep_an_unvalidated_system(solved):
+    es = solved(20.0)
+    bad = assemble_system(20.0, 2.0 * es.lam, validate=False)
+    pairs = [(copy.copy(bad), bad), (pickle.loads(pickle.dumps(bad)), bad),
+             (copy.deepcopy(es), es)]
+    for twin, original in pairs:
+        assert type(twin) is EigenSystem and twin == original
+
+
+def test_collapsed_bracket_battery_reports():
+    # from about A = 1e33 on, 1/A absorbs both bounds' corrections
+    lo, hi = lambda_bounds(1e200)
+    assert lo == hi == 1e-200
+    on = {r.name: r for r in assemble_system(1e200, lo, validate=False).checks}
+    assert on["rate-bracket"] == ("rate-bracket", True, 0.0)
+    off = {r.name: r for r in assemble_system(1e200, 2.0 * lo, validate=False).checks}
+    assert off["rate-bracket"] == ("rate-bracket", False, math.inf)
+    with pytest.raises(ConsistencyError, match="rate-bracket"):
+        assemble_system(1e200, 2.0 * lo)
 
 
 def test_eigensystem_validate_false_admits_anything(solved):
