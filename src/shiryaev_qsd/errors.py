@@ -54,3 +54,10 @@ class DenominatorPoleError(ConsistencyError):
     The moment code keeps its orders off these parameters (the ladder
     band), so reaching one means the formula was used where it degenerates.
     """
+
+
+# what a check row absorbs as a failure (report.guarded_row): a wildly
+# wrong rate makes evaluation itself blow up (cdf past 1, kernel poles,
+# series or quadrature that cannot settle, values past the double range),
+# and the battery must still report
+CHECK_ERRORS = (ConsistencyError, ConvergenceError, OverflowError)

@@ -36,24 +36,23 @@ from bisect import bisect_left
 
 from .errors import ConsistencyError, DomainError
 
-# Taylor and series terms of the dense march stop at this fraction of |f|
-# and, separately, of |h f'|, so that f' (the cdf) is as accurate as f
+# the series terms of every march and the Taylor terms of the dense one
+# stop at this fraction of |f| and, separately, of |h f'|, so that f' (the
+# cdf) is as accurate as f
 _TOL = 2e-17
 _PI2 = math.pi**2
 
 
-def series(x: float, lam: float, tol: float, joint: bool = False):
+def series(x: float, lam: float):
     """f(x) and x f'(x) from the series at 0, for x <= min(0.03, 0.1/lam):
-    terms stop once n |t_n| is within tol of both sums (of their sum if
-    joint)."""
+    terms stop once n |t_n| is within _TOL of both sums."""
     t, f, g, n = 1.0, 1.0, 0.0, 0
     while True:
         t *= -(0.5 * n * (n - 1) + lam) * x / (n + 1)
         n += 1
         f += t
         g += n * t
-        size = abs(f) + abs(g) if joint else min(abs(f), abs(g))
-        if n * abs(t) <= tol * size:
+        if n * abs(t) <= _TOL * min(abs(f), abs(g)):
             return f, g
 
 
@@ -90,15 +89,16 @@ def march(A: float, lam: float, tol: float, joint: bool = False,
           dense: list | None = None):
     """Nodes (xs, fs, ds) of f and f' from x0 to xs[-1] = A.
 
-    Series and Taylor terms stop at tol of min(|f|, |h f'|) at the step's
-    start, or of their sum if joint (enough for signs). A step that would
-    leave less than 1/1000 of itself to A runs to A instead, so that no
-    node but A lies too close to A for the sign of f there to be resolved.
+    The series at x0 stops at _TOL; Taylor terms stop at tol of
+    min(|f|, |h f'|) at the step's start, or of their sum if joint (enough
+    for signs). A step that would leave less than 1/1000 of itself to A
+    runs to A instead, so that no node but A lies too close to A for the
+    sign of f there to be resolved.
     If dense is a list, each step appends to it its length h and its scaled
     Taylor terms b_k, highest k first.
     """
     x = min(0.03, 0.25 * A, 0.1 / lam)
-    f, g = series(x, lam, tol, joint)
+    f, g = series(x, lam)
     xs, fs, ds = [x], [f], [g / x]
     h, lam2 = x, 2.0 * lam            # g = h f'(x) from here on
     while True:
@@ -164,7 +164,7 @@ class Eigenfunction:
             # j with nodes[j] < x <= nodes[j + 1], or -1 below the first node
             j = bisect_left(nodes, x) - 1
             if j < 0:
-                f, d = series(x, lam, _TOL)
+                f, d = series(x, lam)
                 d /= x
             elif x == nodes[j + 1]:
                 f, d = fs[j + 1], ds[j + 1]

@@ -19,9 +19,9 @@ import io
 import math
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import CHECK_ERRORS, DomainError
 
-__all__ = ["ResultRow", "CheckRow", "EvalReport", "SCHEMA_VERSION"]
+__all__ = ["ResultRow", "CheckRow", "guarded_row", "EvalReport", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = "1.0.0"
 
@@ -95,6 +95,16 @@ class CheckRow(namedtuple("CheckRow", "name passed residual")):
     when evaluating the check raised."""
 
     __slots__ = ()
+
+
+def guarded_row(name: str, metric_fn, passes) -> CheckRow:
+    """CheckRow(name, passes(m), m) with m = metric_fn(); a failed row with
+    residual inf when metric_fn raises one of errors.CHECK_ERRORS."""
+    try:
+        metric = metric_fn()
+    except CHECK_ERRORS:
+        return CheckRow(name, False, math.inf)
+    return CheckRow(name, passes(metric), metric)
 
 
 class EvalReport:

@@ -35,7 +35,7 @@ from collections import namedtuple
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .generator import Eigenfunction, march
-from .report import CheckRow
+from .report import CheckRow, guarded_row
 from .specfun import (
     WPlan,
     documented_real,
@@ -206,15 +206,11 @@ def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
     if ok_c and w0.real > 0.0:
         rel = abs(_normalizer_endpoint(A, w0.real) - C) / C
         rows.append(CheckRow("normalizer-endpoint", rel <= _DUAL_C_TOL, rel))
-        worst = 0.0
-        for sigma in (1, -1):
-            try:
-                alt = _normalizer_series(A, lam, xi, sigma)
-            except (ConsistencyError, ConvergenceError, OverflowError):
-                worst = math.inf
-                break
-            worst = max(worst, abs(alt - C) / C)
-        rows.append(CheckRow("normalizer-series", worst <= _DUAL_C_TOL, worst))
+        rows.append(guarded_row(
+            "normalizer-series",
+            lambda: max(abs(_normalizer_series(A, lam, xi, s) - C) / C for s in (1, -1)),
+            lambda m: m <= _DUAL_C_TOL,
+        ))
     else:
         rows.append(CheckRow("normalizer-endpoint", False, math.inf))
         rows.append(CheckRow("normalizer-series", False, math.inf))
@@ -305,11 +301,12 @@ def solve_lambda(A: float) -> EigenSystem:
     relative width of 1e-12. Raises ConvergenceError if W has no sign
     change on that bracket (at many cutoffs from about 1.5e9 up) or the
     iteration stalls, and ConsistencyError if the root fails its
-    invariants (at A = 0.1, where W's sum loses accuracy at the large
-    imaginary index; the solve succeeds from A = 0.2 up) or if it is 1/8
-    or more and the eigenfunction there has a zero in (0, A), so that a
-    smaller root exists. Only such roots, A up to about 10.24, are
-    marched; a root below 1/8 is the smallest (module docstring).
+    invariants (at A = 0.15 and 0.1553, where W's sum loses accuracy at the
+    large imaginary index; on 41 log-spaced cutoffs in [0.15, 0.6] the
+    solve succeeds from A = 0.1608 up) or if it is 1/8 or more and the
+    eigenfunction there has a zero in (0, A), so that a smaller root
+    exists. Only such roots, A up to about 10.24, are marched; a root
+    below 1/8 is the smallest (module docstring).
     """
     A = _check_cutoff(A)
 

@@ -117,6 +117,30 @@ def test_eigen_checks_series_failure_modes(solved, monkeypatch):
         eigen_checks(es.A, es.lam, es.xi, es.C)
 
 
+@pytest.mark.parametrize("sigma", (1, -1))
+def test_normalizer_series_overflow_fails_its_row(solved, monkeypatch, sigma):
+    # an OverflowError from either series form is absorbed like the kernel's
+    # own exceptions: normalizer-series fails with residual inf and every
+    # other row keeps its value
+    es = solved(20.0)
+    series = spectral._normalizer_series
+
+    def overflowing(A, lam, xi, s):
+        if s == sigma:
+            raise OverflowError("math range error")
+        return series(A, lam, xi, s)
+
+    clean = eigen_checks(es.A, es.lam, es.xi, es.C)
+    monkeypatch.setattr(spectral, "_normalizer_series", overflowing)
+    rows = eigen_checks(es.A, es.lam, es.xi, es.C)
+    assert [r.name for r in rows] == [r.name for r in clean]
+    for row, want in zip(rows, clean):
+        if row.name == "normalizer-series":
+            assert row == ("normalizer-series", False, math.inf)
+        else:
+            assert row == want
+
+
 def test_eigensystem_keeps_its_checks(solved):
     es = solved(20.0)
     rows = es.checks

@@ -6,7 +6,7 @@ import pytest
 import shiryaev_qsd.cli as cli
 import shiryaev_qsd.specfun as specfun
 import shiryaev_qsd.verify as verify
-from shiryaev_qsd.errors import ConsistencyError
+from shiryaev_qsd.errors import ConsistencyError, ConvergenceError
 from shiryaev_qsd.generator import Eigenfunction
 from shiryaev_qsd.moments import moment_frac, moment_log
 from shiryaev_qsd.quadrature import quad_moments
@@ -151,3 +151,56 @@ def test_battery_pdf_evaluation_budget(solved, monkeypatch):
         assert (calls["pdf_cdf"], nodes["pdf_cdf"]) == (1, verify.GRID_POINTS), (A, calls)
         assert nodes["pdf"] == 15 * calls["pdf"], (A, calls, nodes)
         assert 0 < nodes["pdf"] <= budget, (A, nodes)
+
+
+# the rows of run_checks after sys.checks that read each battery input,
+# directly or through another input: the quadrature pass and the W grid
+# feed several rows, and the march feeds the quadrature
+_QUAD_ROWS = {
+    "quadrature-normalization", "moment-dual-route[s=0.5]", "moment-dual-route[s=3.14159]"}
+_CDF_ROWS = {"cdf-monotone", "cdf-endpoint", "dominates-stationary-cdf"}
+_INPUT_READERS = {
+    "quad_moments": _QUAD_ROWS,
+    "moment_frac": {
+        "moment-recurrence[s=0.5]", "moment-recurrence[s=1.5]",
+        "moment-recurrence[s=3.14159]", "moment-integer-consistency[n=1]",
+        "moment-integer-consistency[n=2]", "moment-integer-consistency[n=3]",
+        "moment-dual-route[s=0.5]", "moment-dual-route[s=3.14159]",
+    },
+    "moment_integer": {
+        "moment-integer-consistency[n=1]", "moment-integer-consistency[n=2]",
+        "moment-integer-consistency[n=3]",
+    },
+    "generator": {"rate-generator", *_QUAD_ROWS, "pdf-generator", "cdf-generator"},
+    "pair": {"pdf-nonnegative", "pdf-generator", *_CDF_ROWS, "cdf-generator"},
+    "qsd_cdf": _CDF_ROWS,
+}
+
+
+@pytest.mark.parametrize("exc", (ConsistencyError, ConvergenceError, OverflowError))
+@pytest.mark.parametrize("source", sorted(_INPUT_READERS))
+def test_raising_input_fails_exactly_its_rows(solved, monkeypatch, source, exc):
+    # one rule turns an absorbed exception into a failed row with residual
+    # inf: every row that reads the raising input fails that way, every
+    # other row keeps its clean value, and the names keep their order
+    def raising(*args, **kwargs):
+        raise exc(f"{source} raised")
+
+    for A in (0.8, 20.0):
+        es = solved(A)
+        clean = run_checks(es)
+        with monkeypatch.context() as m:
+            if source == "generator":
+                m.setattr(EigenSystem, "generator", property(raising))
+            elif source == "pair":
+                m.setattr(specfun.WPlan, "pair", raising)
+            else:
+                m.setattr(verify, source, raising)
+            rows = run_checks(es)
+        assert [r.name for r in rows] == [r.name for r in clean], (A, source)
+        assert _INPUT_READERS[source] <= {r.name for r in clean}, source
+        for row, want in zip(rows, clean):
+            if row.name in _INPUT_READERS[source]:
+                assert row == (row.name, False, math.inf), (A, source, row)
+            else:
+                assert row == want, (A, source, row)
