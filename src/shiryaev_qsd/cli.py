@@ -1,10 +1,10 @@
 """Command line front end.
 
 Every command first solves the rate at --A by solve_lambda, which has no
-options. Exit codes: 0 success, 1 verification or invariant failure
-(ConsistencyError, OverflowError), 2 usage or domain error (DomainError),
-3 convergence failure (ConvergenceError), such as no sign change of W on
-the proven rate bracket; see errors.py. Output is a single JSON document
+options. Exit codes: 0 success, 1 verification or invariant failure,
+2 usage or domain error, 3 convergence failure, such as no sign change of
+W on the proven rate bracket; errors.EXIT_CODES maps each exception
+family to its code. Output is a single JSON document
 (default) or CSV on stdout; diagnostics go to stderr.
 """
 
@@ -16,7 +16,7 @@ import re
 import sys as _sys
 
 from .distribution import _pdf_cdf, qsd_cdf, qsd_pdf
-from .errors import ConsistencyError, ConvergenceError, DomainError
+from .errors import EXIT_CODES, DomainError
 from .moments import moment_frac, moment_log
 from .quadrature import quad_moments
 from .report import EvalReport, ResultRow
@@ -178,15 +178,9 @@ def main(argv=None) -> int:
     try:
         rep = _DISPATCH[args.command](args)
         out = rep.to_csv() if args.format == "csv" else rep.to_json() + "\n"
-    except DomainError as e:
+    except tuple(family for family, _ in EXIT_CODES) as e:
         print(f"error: {e}", file=_sys.stderr)
-        return 2
-    except ConvergenceError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 3
-    except (ConsistencyError, OverflowError) as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 1
+        return next(code for family, code in EXIT_CODES if isinstance(e, family))
     _sys.stdout.write(out)
     return 0 if rep.ok else 1
 

@@ -9,7 +9,7 @@
   broke. PoleError and DenominatorPoleError are the kernel's pole cases.
 
 Python's OverflowError, which the kernel raises when a value leaves the
-double range, also maps to exit 1.
+double range, also maps to exit 1. EXIT_CODES below is that map.
 """
 
 
@@ -56,8 +56,12 @@ class DenominatorPoleError(ConsistencyError):
     """
 
 
-# what a check row absorbs as a failure (report.guarded_row): a wildly
-# wrong rate makes evaluation itself blow up (cdf past 1, kernel poles,
-# series or quadrature that cannot settle, values past the double range),
-# and the battery must still report
-CHECK_ERRORS = (ConsistencyError, ConvergenceError, OverflowError)
+# the one exception-to-exit-code map (cli.main); a subclass takes its
+# family's code
+EXIT_CODES = ((DomainError, 2), (ConvergenceError, 3), (ConsistencyError, 1), (OverflowError, 1))
+
+# what a check row absorbs as a failure (report.guarded_row): every family
+# but the input's own errors. A wildly wrong rate makes evaluation itself
+# blow up (cdf past 1, kernel poles, series or quadrature that cannot
+# settle, values past the double range), and the battery must still report
+CHECK_ERRORS = tuple(family for family, code in EXIT_CODES if code != 2)

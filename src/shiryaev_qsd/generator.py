@@ -25,8 +25,7 @@ Eigenfunction keeps each step's scaled Taylor terms b_k, which taylor()
 appends as it sums them, and gives f, and f' where the cdf needs it, at
 any point of a step by Horner in (x - x_j) / h_j, about a quarter of the
 cost of a fresh Taylor step for the pdf. Its densities() takes a list of
-points; pdf, cdf and pdf_cdf are one-point calls of it. The sign-only
-march of the rate solver keeps no terms.
+points. The sign-only march of the rate solver keeps no terms.
 """
 
 from __future__ import annotations
@@ -184,15 +183,3 @@ class Eigenfunction:
             pdf = lam * 2.0 / (x * x) * e * f / flux
             out.append((pdf, -e * d / flux) if cdf else pdf)
         return out
-
-    def pdf(self, x: float) -> float:
-        """lam m(x) f(x) / F at x in (0, A]."""
-        return self.densities((x,))[0]
-
-    def cdf(self, x: float) -> float:
-        """-e^{-2/x} f'(x) / F at x in (0, A]."""
-        return self.densities((x,), True)[0][1]
-
-    def pdf_cdf(self, x: float) -> tuple[float, float]:
-        """pdf and cdf at x in (0, A] from one Horner pass."""
-        return self.densities((x,), True)[0]

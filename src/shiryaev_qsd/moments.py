@@ -9,17 +9,19 @@ with b1 = 3/2 + xi/2 - s and b2 = 3/2 - xi/2 - s. The second piece
 vanishes identically at nonnegative integer s (reciprocal Gamma zero),
 where the 2F2 terminates and the formula is exact term by term.
 
-For real xi the formula's two pieces develop pole pairs at the ladder of
-orders s = 1/2 +- xi/2 + k (k = 0, 1, ...). The function M(s) itself is
+The formula's two pieces develop pole pairs at the ladder of orders
+s = 1/2 +- xi/2 + k (k = 0, 1, ...). The function M(s) itself is
 analytic there; only the representation degenerates. Orders close to the
 ladder are therefore evaluated by quintic interpolation through nearby
-clean orders, and the ladder points themselves also have a dedicated
-logarithmic-series branch (moment_singular_base / _shifted) exposed for
-direct use and cross-checking.
+clean orders, and for real xi the ladder points themselves also have a
+dedicated logarithmic-series branch (moment_singular_base / _shifted)
+exposed for direct use and cross-checking.
 
-All dispatch decisions key off |s - ladder| with a 1e-3 band, widened
-when the two ladder families crowd together (xi near 0: pairs around
-half-integers; xi near 1: pairs around integers).
+One rule dispatches (_ladder_window): take the member of each family
+nearest s. If the two are closer than _CROWDED (xi near 0: pairs around
+half-integers, complex just past the rate 1/8; xi near 1: pairs around
+integers), one window covers both; otherwise s is interpolated when it
+lies within the 1e-3 band of the nearer one.
 """
 
 from __future__ import annotations
@@ -119,48 +121,30 @@ def _ladder_window(s: float, sys: EigenSystem) -> tuple[float, float, float] | N
     """(center, halfwidth, node spacing) of the interpolation stencil if s
     sits inside the band around the degenerate-order ladder, else None.
 
-    The stencil spacing balances two error sources: node values lose
-    ~eps * scale / dist^2 to cancellation at distance dist from a ladder
-    order, while quintic truncation grows like (h log A)^6. Crowded
-    clusters (pair separation under _CROWDED) get one window per cluster
-    with nodes pushed clear of both members; isolated orders get a
-    spacing that keeps all six nodes away from the partner order.
+    p and q are the members of the families 1/2 + xi/2 + k and
+    1/2 - xi/2 + k (k >= 0) nearest s, complex when xi is. A pair closer
+    than _CROWDED shares one window, with nodes pushed clear of both;
+    otherwise the nearer member gets its own band, with a spacing that
+    keeps all six nodes away from the other one (a complex member is never
+    within the band). The spacing balances two error sources: node values
+    lose ~eps * scale / dist^2 to cancellation at distance dist from a
+    ladder order, while quintic truncation grows like (h log A)^6.
     """
     xi = sys.xi
-    nu = abs(xi)
-    if nu < _CROWDED:
-        # families straddle half-integers 1/2 + k, k >= 0 (this covers a
-        # complex xi grazing zero: the pair sits at 1/2 + k -+ i|xi|/2,
-        # just off the real axis, and pinches the formula the same way)
-        k = max(0.0, round(s - 0.5))
-        c = 0.5 + k
-        if abs(s - c) <= 0.5 * nu + _BAND:
-            return c, 0.5 * nu + _BAND, max(4e-3, 1.5 * nu)
-        return None
-    if xi.imag != 0.0:
-        return None                      # ladder fully complex, never close
-    eta = one_minus_xi(sys.lam, xi).real
-    if eta < _CROWDED:
-        # families pair up around integers m >= 1, lone low order at eta/2
-        if s > 0.5:
-            c = max(1.0, round(s))
-            if abs(s - c) <= 0.5 * eta + _BAND:
-                return c, 0.5 * eta + _BAND, max(4e-3, 1.5 * eta)
-            return None
-        c = 0.5 * eta
-        return (c, _BAND, 4e-3) if abs(s - c) <= _BAND else None
-    # well-separated ladder: distance to the nearest member of either family
-    best: tuple[float, float] | None = None
-    for p0 in (0.5 + 0.5 * xi.real, 0.5 * eta):
-        k = max(0.0, round(s - p0))
-        d = abs(s - (p0 + k))
-        if best is None or d < best[0]:
-            best = (d, p0 + k)
-    if best is not None and best[0] <= _BAND:
-        sep = min(xi.real, eta)          # nearest partner order is >= this
-        h = min(4e-3, (sep - 2.0 * _BAND) / 3.0)
-        return best[1], _BAND, h
-    return None
+    half_eta = 0.5 * one_minus_xi(sys.lam, xi)     # (1 - xi)/2, stable
+    # the nearest members p = 1 - half_eta + kp and q = half_eta + kq are
+    # the poles of _regular_value; q is on p's rung or the next, so they
+    # are xi or 1 - xi apart, and their midpoint is (1 + kp + kq)/2 exactly
+    kp = max(0, round(s - 1.0 + half_eta.real))
+    kq = max(0, round(s - half_eta.real))
+    gap = abs(2.0 * half_eta if kq > kp else xi)
+    if gap < _CROWDED:
+        c, half, step = 0.5 * (1 + kp + kq), 0.5 * gap + _BAND, max(4e-3, 1.5 * gap)
+    else:
+        p, q = (1.0 - half_eta) + kp, half_eta + kq
+        c = p if abs(s - p) < abs(s - q) else q
+        half, step = _BAND, min(4e-3, (gap - 2.0 * _BAND) / 3.0)
+    return (c.real, half, step) if abs(s - c) <= half else None
 
 
 def moment_frac(s: float, sys: EigenSystem) -> MomentResult:
@@ -193,12 +177,17 @@ def moment_frac(s: float, sys: EigenSystem) -> MomentResult:
     return MomentResult(s=s, value=acc, branch="interpolated")
 
 
-def _require_real_index(sys: EigenSystem, what: str) -> float:
+def _ladder_index(sys: EigenSystem, sigma: int, what: str) -> float:
+    """The real positive index xi of sys for the singular branch at sign
+    sigma of the ladder 1/2 + sigma xi/2 + k."""
+    _check_sys(sys)
     if sys.xi.imag != 0.0 or sys.xi.real == 0.0:
         raise RegimeError(
             f"{what} needs a real positive index xi; at A={sys.A} the rate "
             "sits past the oscillatory threshold (or exactly on it)"
         )
+    if sigma not in (-1, 1):
+        raise DomainError(f"sigma must be +1 or -1, got {sigma!r}")
     return sys.xi.real
 
 
@@ -208,10 +197,7 @@ def moment_special_value(sys: EigenSystem, sigma: int) -> MomentResult:
 
     sigma is +1 or -1. Real index only (RegimeError otherwise).
     """
-    _check_sys(sys)
-    xi = _require_real_index(sys, "the distinguished-order shortcut")
-    if sigma not in (-1, 1):
-        raise DomainError(f"sigma must be +1 or -1, got {sigma!r}")
+    xi = _ladder_index(sys, sigma, "the distinguished-order shortcut")
     eta = one_minus_xi(sys.lam, sys.xi).real
     if sigma > 0:
         coef, expo = 0.25 * eta, 0.5 * (1.0 + xi)
@@ -226,10 +212,7 @@ def moment_singular_base(sys: EigenSystem, sigma: int) -> MomentResult:
     """Moment exactly at the bottom ladder order s = 1/2 + sigma xi/2 via
     the logarithmic series (the representation both regular pieces
     degenerate into). Real index only."""
-    _check_sys(sys)
-    xi = _require_real_index(sys, "the degenerate-order branch")
-    if sigma not in (-1, 1):
-        raise DomainError(f"sigma must be +1 or -1, got {sigma!r}")
+    xi = _ladder_index(sys, sigma, "the degenerate-order branch")
     lam, A = sys.lam, sys.A
     s_star = 0.5 + 0.5 * sigma * xi
     z = 2.0 / A
@@ -279,8 +262,7 @@ def moment_singular_base(sys: EigenSystem, sigma: int) -> MomentResult:
 def moment_singular_shifted(sys: EigenSystem, sigma: int, k: int) -> MomentResult:
     """Moment at the shifted ladder order s = 1/2 + sigma xi/2 + k, built
     from the bottom-order value by the finite ladder relation."""
-    _check_sys(sys)
-    xi = _require_real_index(sys, "the degenerate-order branch")
+    xi = _ladder_index(sys, sigma, "the degenerate-order branch")
     k = nonnegative_int(k, "ladder shift")
     base = moment_singular_base(sys, sigma)
     if k == 0:
@@ -317,11 +299,9 @@ def moment_log(sys: EigenSystem) -> float:
 
 def limit_moment(s: float) -> float:
     """Limit of the order-s moment as A grows: 2^s Gamma(1 - s), s < 1."""
-    s = float(s)
-    if not math.isfinite(s) or s >= 1.0:
+    s = _check_order(s, 1.0)
+    if s >= 1.0:
         raise DomainError(f"the limiting moment needs s < 1, got {s!r}")
-    if abs(s) > _MAX_ORDER:
-        raise DomainError(f"order magnitude capped at {_MAX_ORDER}, got {s!r}")
     return math.pow(2.0, s) * gamma(complex(1.0 - s)).real
 
 

@@ -117,6 +117,36 @@ def _gamma_one_minus(x: float) -> float:
     return g
 
 
+def _lanczos(z: complex) -> complex:
+    # Gamma(z) for Re z >= 1/2
+    w = z - 1.0
+    acc = complex(_LANCZOS_C[0])
+    for i in range(1, len(_LANCZOS_C)):
+        acc += _LANCZOS_C[i] / (w + i)
+    t = w + _LANCZOS_G + 0.5
+    # exponentials folded together so representable values never overflow
+    # through the t**(w+1/2) intermediate
+    out = math.sqrt(2.0 * math.pi) * cmath.exp((w + 0.5) * cmath.log(t) - t) * acc
+    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+        raise OverflowError("math range error")
+    return out
+
+
+def _gamma_pq(z: complex) -> tuple:
+    """(p, q) with Gamma(z) = p / q, z off the poles. Left of Re z = 1/2 it
+    is the reflection (pi, sin(pi z) Gamma(1 - z)), whose q vanishes with
+    full relative accuracy at a pole; right of it q is 1 and p is Gamma(z),
+    by math.gamma at a real z and the Lanczos sum at a complex one."""
+    x = z.real
+    if z.imag == 0.0:
+        if x < 0.5:
+            return math.pi, _sinpi(x) * _gamma_one_minus(x)
+        return math.gamma(x), 1
+    if x < 0.5:
+        return math.pi, _sinpi(z) * _lanczos(1.0 - z)
+    return _lanczos(z), 1
+
+
 def gamma(z: complex) -> complex:
     """Complex Gamma function.
 
@@ -130,35 +160,13 @@ def gamma(z: complex) -> complex:
     z = complex(z)
     if _nonpositive_int_near(z) is not None:
         raise PoleError(f"gamma pole at z={z}")
-    if z.imag == 0.0:
-        x = z.real
-        try:
-            if x < 0.5:
-                # reflection; sin(pi x) is bounded away from 0 by the pole check
-                return complex(math.pi / (_sinpi(x) * _gamma_one_minus(x)))
-            return complex(math.gamma(x))
-        except OverflowError as exc:
-            raise OverflowError(f"gamma({z}) overflows double precision") from exc
-    if z.real < 0.5:
-        # reflection; the pole check keeps sin(pi z) off 0, not off overflow
-        try:
-            return math.pi / (_sinpi(z) * gamma(1.0 - z))
-        except OverflowError as exc:
-            raise OverflowError(f"gamma({z}) leaves the double range") from exc
-    w = z - 1.0
-    acc = complex(_LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    # exponentials folded together so representable values never overflow
-    # through the t**(w+1/2) intermediate
     try:
-        out = math.sqrt(2.0 * math.pi) * cmath.exp((w + 0.5) * cmath.log(t) - t) * acc
+        p, q = _gamma_pq(z)
     except OverflowError as exc:
         raise OverflowError(f"gamma({z}) overflows double precision") from exc
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise OverflowError(f"gamma({z}) overflows double precision")
-    return out
+    # p itself when q is 1: a complex division by 1 may flip the sign of an
+    # underflowed zero part
+    return complex(p if q == 1 else p / q)
 
 
 def rgamma(z: complex) -> complex:
@@ -169,23 +177,15 @@ def rgamma(z: complex) -> complex:
     against a matching pole without losing digits.
     """
     z = complex(z)
-    if z.imag == 0.0:
-        x = z.real
-        # round() goes first: it rejects inf and nan as gamma's pole test does
-        if x == round(x) and x <= 0.0:
-            return 0j
-        try:
-            if x < 0.5:
-                return complex(_sinpi(x) * _gamma_one_minus(x) / math.pi)
-            return complex(1.0 / math.gamma(x))
-        except OverflowError as exc:
-            raise OverflowError(f"rgamma({z}) overflows double precision") from exc
-    if z.real < 0.5:
-        try:
-            return _sinpi(z) * gamma(1.0 - z) / math.pi
-        except OverflowError as exc:
-            raise OverflowError(f"rgamma({z}) overflows double precision") from exc
-    return 1.0 / gamma(z)
+    x = z.real
+    # round() goes first: it rejects inf and nan as gamma's pole test does
+    if x == round(x) and x <= 0.0 and z.imag == 0.0:
+        return 0j
+    try:
+        p, q = _gamma_pq(z)
+    except OverflowError as exc:
+        raise OverflowError(f"rgamma({z}) overflows double precision") from exc
+    return complex(q / p)
 
 
 def digamma(z: complex) -> complex:

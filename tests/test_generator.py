@@ -73,16 +73,18 @@ def test_march_matches_frozen_closed_forms(A):
     e = Eigenfunction(A, lam)
     for frac, (pdf, cdf) in zip(FRACTIONS, refs):
         x = frac * A
-        assert rel(e.pdf(x), pdf) <= 1e-13, (A, frac)
-        assert rel(e.cdf(x), cdf) <= 1e-13, (A, frac)
+        got_pdf, got_cdf = e.densities((x,), True)[0]
+        assert rel(got_pdf, pdf) <= 1e-13, (A, frac)
+        assert rel(got_cdf, cdf) <= 1e-13, (A, frac)
 
 
 def test_series_below_the_first_node():
     for A, (x, pdf, cdf) in BELOW_X0.items():
         e = Eigenfunction(A, FROZEN[A][0])
         assert x < e.xs[0]
-        assert rel(e.pdf(x), pdf) <= 1e-13, A
-        assert rel(e.cdf(x), cdf) <= 1e-13, A
+        got_pdf, got_cdf = e.densities((x,), True)[0]
+        assert rel(got_pdf, pdf) <= 1e-13, A
+        assert rel(got_cdf, cdf) <= 1e-13, A
 
 
 def test_march_bit_determinism():
@@ -91,15 +93,15 @@ def test_march_bit_determinism():
         a, b = Eigenfunction(A, lam), Eigenfunction(A, lam)
         assert (a.xs, a.fs, a.ds, a.flux) == (b.xs, b.fs, b.ds, b.flux)
         xs = [A * (i + 1) / 34 for i in range(33)]
-        assert [a.pdf(x) for x in xs] == [b.pdf(x) for x in xs]
-        assert [a.cdf(x) for x in xs] == [b.cdf(x) for x in xs]
+        assert a.densities(xs) == b.densities(xs)
+        assert a.densities(xs, True) == b.densities(xs, True)
 
 
 def test_march_ends_at_A_with_unit_cdf():
     for A, (lam, _) in FROZEN.items():
         e = Eigenfunction(A, lam)
         assert e.xs[-1] == A
-        assert abs(e.cdf(A) - 1.0) <= 4.5e-16, A
+        assert abs(e.densities((A,), True)[0][1] - 1.0) <= 4.5e-16, A
         assert e.residual < 1e-13, A
 
 
@@ -107,9 +109,9 @@ def test_points_outside_the_support():
     e = Eigenfunction(20.0, FROZEN[20.0][0])
     for x in (0.0, -1.0, 20.000001):
         with pytest.raises(DomainError):
-            e.pdf(x)
+            e.densities((x,))
         with pytest.raises(DomainError):
-            e.cdf(x)
+            e.densities((x,), True)
 
 
 @pytest.mark.parametrize("A", (0.5, 0.7, 20.0, 1e3, 1e5))
@@ -154,18 +156,17 @@ def test_dense_values_at_nodes_are_the_marched_ones(A):
     ]
     assert e.densities(e.xs, True) == want
     assert e.densities(e.xs) == [p for p, _ in want]
-    assert e.pdf_cdf(A) == (e.pdf(A), 1.0)
+    assert e.densities((A,), True) == [(e.densities((A,))[0], 1.0)]
 
 
 @pytest.mark.parametrize("A", (0.7, 1e5))
 def test_batch_matches_one_point_calls(A):
-    # the batched entry and the one-point entries share one loop; a batch
+    # a batch gives each point what a one-point call gives it; a batch
     # spanning the series below x0, march nodes and interior points
     e = Eigenfunction(A, FROZEN[A][0])
     xs = [0.5 * e.xs[0], *e.xs[::7], *(A * (i + 1) / 34 for i in range(33))]
-    assert e.densities(xs) == [e.pdf(x) for x in xs]
-    assert e.densities(xs, True) == [e.pdf_cdf(x) for x in xs]
-    assert [c for _, c in e.densities(xs, True)] == [e.cdf(x) for x in xs]
+    assert e.densities(xs) == [e.densities((x,))[0] for x in xs]
+    assert e.densities(xs, True) == [e.densities((x,), True)[0] for x in xs]
     with pytest.raises(DomainError):
         e.densities([A, A * (1.0 + 1e-15)])
 
