@@ -9,13 +9,23 @@ with b1 = 3/2 + xi/2 - s and b2 = 3/2 - xi/2 - s. The second piece
 vanishes identically at nonnegative integer s (reciprocal Gamma zero),
 where the 2F2 terminates and the formula is exact term by term.
 
+The moments obey one order-shift identity,
+
+    (s(s-1) + 2 lam) M(s) = 2 lam A^s - 2 s M(s-1),
+
+and moment_integer climbs it from M(0) = 1.
+
 The formula's two pieces develop pole pairs at the ladder of orders
 s = 1/2 +- xi/2 + k (k = 0, 1, ...). The function M(s) itself is
 analytic there; only the representation degenerates. Orders close to the
 ladder are therefore evaluated by quintic interpolation through nearby
-clean orders, and for real xi the ladder points themselves also have a
-dedicated logarithmic-series branch (moment_singular_base / _shifted)
-exposed for direct use and cross-checking.
+clean orders. For real xi the ladder points themselves also have a
+dedicated branch, exposed for direct use and cross-checking: a
+logarithmic series serves the bottom order (moment_singular_base), and
+the shifted orders climb from it by moment_integer's recurrence
+(moment_singular_shifted). The bottom order is a root of s(s-1) + 2 lam,
+where the identity reads 2 s M(s-1) = 2 lam A^s; that root identity is
+the closed-form special value one order below (moment_special_value).
 
 One rule dispatches (_ladder_window): take the member of each family
 nearest s. If the two are closer than _CROWDED (xi near 0: pairs around
@@ -30,21 +40,14 @@ import math
 from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError, RegimeError
-from .specfun import (
-    digamma,
-    documented_real,
-    gamma,
-    hyp2f2,
-    nonnegative_int,
-    pochhammer,
-    rgamma,
-)
+from .specfun import digamma, documented_real, gamma, hyp2f2, rgamma
 from .spectral import EigenSystem, one_minus_xi
 
 _MAX_ORDER = 50.0
 _INT_SNAP = 1e-12      # this close to an integer counts as that integer
 _BAND = 1e-3           # half-width of the interpolation band around the ladder
 _CROWDED = 6e-3        # ladder families closer than this are handled jointly
+_SPACING = 4e-3        # node spacing: least in a crowded window, most otherwise
 _EXP_LIMIT = 700.0     # |s ln A| beyond this cannot be represented anyway
 
 
@@ -73,9 +76,26 @@ def _check_order(s: float, A: float) -> float:
     return s
 
 
+def nonnegative_int(n, what: str) -> int:
+    """n as an int; DomainError naming `what` unless n is a nonnegative
+    integer (nan and the infinities are not)."""
+    if not (isinstance(n, int) or math.isfinite(n)) or n < 0 or n != int(n):
+        raise DomainError(f"{what} must be a nonnegative integer, got {n!r}")
+    return int(n)
+
+
+def _climb(m: float, s: float, k: int, sys: EigenSystem) -> float:
+    """M(s + k) from m = M(s) by k upward steps of the order-shift identity
+    (t(t-1) + 2 lam) M(t) = 2 lam A^t - 2 t M(t-1), t = s + j."""
+    lam, A = sys.lam, sys.A
+    for j in range(1, k + 1):
+        t = s + j
+        m = (2.0 * lam * A**t - 2.0 * t * m) / (t * (t - 1.0) + 2.0 * lam)
+    return m
+
+
 def moment_integer(n: int, sys: EigenSystem) -> MomentResult:
-    """Integer moment by the upward recurrence
-    (k(k-1) + 2 lam) M_k = 2 lam A^k - 2 k M_{k-1}, starting from M_0 = 1.
+    """Integer moment by the upward recurrence from M_0 = 1.
 
     Independent of the hypergeometric machinery, which makes it the
     cross-check partner for moment_frac at integer orders.
@@ -85,11 +105,7 @@ def moment_integer(n: int, sys: EigenSystem) -> MomentResult:
     if n > _MAX_ORDER:
         raise DomainError(f"integer order must lie in [0, {int(_MAX_ORDER)}], got {n!r}")
     _check_order(float(n), sys.A)
-    lam, A = sys.lam, sys.A
-    m = 1.0
-    for k in range(1, n + 1):
-        m = (2.0 * lam * A**k - 2.0 * k * m) / (k * (k - 1.0) + 2.0 * lam)
-    return MomentResult(s=float(n), value=m, branch="recurrence")
+    return MomentResult(s=float(n), value=_climb(1.0, 0.0, n, sys), branch="recurrence")
 
 
 def _regular_value(s: float, sys: EigenSystem) -> float:
@@ -139,11 +155,11 @@ def _ladder_window(s: float, sys: EigenSystem) -> tuple[float, float, float] | N
     kq = max(0, round(s - half_eta.real))
     gap = abs(2.0 * half_eta if kq > kp else xi)
     if gap < _CROWDED:
-        c, half, step = 0.5 * (1 + kp + kq), 0.5 * gap + _BAND, max(4e-3, 1.5 * gap)
+        c, half, step = 0.5 * (1 + kp + kq), 0.5 * gap + _BAND, max(_SPACING, 1.5 * gap)
     else:
         p, q = (1.0 - half_eta) + kp, half_eta + kq
         c = p if abs(s - p) < abs(s - q) else q
-        half, step = _BAND, min(4e-3, (gap - 2.0 * _BAND) / 3.0)
+        half, step = _BAND, min(_SPACING, (gap - 2.0 * _BAND) / 3.0)
     return (c.real, half, step) if abs(s - c) <= half else None
 
 
@@ -194,6 +210,8 @@ def _ladder_index(sys: EigenSystem, sigma: int, what: str) -> float:
 def moment_special_value(sys: EigenSystem, sigma: int) -> MomentResult:
     """Moment at the distinguished order s = -1/2 + sigma xi/2, where the
     closed form collapses: M = (1 - sigma xi)/4 * A^{(1 + sigma xi)/2}.
+    This is the order-shift identity at its root s + 1, where
+    s(s+1) + 2 lam = 0 leaves M(s) = lam A^(s+1) / (s+1).
 
     sigma is +1 or -1. Real index only (RegimeError otherwise).
     """
@@ -260,33 +278,17 @@ def moment_singular_base(sys: EigenSystem, sigma: int) -> MomentResult:
 
 
 def moment_singular_shifted(sys: EigenSystem, sigma: int, k: int) -> MomentResult:
-    """Moment at the shifted ladder order s = 1/2 + sigma xi/2 + k, built
-    from the bottom-order value by the finite ladder relation."""
-    xi = _ladder_index(sys, sigma, "the degenerate-order branch")
+    """Moment at the shifted ladder order s = 1/2 + sigma xi/2 + k, climbed
+    from the bottom-order value by k steps of moment_integer's recurrence."""
+    _ladder_index(sys, sigma, "the degenerate-order branch")
     k = nonnegative_int(k, "ladder shift")
     base = moment_singular_base(sys, sigma)
     if k == 0:
         return base
     s_star = base.s + k
     _check_order(s_star, sys.A)
-    lam, A = sys.lam, sys.A
-    sxi = sigma * xi
-    if sigma > 0:
-        one_p = 2.0 - one_minus_xi(lam, sys.xi).real        # 1 + sigma xi
-    else:
-        one_p = one_minus_xi(lam, sys.xi).real
-    acc = 0.0
-    coef = 1.0                                 # (-A/2)^j j! (1+sxi)_j / (5/2+sxi/2)_j
-    for j in range(k):
-        acc += coef
-        coef *= (-0.5 * A) * (j + 1.0) * (one_p + j) / (2.5 + 0.5 * sxi + j)
-    inner = base.value - 2.0 * lam / (3.0 + sxi) * math.pow(A, 1.5 + 0.5 * sxi) * acc
-    front = (
-        math.pow(-2.0, k)
-        / (math.factorial(k) * pochhammer(complex(one_p), k).real)
-        * pochhammer(complex(1.5 + 0.5 * sxi), k).real
-    )
-    return MomentResult(s=s_star, value=front * inner, branch="singular")
+    value = _climb(base.value, base.s, k, sys)
+    return MomentResult(s=s_star, value=value, branch="singular")
 
 
 def moment_log(sys: EigenSystem) -> float:

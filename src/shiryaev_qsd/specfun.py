@@ -1,12 +1,11 @@
 """Self-contained complex special-function kernel.
 
 Scalar double precision throughout (Python ``complex``); no third-party
-dependencies. Provides Gamma, reciprocal Gamma, digamma, Pochhammer
-symbols, the confluent series 1F1 and 2F2, Whittaker M and W,
-and the z-derivative of W. Gamma and its reciprocal at a real argument
-use the standard library's math.gamma (within 1e-15 relative of a
-40-digit reference on [-52, 60]); at a complex argument they use a
-Lanczos sum.
+dependencies. Provides Gamma, reciprocal Gamma, digamma, the confluent
+series 1F1 and 2F2, Whittaker M and W, and the z-derivative of W. Gamma
+and its reciprocal at a real argument use the standard library's
+math.gamma (within 1e-15 relative of a 40-digit reference on [-52, 60]);
+at a complex argument they use a Lanczos sum.
 
 Every Whittaker W is the Laplace integral (DLMF 13.4.4 through 13.14.3)
 
@@ -206,27 +205,6 @@ def digamma(z: complex) -> complex:
         out -= coeff * p
         p *= inv2
     return out + acc
-
-
-def nonnegative_int(n, what: str) -> int:
-    """n as an int; DomainError naming `what` unless n is a nonnegative
-    integer (nan and the infinities are not)."""
-    if not (isinstance(n, int) or math.isfinite(n)) or n < 0 or n != int(n):
-        raise DomainError(f"{what} must be a nonnegative integer, got {n!r}")
-    return int(n)
-
-
-def pochhammer(z: complex, n: int) -> complex:
-    """Rising factorial (z)_n = z (z+1) ... (z+n-1); (z)_0 = 1.
-
-    Exact zeros for nonpositive-integer z with n > -z come out of the product
-    naturally. n must be a nonnegative integer.
-    """
-    out = 1.0 + 0j
-    z = complex(z)
-    for k in range(nonnegative_int(n, "pochhammer order")):
-        out *= z + k
-    return out
 
 
 def _hyp_series(

@@ -16,7 +16,6 @@ from shiryaev_qsd.specfun import (
     gamma,
     hyp1f1,
     hyp2f2,
-    pochhammer,
     rgamma,
     whittaker_m,
     whittaker_w,
@@ -128,12 +127,6 @@ def test_digamma_recurrence():
         assert abs(digamma(z + 1) - digamma(z) - 1.0 / z) < 1e-13 * max(
             1.0, abs(digamma(z))
         )
-
-
-def test_pochhammer_integer_cases():
-    assert pochhammer(complex(3.0), 4) == 3.0 * 4.0 * 5.0 * 6.0
-    assert pochhammer(complex(-2.0), 3) == 0.0
-    assert pochhammer(complex(1.5), 0) == 1.0
 
 
 def test_hyp1f1_real_anchor():
