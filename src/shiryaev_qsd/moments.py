@@ -21,11 +21,13 @@ analytic there; only the representation degenerates. Orders close to the
 ladder are therefore evaluated by quintic interpolation through nearby
 clean orders. For real xi the ladder points themselves also have a
 dedicated branch, exposed for direct use and cross-checking: a
-logarithmic series serves the bottom order (moment_singular_base), and
-the shifted orders climb from it by moment_integer's recurrence
-(moment_singular_shifted). The bottom order is a root of s(s-1) + 2 lam,
-where the identity reads 2 s M(s-1) = 2 lam A^s; that root identity is
-the closed-form special value one order below (moment_special_value).
+logarithmic series serves the bottom order (moment_singular_base), its
+digamma bracket seeded from three digamma values and stepped term by term
+by psi(u + 1) = psi(u) + 1/u, and the shifted orders climb from it by
+moment_integer's recurrence (moment_singular_shifted). The bottom order
+is a root of s(s-1) + 2 lam, where the identity reads 2 s M(s-1) =
+2 lam A^s; that root identity is the closed-form special value one order
+below, M(s) = lam A^(s+1) / (s+1) (moment_special_value).
 
 One rule dispatches (_ladder_window): take the member of each family
 nearest s. If the two are closer than _CROWDED (xi near 0: pairs around
@@ -216,14 +218,11 @@ def moment_special_value(sys: EigenSystem, sigma: int) -> MomentResult:
     sigma is +1 or -1. Real index only (RegimeError otherwise).
     """
     xi = _ladder_index(sys, sigma, "the distinguished-order shortcut")
-    eta = one_minus_xi(sys.lam, sys.xi).real
-    if sigma > 0:
-        coef, expo = 0.25 * eta, 0.5 * (1.0 + xi)
-    else:
-        coef, expo = 0.25 * (1.0 + xi), 0.5 * eta
+    h = 0.5 * one_minus_xi(sys.lam, sys.xi).real    # (1 - xi)/2, stable
+    t = 1.0 - h if sigma > 0 else h                 # s + 1 = (1 + sigma xi)/2
     s = -0.5 + 0.5 * sigma * xi
     _check_order(s + 1.0, sys.A)  # the value itself scales like A^(s+1)
-    return MomentResult(s=s, value=coef * math.exp(expo * math.log(sys.A)), branch="special")
+    return MomentResult(s=s, value=sys.lam / t * math.exp(t * math.log(sys.A)), branch="special")
 
 
 def moment_singular_base(sys: EigenSystem, sigma: int) -> MomentResult:
@@ -234,34 +233,26 @@ def moment_singular_base(sys: EigenSystem, sigma: int) -> MomentResult:
     lam, A = sys.lam, sys.A
     s_star = 0.5 + 0.5 * sigma * xi
     z = 2.0 / A
-    log_z = math.log(z)
-    a = -0.5 - 0.5 * sigma * xi                     # Pochhammer numerator
-    eta = one_minus_xi(lam, sys.xi).real            # 1 - xi, stable
-    h = 0.5 * eta
-    d = eta if sigma > 0 else 1.0 + xi              # 1 - sigma xi
-    # For xi near 1 the arguments a + j and d + j graze the digamma poles
-    # at -1 and 0 with offsets ~eta; forming them as plain doubles keeps
-    # only |offset|/eps relative digits, so the grazing cases are unwound
-    # with the recurrence psi(u+1) = psi(u) + 1/u against the exact offset.
-    psi_1h = digamma(complex(1.0 + h)).real
+    h = 0.5 * one_minus_xi(lam, sys.xi).real        # (1 - xi)/2, stable
+    # bracket_j = psi(1 + j) + psi(d + j) - psi(a + j) - log z, with
+    # a = -1/2 - sigma xi/2 and d = 1 - sigma xi. For xi near 1, a + j and
+    # d + j graze the digamma poles at -1 and 0 with offsets ~h, where plain
+    # doubles keep only |offset|/eps relative digits: both are formed as an
+    # exact integer plus an offset from h. psi(u) = psi(u + 1) - 1/u steps a
+    # grazing seed down from psi(1 + offset), then the bracket up per term.
     if sigma > 0:
-        psi_d0 = digamma(complex(1.0 + eta)).real - 1.0 / eta       # psi(eta)
-        psi_a = {
-            0: psi_1h - 1.0 / h - 1.0 / (h - 1.0),                  # psi(-1+h)
-            1: psi_1h - 1.0 / h,                                    # psi(h)
-        }
+        ka, ha, kd, hd = -1.0, h, 0.0, 2.0 * h     # a = -1 + h, d = 2h
+        psi_d = digamma(complex(1.0 + hd)).real - 1.0 / hd
+        psi_a = digamma(complex(1.0 + h)).real - 1.0 / h - 1.0 / (h - 1.0)
     else:
-        psi_d0 = digamma(complex(d)).real
-        psi_a = {0: digamma(complex(1.0 - h)).real + 1.0 / h}       # psi(-h)
+        ka, ha, kd, hd = 0.0, -h, 2.0, -2.0 * h    # a = -h, d = 2 - 2h
+        psi_d = digamma(complex(kd + hd)).real
+        psi_a = digamma(complex(1.0 - h)).real + 1.0 / h
+    bracket = digamma(1 + 0j).real + psi_d - psi_a - math.log(z)
     total = 0.0
     coef = 1.0                                      # (a)_j z^j / (j! (d)_j)
     small = 0
     for j in range(300):
-        psi_d_j = psi_d0 if j == 0 else digamma(complex(d + j)).real
-        psi_a_j = psi_a.get(j)
-        if psi_a_j is None:
-            psi_a_j = digamma(complex(a + j)).real
-        bracket = digamma(complex(1.0 + j)).real + psi_d_j - psi_a_j - log_z
         term = coef * bracket
         total += term
         if abs(term) < 1e-15 * max(1.0, abs(total)):
@@ -270,7 +261,9 @@ def moment_singular_base(sys: EigenSystem, sigma: int) -> MomentResult:
                 break
         else:
             small = 0
-        coef *= (a + j) * z / ((d + j) * (j + 1.0))
+        a_j, d_j = (ka + j) + ha, (kd + j) + hd
+        bracket += 1.0 / (j + 1.0) + 1.0 / d_j - 1.0 / a_j
+        coef *= a_j * z / (d_j * (j + 1.0))
     else:
         raise ConvergenceError("degenerate-order series did not settle in 300 terms")
     value = sigma * (2.0 * lam / xi) * math.pow(A, s_star) * total
@@ -304,7 +297,7 @@ def limit_moment(s: float) -> float:
     s = _check_order(s, 1.0)
     if s >= 1.0:
         raise DomainError(f"the limiting moment needs s < 1, got {s!r}")
-    return math.pow(2.0, s) * gamma(complex(1.0 - s)).real
+    return math.pow(2.0, s) * math.gamma(1.0 - s)
 
 
 def moment_recurrence_residual(s: float, sys: EigenSystem) -> float:

@@ -109,13 +109,46 @@ def test_interpolation_band_agrees_with_singular_branch(A, solved):
 @pytest.fixture(scope="module")
 def oracle():
     """bench/oracle.py's Oracle: mpmath solves its own rate, index and
-    normalizer at 40 digits and never reads the package's."""
+    normalizer and never reads the package's. Loaded into its own module
+    object and raised to 60 digits (90 for moments): at its default 40/60
+    the closed form at an exact bottom ladder order reads the oracle's own
+    error, 1e-11 at A = 12 and 2.3e-10 at A = 20."""
     pytest.importorskip("mpmath")
     path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
     spec = importlib.util.spec_from_file_location("bench_oracle", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    mod.DPS, mod._MOMENT_DPS = 60, 90
     return mod.Oracle()
+
+
+def oracle_rel(got, A, oracle):
+    # the oracle's closed form at the returned order: that float lies about
+    # 1e-16 off the oracle's own ladder, so the two pole pieces are finite
+    # and cancel at 90 digits. The package's float system would leave them
+    # an O(1) error apart, so it is never fed to the closed form.
+    mpmath = pytest.importorskip("mpmath")
+    ref = oracle.value("moment", A, got.s)
+    return float(abs(mpmath.mpf(got.value) - ref) / abs(ref))
+
+
+# twice the worst error over sigma = +-1 of the per-term digamma series
+# that the stepped bracket replaced, and never below 1e-14, as (bottom
+# order, special value); from 700 up the bottom order at sigma = +1 reads
+# the rate's error, amplified
+LADDER_BOUND = {12.0: (1e-14, 1e-14), 20.0: (1e-14, 1e-14), 700.0: (5e-13, 1e-14),
+                1e4: (8.4e-11, 2.4e-13)}
+
+
+@pytest.mark.parametrize("A", sorted(LADDER_BOUND))
+def test_bottom_ladder_orders_match_oracle(A, solved, oracle):
+    es = solved(A)
+    base_bound, special_bound = LADDER_BOUND[A]
+    for sg in (1, -1):
+        err = oracle_rel(moment_singular_base(es, sg), A, oracle)
+        assert err < base_bound, (A, sg, err)
+        err = oracle_rel(moment_special_value(es, sg), A, oracle)
+        assert err < special_bound, (A, sg, err)
 
 
 # twice the worst error over sigma = +-1 and k in (1, 2, 4, 8, 16) of the
@@ -126,17 +159,10 @@ SHIFTED_BOUND = {12.0: 1e-14, 20.0: 1e-14, 700.0: 5.2e-13, 1e4: 8.4e-11}
 
 @pytest.mark.parametrize("A", sorted(SHIFTED_BOUND))
 def test_shifted_ladder_orders_match_oracle(A, solved, oracle):
-    # the oracle's closed form at the returned order: that float lies about
-    # 1e-16 off the oracle's own ladder, so the two pole pieces are finite
-    # and cancel at 60 digits. The package's float system would leave them
-    # an O(1) error apart, so it is never fed to the closed form.
-    mpmath = pytest.importorskip("mpmath")
     es = solved(A)
     for sg in (1, -1):
         for k in (1, 2, 4, 8, 16):
-            got = moment_singular_shifted(es, sg, k)
-            ref = oracle.value("moment", A, got.s)
-            err = float(abs(mpmath.mpf(got.value) - ref) / abs(ref))
+            err = oracle_rel(moment_singular_shifted(es, sg, k), A, oracle)
             assert err < SHIFTED_BOUND[A], (A, sg, k, err)
 
 
@@ -251,6 +277,16 @@ def test_limit_moment_values():
         limit_moment(1.0)
     with pytest.raises(DomainError):
         limit_moment(2.3)
+
+
+@pytest.mark.parametrize("s", [1.0 - 1e-12, 1.0 - 5e-13, 1.0 - 2.0**-52])
+def test_limit_moment_just_below_one(s):
+    # 2^s Gamma(1 - s) is finite up to the last double below 1 (about 9e15
+    # there); no pole window at 1 - s may turn it into a PoleError
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = 2 ** mpmath.mpf(s) * mpmath.gamma(1 - mpmath.mpf(s))
+        assert float(abs(limit_moment(s) / ref - 1)) < 1e-13
 
 
 def test_moments_approach_limit(solved):
