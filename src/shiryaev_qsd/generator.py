@@ -18,14 +18,15 @@ t_n = c_n x^n. It diverges, but its terms fall until n nears 2/x, to about
 e^{-2/x} relative: below 1e-28 at x <= 0.03. From x0 it steps to A by
 Taylor series over h = min(x/2, x^2, A - x). h <= x^2 keeps the rounding
 of the other solution, e^{2/x} near 0, from growing. A step is halved
-while h sqrt(2 lam/x^2 + 2/x^3) >= pi; the zero count of the rate solver
-relies on that bound (see spectral).
+while h sqrt(2 lam/x^2 + 2/x^3) >= pi: by Sturm comparison such a step
+holds at most one zero of f, so the sign changes at the nodes count the
+zeros of f, the oracle the tests hold the rate solver's certificate to.
 
 Eigenfunction keeps each step's scaled Taylor terms b_k, which taylor()
 appends as it sums them, and gives f, and f' where the cdf needs it, at
 any point of a step by Horner in (x - x_j) / h_j, about a quarter of the
 cost of a fresh Taylor step for the pdf. Its densities() takes a list of
-points. The sign-only march of the rate solver keeps no terms.
+points. A march without a dense list keeps no terms.
 """
 
 from __future__ import annotations

@@ -142,8 +142,28 @@ def _gamma_pq(z: complex) -> tuple:
             return math.pi, _sinpi(x) * _gamma_one_minus(x)
         return math.gamma(x), 1
     if x < 0.5:
-        return math.pi, _sinpi(z) * _lanczos(1.0 - z)
+        try:
+            return math.pi, _sinpi(z) * _lanczos(1.0 - z)
+        except OverflowError:
+            return math.pi, _sin_gamma_far(z)
     return _lanczos(z), 1
+
+
+def _sin_gamma_far(z: complex) -> complex:
+    # sin(pi z) Gamma(1 - z) for Re z < 1/2 where sin(pi z) alone overflows,
+    # from |Im z| ~ 226 up. With d = z - n, n = round(Re z), and Im d > 0
+    # (the conjugate otherwise), sin(pi d) = (i/2) e^{-i pi d} (1 - e^{2i pi d}),
+    # and e^{-i pi d} joins Gamma(1 - z) in one exponential. Overflows only
+    # where the product does
+    if z.imag < 0.0:
+        return _sin_gamma_far(z.conjugate()).conjugate()
+    n = round(z.real)
+    d = z - n
+    g = _lanczos(1.0 - z)
+    if not g:
+        raise OverflowError("math range error")
+    q = 0.5j * (1.0 - cmath.exp(2j * math.pi * d)) * cmath.exp(cmath.log(g) - 1j * math.pi * d)
+    return q if n % 2 == 0 else -q
 
 
 def gamma(z: complex) -> complex:
@@ -315,21 +335,24 @@ def _require_positive_real(z) -> float:
 
 
 @functools.cache
-def _de_rule(halvings: int, turn: int) -> tuple[tuple, tuple, tuple]:
-    # nodes u_k, log u_k and weights w_k e^{-u_k} of the exp-sinh rule at step
-    # _DE_H / 2^halvings on the ray arg u = turn * _DE_TURN; floats if turn = 0
+def _de_rule(halvings: int, turn: int) -> tuple[tuple, tuple, tuple, tuple]:
+    # nodes u_k, log u_k, weights w_k e^{-u_k} and their logs of the exp-sinh
+    # rule at step _DE_H / 2^halvings on the ray arg u = turn * _DE_TURN;
+    # floats if turn = 0. The log of a weight is summed from its factors, so
+    # it stays finite where the weight underflows
     h = _DE_H / 2**halvings
     theta = turn * _DE_TURN
     ray, exp = (cmath.exp(1j * theta), cmath.exp) if turn else (1.0, math.exp)
-    nodes, logs, weights = [], [], []
+    nodes, logs, weights, log_weights = [], [], [], []
     t = _DE_T_MIN
     while math.exp(log_r := 0.5 * math.pi * math.sinh(t)) * math.cos(theta) <= _DE_U_MAX:
         u = math.exp(log_r) * ray
         nodes.append(u)
         logs.append(complex(log_r, theta) if turn else log_r)
         weights.append(h * 0.5 * math.pi * math.cosh(t) * u * exp(-u))
+        log_weights.append(math.log(h * 0.5 * math.pi * math.cosh(t)) + logs[-1] - u)
         t += h
-    return tuple(nodes), tuple(logs), tuple(weights)
+    return tuple(nodes), tuple(logs), tuple(weights), tuple(log_weights)
 
 
 def _w_index(kappa: complex, b: complex) -> tuple:
@@ -386,7 +409,7 @@ class WPlan:
 
     def __init__(self, kappa: complex, b: complex) -> None:
         self._ix = b, kappa0, _, _, rule, real = _w_index(kappa, b)
-        self._nodes, logs, weights = _de_rule(*rule)
+        self._nodes, logs, weights, _ = _de_rule(*rule)
         exp, am1 = (math.exp if real else cmath.exp), b - kappa0 - 0.5
         coef = (w * exp(am1 * s) for s, w in zip(logs, weights))
         self._coef = array("d", coef) if real else tuple(coef)
@@ -416,13 +439,28 @@ class WPlan:
 
 @functools.lru_cache(maxsize=1)
 def _z_factors(z: float, rule: tuple) -> tuple[tuple, tuple]:
-    # log(1 + u_k/z) and u_k / (1 + u_k/z), kept for the last z: a solve sums
-    # the nodes at one z 5 to 11 times from A = 0.5 to 1e5 (16 at 0.2), once
-    # per index its bracket ends and Brent steps try; its two W passes after
-    # Brent reuse the sums at the root (_node_sums)
-    log = cmath.log if rule[1] else math.log
+    # log(1 + u_k/z) and u_k / (1 + u_k/z) for the complex sum of _node_sums,
+    # kept for the last z
     nodes = _de_rule(*rule)[0]
-    return tuple(log(1.0 + u / z) for u in nodes), tuple(u / (1.0 + u / z) for u in nodes)
+    return tuple(cmath.log(1.0 + u / z) for u in nodes), tuple(u / (1.0 + u / z) for u in nodes)
+
+
+@functools.lru_cache(maxsize=1)
+def _z_exponents(z: float, kappa0: float) -> tuple[tuple, tuple, tuple]:
+    # on the real ray, (c_k, L_k, u_k / (1 + u_k/z)) with the node term
+    # w_k e^{-u_k} u_k^{a0-1} (1 + u_k/z)^{p0} of _node_sums equal to
+    # exp(c_k + (b - 1/2) L_k): with s_k = log u_k and q_k = log(1 + u_k/z),
+    # c_k = log(w_k e^{-u_k}) - kappa0 (s_k - q_k) and L_k = s_k + q_k. Kept
+    # for the last z: a solve sums the nodes at one z 5 to 11 times from
+    # A = 0.5 to 1e5 (16 at 0.2), once per index its bracket ends and Brent
+    # steps try, always at kappa0 = 0
+    nodes, logs, _, log_weights = _de_rule(0, 0)
+    qs = [math.log1p(u / z) for u in nodes]
+    return (
+        tuple(lw - kappa0 * (s - q) for lw, s, q in zip(log_weights, logs, qs)),
+        tuple(s + q for s, q in zip(logs, qs)),
+        tuple(u / (1.0 + u / z) for u in nodes),
+    )
 
 
 @functools.lru_cache(maxsize=32)
@@ -432,23 +470,46 @@ def _node_sums(b: complex, kappa0: complex, z: float, rule: tuple, climb: bool) 
     # keys: W_{1, xi/2} at the rate Brent returns and W_{0, xi/2} there, which
     # the normalizer and the invariant battery ask for, read the same sums.
     # The sums run left to right, as sum() did before Python 3.12 compensated
-    # it: the last bits of W stay the same on every version
-    _, logs, weights = _de_rule(*rule)
-    log1p, ratio = _z_factors(z, rule)
-    exp = cmath.exp if isinstance(b, complex) else math.exp
-    am1, p = b - kappa0 - 0.5, b + kappa0 - 0.5
+    # it: the last bits of W stay the same on every version. On the real ray
+    # at a real kappa0 a node costs one real exponential, and a cosine and a
+    # sine more at complex b; a turned ray, or a complex kappa0, sums
+    # w_k e^{(a0-1) s_k + p0 q_k} in complex arithmetic
     j0 = j1 = 0.0
-    for s, w, q, r in zip(logs, weights, log1p, ratio):
-        t = w * exp(am1 * s + p * q)
-        j0 += t
+    if rule[1] or kappa0.imag:
+        _, logs, weights, _ = _de_rule(*rule)
+        log1p, ratio = _z_factors(z, rule)
+        am1, p = b - kappa0 - 0.5, b + kappa0 - 0.5
+        for s, w, q, r in zip(logs, weights, log1p, ratio):
+            t = w * cmath.exp(am1 * s + p * q)
+            j0 += t
+            if climb:
+                j1 += t * r
+        return j0, j1
+    cs, ls, ratio = _z_exponents(z, kappa0.real)
+    exp, bh = math.exp, b.real - 0.5
+    if not b.imag:
+        for c, L, r in zip(cs, ls, ratio):
+            t = exp(c + bh * L)
+            j0 += t
+            if climb:
+                j1 += t * r
+        return j0, j1
+    cos, sin, bi = math.cos, math.sin, b.imag
+    i0 = i1 = 0.0
+    for c, L, r in zip(cs, ls, ratio):
+        m = exp(c + bh * L)
+        tr, ti = m * cos(bi * L), m * sin(bi * L)
+        j0 += tr
+        i0 += ti
         if climb:
-            j1 += t * r
-    return j0, j1
+            j1 += tr * r
+            i1 += ti * r
+    return complex(j0, i0), complex(j1, i1)
 
 
 def _w_sum(kappa: complex, b: complex, z: float, up: int) -> tuple:
-    # WPlan's sum at one z, with the node factors that depend on z shared by
-    # the calls at the last z; _w_climb's values
+    # WPlan's integral at one z, with the node factors that depend on z
+    # shared by the calls at the last z; _w_climb's values
     z = _require_positive_real(z)
     ix = b, kappa0, n, _, rule, _ = _w_index(kappa, b)
     return _w_climb(ix, z, *_node_sums(b, kappa0, z, rule, n + up > 0), up)
@@ -457,10 +518,11 @@ def _w_sum(kappa: complex, b: complex, z: float, up: int) -> tuple:
 def whittaker_w(kappa: complex, b: complex, z: float) -> complex:
     """Whittaker W_{kappa,b}(z) for real z > 0; even in b.
 
-    WPlan's sum, with the factors of each node that depend on z kept for
-    the last z asked: another call at that z costs one exponential a node.
-    The sums of the last 32 index and z pairs are kept too, so W_kappa at
-    kappa > Re b and the pair at kappa - 1 share one.
+    WPlan's nodes and weights, with the factors of each node that depend
+    on z kept for the last z asked: another call at that z costs one
+    exponential a node at real b, and a cosine and a sine more at
+    |Im b| <= 1.26. The sums of the last 32 index and z pairs are kept
+    too, so W_kappa at kappa > Re b and the pair at kappa - 1 share one.
 
     Raises:
         DomainError: z is not a positive real, or |Im b| is past the

@@ -7,23 +7,33 @@ two-sided bounds, polishes it with Brent iteration, checks that the root
 found is the smallest, and packages the result as a validated EigenSystem
 the distribution and moment code can trust blindly.
 
-The check needs no W. At the n-th root lam, the eigenfunction f of
-1/2 x^2 f'' + f' + lam f = 0 with f(0) = 1 vanishes at A and, by the
-oscillation theorem, has n - 1 zeros in (0, A). Below lam = 1/8 a root is
-the smallest: x = e^y and f = x^{1/2} e^{1/x} v turn the equation into
-v'' + (2 lam - 1/4 - V) v = 0 with the Morse potential
-V = e^{-2y} - 2 e^{-y}, whose only bound state is lam = 0, f = 1 (Morse,
-Phys. Rev. 34, 57, 1929). For 0 < lam < 1/8, below the essential
-spectrum, f then has exactly one zero on (0, inf), at A if lam is a root.
+The check needs no W and no march. At the n-th root lam, the
+eigenfunction f of 1/2 x^2 f'' + f' + lam f = 0 with f(0) = 1 vanishes at
+A and, by the oscillation theorem, has n - 1 zeros in (0, A). x = e^y and
+f = x^{1/2} e^{1/x} v turn the equation into v'' + (E - V) v = 0 with
+E = 2 lam - 1/4 and the Morse potential V = e^{-2y} - 2 e^{-y} >= -1
+(Morse, Phys. Rev. 34, 57, 1929). _is_principal proves in O(1) that the
+second rate lam_2 exceeds lam, so that lam is the first:
 
-From 1/8 up, for A up to about 10.24, _interior_zeros counts the sign
-changes of f at the nodes of generator.march, which steps from near 0 to
-A by Taylor series in about 0.15 ms. With g = e^{-1/x} f the equation
-reads g'' + Q g = 0, Q = 2 lam/x^2 + 2/x^3 - 1/x^4 < 2 lam/x^2 + 2/x^3,
-a bound that falls with x. A step from x whose length h has
-h sqrt(2 lam/x^2 + 2/x^3) < pi is shorter than the least distance between
-two zeros that Sturm comparison allows on it, so it holds at most one
-zero, which shows as a sign change.
+- Were lam_2 <= lam, the second eigenfunction would vanish at some x_1 in
+  (0, A) and at A. As E_2 - V <= E + 1, Sturm comparison puts two zeros of
+  its v at least pi / sqrt(E + 1) apart in y, so
+  x_1 <= x_c = A exp(-pi / sqrt(E + 1)).
+- On (0, x_1] it is the principal eigenfunction, so lam_2 is the
+  principal rate at x_1, which is at least the one at x_c: the principal
+  rate falls as the interval grows.
+- The principal rate at x_c exceeds lam if lambda_bounds(x_c) says so, or
+  if f at rate lam has no zero in (0, x_c]. Left of the turning point
+  y_t = -log(1 + sqrt(1 + E)), where V > E, the decaying v is positive and
+  increasing, so its Pruefer angle for v'' + Q v = 0, Q = E - min V on
+  [y_t, log x_c], starts in (0, pi/2) and grows at most at sqrt(Q). It
+  cannot reach pi by log x_c if (log x_c - y_t) sqrt(Q) < pi/2.
+
+This certifies every rate the solve returns, from A = 0.1608 to 1e9, with
+room: it would still certify 1.26 lam at A = 0.1608, 2.2 lam at 1, 10 lam
+at 20 and 38 lam from 1e5 up, where the second rate lies at 1.72 lam,
+3.2 lam, 15 lam and 1.8e4 lam. Being a proof, it refuses every higher
+root.
 """
 
 from __future__ import annotations
@@ -34,13 +44,14 @@ import math
 from collections import namedtuple
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .generator import Eigenfunction, march
+from .generator import Eigenfunction
 from .report import CheckRow, guarded_row
 from .specfun import (
     WPlan,
     documented_real,
     gamma,
-    hyp1f1,
+    hyp2f2,
+    rgamma,
     whittaker_w,
     whittaker_w_pair,
 )
@@ -51,7 +62,6 @@ _XI_IDENTITY_TOL = 1e-12   # |xi^2 + 8 lam - 1| allowance
 _DUAL_C_TOL = 1e-8         # agreement between the two normalizer routes
 _BRACKET_SLACK = 1e-9      # relative slack when re-checking the bracket
 _BRENT_REL_TOL = 1e-12     # relative width at which Brent stops
-_SIGN_TOL = 1e-12          # Taylor terms of the zero count stop here: only signs are used
 
 
 def _check_cutoff(A: float) -> float:
@@ -160,18 +170,22 @@ def _normalizer_endpoint(A: float, w0: float) -> float:
 
 
 def _normalizer_series(A: float, lam: float, xi: complex, sigma: int) -> float:
-    # confluent-series route to the same constant; exercised as a check
+    # confluent-series route to the same constant; exercised as a check.
+    # plus Gamma(plus/2) / (2 Gamma(plus)) is taken as Gamma(1 + plus/2) /
+    # Gamma(plus), and 1F1(a; plus; z) as 1 + a z / plus
+    # 2F2(1, a + 1; 2, plus + 1; z), so that no Gamma argument or series
+    # parameter nears a pole as plus = 1 - xi ~ 4/A nears 0 at sigma = -1
     eta = one_minus_xi(lam, xi)            # 1 - xi, cancellation-free
     if sigma > 0:
         plus, minus = 2.0 - eta, eta       # 1 + s*xi, 1 - s*xi
     else:
         plus, minus = eta, 2.0 - eta
+    a, z = -0.5 * minus, 2.0 / A
     val = (
-        plus
-        * gamma(0.5 * plus)
+        gamma(1.0 + 0.5 * plus)
+        * rgamma(plus)
         * cmath.exp(0.5 * minus * math.log(0.5 * A))
-        * hyp1f1(-0.5 * minus, plus, 2.0 / A)
-        / (2.0 * gamma(plus))
+        * (1.0 + a * z / plus * hyp2f2(1.0, a + 1.0, 2.0, plus + 1.0, z))
     )
     return documented_real(val, "series form of the normalizer")
 
@@ -303,10 +317,10 @@ def solve_lambda(A: float) -> EigenSystem:
     iteration stalls, and ConsistencyError if the root fails its
     invariants (at A = 0.15 and 0.1553, where W's sum loses accuracy at the
     large imaginary index; on 41 log-spaced cutoffs in [0.15, 0.6] the
-    solve succeeds from A = 0.1608 up) or if it is 1/8 or more and the
-    eigenfunction there has a zero in (0, A), so that a smaller root
-    exists. Only such roots, A up to about 10.24, are marched; a root
-    below 1/8 is the smallest (module docstring).
+    solve succeeds from A = 0.1608 up) or if the closed-form certificate
+    cannot prove it the smallest root (module docstring). Every root from
+    A = 0.1608 to 1e9 is certified; the margin is thinnest at 0.1608,
+    where the certificate would still accept 1.26 times the rate.
     """
     A = _check_cutoff(A)
 
@@ -321,21 +335,23 @@ def solve_lambda(A: float) -> EigenSystem:
             f"[{lo!r}, {hi!r}] at A={A!r}"
         )
     lam = _brent(g, lo, hi, glo, ghi)
-    zeros = _interior_zeros(A, lam) if lam >= 0.125 else []
-    if zeros:
+    if not _is_principal(A, lam):
         raise ConsistencyError(
-            f"eigenfunction at rate {lam!r} has {len(zeros)} zero(s) in (0, {A!r}), "
-            f"the first near x = {zeros[0]:.6g}; a smaller root exists"
+            f"rate {lam!r} at A={A!r} is not certified as the principal one: "
+            f"a smaller root may exist"
         )
     return assemble_system(A, lam)
 
 
-def _interior_zeros(A: float, lam: float) -> list[float]:
-    # zeros in (0, A) of f (module docstring), each placed by linear
-    # interpolation between the march's nodes; the sign at A never counts
-    xs, fs, _ = march(A, lam, _SIGN_TOL, joint=True)
-    return [
-        x + (xn - x) * f / (f - fn)
-        for x, xn, f, fn in zip(xs, xs[1:-1], fs, fs[1:-1])
-        if (fn > 0.0) != (f > 0.0)
-    ]
+def _is_principal(A: float, lam: float) -> bool:
+    # True proves that the root lam at cutoff A is the principal rate: the
+    # second rate exceeds the principal rate at x_c (module docstring), and
+    # that one exceeds lam by lambda_bounds or by the quarter-wave bound on v
+    e = 2.0 * lam - 0.25
+    xc = A * math.exp(-math.pi / math.sqrt(e + 1.0))
+    if lambda_bounds(xc)[0] > lam:
+        return True
+    yt = -math.log(1.0 + math.sqrt(1.0 + e))
+    y = math.log(xc)
+    v_min = -1.0 if y >= 0.0 else (1.0 / xc - 2.0) / xc
+    return (y - yt) ** 2 * (e - v_min) < 0.25 * math.pi**2

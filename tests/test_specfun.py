@@ -106,11 +106,22 @@ def test_real_axis_gamma_poles_and_overflow():
         (gamma, 172.0),
         (gamma, -200.5),
         (rgamma, -200.5),
-        (gamma, complex(-0.5, 1e3)),  # sin(pi z) overflows in the reflection
+        (gamma, complex(-0.5, 1e3)),  # |Gamma| is 1.6e-685 here
         (rgamma, complex(-0.5, 1e3)),
     ):
         with pytest.raises(OverflowError, match=r"gamma\(.*\)"):
             f(x)
+
+
+def test_gamma_reflection_past_sine_overflow():
+    # sin(pi z) of the reflection overflows from |Im z| ~ 226 up; Gamma
+    # there is small but in range (about 2e-212 at -2.5 + 300i)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for z in (complex(-2.5, 300.0), complex(-2.5, -300.0)):
+            ref = complex(mpmath.gamma(z))
+            assert rel(gamma(z), ref) < 1e-12, z
+            assert rel(rgamma(z), 1.0 / ref) < 1e-12, z
 
 
 def test_rgamma_matches_reciprocal():

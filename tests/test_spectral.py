@@ -141,6 +141,19 @@ def test_normalizer_series_overflow_fails_its_row(solved, monkeypatch, sigma):
             assert row == want
 
 
+@pytest.mark.parametrize("A", (3e12, 1e13))
+def test_normalizer_series_past_gamma_pole(A):
+    # at sigma = -1, 1 - xi ~ 4/A passes within 1e-12 of Gamma's pole at 0
+    # from A ~ 2e12 up, and of 1F1's denominator pole from ~4e12: the series
+    # form has neither, and both signs meet the endpoint normalizer at the
+    # asymptotic rate 1/(A - 2 log(A/2) + 2 + 2 gamma_E)
+    lam = 1.0 / (A - 2.0 * math.log(0.5 * A) + 2.0 + 2.0 * 0.5772156649015329)
+    es = assemble_system(A, lam, validate=False)
+    for sigma in (1, -1):
+        assert abs(spectral._normalizer_series(A, lam, es.xi, sigma) - es.C) < 1e-12 * es.C
+    assert {r.name: r for r in es.checks}["normalizer-series"].passed
+
+
 def test_eigensystem_keeps_its_checks(solved):
     es = solved(20.0)
     rows = es.checks
@@ -345,17 +358,35 @@ def _higher_roots(A, count):
     return roots
 
 
+# Taylor terms of the zero count stop here: only signs are used
+SIGN_TOL = 1e-12
+
+
 def _zeros(A, lam):
-    zeros = spectral._interior_zeros(A, lam)
+    # zeros in (0, A) of the eigenfunction f at rate lam, an oracle for the
+    # solve's certificate that shares nothing with it: the sign changes of f
+    # at the nodes of generator.march, each placed by linear interpolation
+    # between them; the sign at A never counts. With g = e^{-1/x} f the
+    # equation reads g'' + Q g = 0, Q < 2 lam/x^2 + 2/x^3, a bound that falls
+    # with x; every march step is shorter than the least distance between two
+    # zeros that Sturm comparison allows on it, so it holds at most one zero
+    xs, fs, _ = generator.march(A, lam, SIGN_TOL, joint=True)
+    zeros = [
+        x + (xn - x) * f / (f - fn)
+        for x, xn, f, fn in zip(xs, xs[1:-1], fs, fs[1:-1])
+        if (fn > 0.0) != (f > 0.0)
+    ]
     assert zeros == sorted(zeros) and all(0.0 < x < A for x in zeros), (A, lam, zeros)
     return zeros
 
 
 @pytest.mark.parametrize("A", GUARD_CUTOFFS)
 def test_guard_covers_below_bracket_and_matches_scalar_w(A, solved):
-    # the march's zero count at the solved rate rules out every smaller root;
-    # the scalar W_{1, xi/2}(2/A) at 100 rates of (0, lo] agrees: one sign
+    # the certificate rules out every smaller root at the solved rate; the
+    # march's zero count agrees, and so does the scalar W_{1, xi/2}(2/A) at
+    # 100 rates of (0, lo]: one sign
     lo, _ = lambda_bounds(A)
+    assert spectral._is_principal(A, solved(A).lam)
     assert _zeros(A, solved(A).lam) == []
     signs = {eigencondition(A, lo * k / 100) > 0.0 for k in range(1, 101)}
     assert len(signs) == 1, A
@@ -364,7 +395,7 @@ def test_guard_covers_below_bracket_and_matches_scalar_w(A, solved):
 @pytest.mark.parametrize("A", (0.2, 1e9))
 def test_march_finds_no_zero_at_the_principal_rate(A, solved):
     # the march takes its most steps at A = 0.2 (rate 27); at 1e9 the rate is
-    # below 1/8, where the solve marches nothing, but the march still runs
+    # far below 1/8, where the march still runs
     assert _zeros(A, solved(A).lam) == []
 
 
@@ -374,32 +405,60 @@ def test_march_finds_no_zero_on_the_grid():
 
 
 @pytest.mark.parametrize(
-    "A, marched",
+    "A, above",
     # the principal rate is 0.1256 at 10.2 and 0.1242 at 10.3
     [(0.5, True), (3.0, True), (10.2, True),
      (10.3, False), (20.0, False), (25.0, False), (35.0, False), (1e5, False)],
 )
-def test_solve_marches_only_at_rates_from_one_eighth(A, marched, monkeypatch):
-    # below the rate 1/8 a root is the principal one (Morse bound), so the
-    # solve counts no zeros there; from 1/8 up it marches once, to A
+def test_solve_marches_only_at_rates_from_one_eighth(A, above, monkeypatch):
+    # the closed-form certificate serves rates on both sides of 1/8 (above
+    # it up to A = 10.24): the solve marches the eigenfunction at no rate,
+    # through generator's name or a name of its own
     ends = []
 
     def spy(end, *args, **kw):
         ends.append(end)
         return march(end, *args, **kw)
 
-    march = spectral.march
-    monkeypatch.setattr(spectral, "march", spy)
+    march = generator.march
+    monkeypatch.setattr(generator, "march", spy)
+    monkeypatch.setattr(spectral, "march", spy, raising=False)
     lam = solve_lambda(A).lam
-    assert (lam >= 0.125) == marched
-    assert ends == ([A] if marched else [])
+    assert (lam >= 0.125) == above
+    assert ends == []
+
+
+# the cutoffs of 41 log-spaced ones in [0.15, 0.6] at which the solve
+# succeeds, from 0.1608 up
+SMALL_CUTOFFS = [0.15 * 4 ** (k / 40) for k in range(2, 41)]
+
+
+def test_certificate_accepts_the_solved_rates():
+    # every rate the solve returns on the benchmark grid, at small cutoffs
+    # down to the thinnest margin (A = 0.1608, certified up to 1.25 times its
+    # rate) and at large cutoffs up to 1e9 is certified principal
+    large = [10 ** (6 + k / 4) for k in range(13)]
+    for A in GRID_EVERY_64TH + SMALL_CUTOFFS + large:
+        lam = solve_lambda(A).lam
+        assert spectral._is_principal(A, lam), A
+    assert SMALL_CUTOFFS[0] == pytest.approx(0.1608, abs=5e-5)
+    assert spectral._is_principal(SMALL_CUTOFFS[0], 1.25 * solve_lambda(SMALL_CUTOFFS[0]).lam)
+
+
+@pytest.mark.parametrize("A", GUARD_CUTOFFS)
+def test_certificate_rejects_higher_roots(A):
+    # the certificate is a proof, so it must refuse every root above the
+    # principal one: the second and third at each cutoff, and the second to
+    # the ninth at A = 3
+    roots = _higher_roots(A, 8 if A == 3.0 else 2)
+    assert not any(spectral._is_principal(A, lam) for lam in roots), (A, roots)
 
 
 @pytest.mark.parametrize("A", (0.7, 3.0, 20.0, 1e3, 1e4, 1e5))
 def test_march_counts_the_zeros_of_higher_eigenfunctions(A):
     # the n-th eigenfunction has n - 1 zeros in (0, A). The second and third
     # roots lie above 1/8 (0.18 to 0.64 from A = 1e3 up), as the Morse bound
-    # requires, and the solve would march at them
+    # requires
     second, third = _higher_roots(A, 2)
     assert 0.125 < second < third
     assert len(_zeros(A, second)) == 1
@@ -412,7 +471,7 @@ def test_one_zero_below_rate_one_eighth():
     # once at fixed rates across (0, 1/8), and at each grid rate below 1/8 in
     # the step that holds A
     def sign_changes(lam):
-        xs, fs, _ = generator.march(1e6, lam, spectral._SIGN_TOL, joint=True)
+        xs, fs, _ = generator.march(1e6, lam, SIGN_TOL, joint=True)
         return [
             (x, xn) for x, xn, f, fn in zip(xs, xs[1:], fs, fs[1:]) if (f > 0.0) != (fn > 0.0)
         ]
@@ -453,13 +512,15 @@ def test_march_runs_a_short_last_step_to_a(A, solved):
 @pytest.mark.parametrize("A", (3.0, 20.0))
 def test_guard_rejects_a_sign_flip_below_the_bracket(A, monkeypatch, capsys):
     # a bracket around the second root: W's sign flips at the principal root,
-    # below the bracket, and Brent lands on a higher root inside it
+    # below the bracket, and Brent lands on a higher root inside it. The
+    # patched bounds reach the certificate too, whose quarter-wave arm alone
+    # then refuses the root
     second = _higher_roots(A, 1)[0]
     monkeypatch.setattr(spectral, "lambda_bounds", lambda A: (0.99 * second, 1.01 * second))
     with pytest.raises(ConsistencyError, match="smaller root") as err:
         solve_lambda(A)
-    rate, x = re.search(r"at rate (\S+) .* near x = (\S+);", str(err.value)).groups()
-    assert abs(float(rate) - second) < 1e-9 * second and 0.0 < float(x) < A
+    (rate,) = re.search(r"^rate (\S+) at A=", str(err.value)).groups()
+    assert abs(float(rate) - second) < 1e-9 * second
 
     code = cli.main(["eig", "--A", repr(A)])
     cap = capsys.readouterr()
