@@ -6,6 +6,12 @@ options. Exit codes: 0 success, 1 verification or invariant failure,
 W on the proven rate bracket; errors.EXIT_CODES maps each exception
 family to its code. Output is a single JSON document
 (default) or CSV on stdout; diagnostics go to stderr.
+
+Each handler imports the modules its command runs, so a fresh process
+compiles only those. Past the package's own import (errors, specfun,
+spectral, report): eig loads nothing more; pdf, cdf and table load
+distribution; moment loads moments; verify and every --check load verify,
+which loads distribution, moments, quadrature and, for its march, generator.
 """
 
 from __future__ import annotations
@@ -15,13 +21,9 @@ import functools
 import re
 import sys as _sys
 
-from .distribution import _pdf_cdf, qsd_cdf, qsd_pdf
 from .errors import EXIT_CODES, DomainError
-from .moments import moment_frac, moment_log
-from .quadrature import quad_moments
 from .report import EvalReport, ResultRow
 from .spectral import assemble_system, solve_lambda
-from .verify import dual_route_row, run_checks
 
 __all__ = ["main"]
 
@@ -98,25 +100,36 @@ def _cmd_eig(args) -> EvalReport:
 
 
 def _cmd_points(args, which: str) -> EvalReport:
+    from .distribution import qsd_cdf, qsd_pdf
+
     es = solve_lambda(args.A)
     f = qsd_pdf if which == "pdf" else qsd_cdf
     rep = EvalReport(command=which, inputs={"A": args.A, "x": list(args.x)})
     for x in args.x:
         rep.results.append(ResultRow(f"{which}[x={x!r}]", f(x, es), "closed_form"))
     if args.check:
+        from .verify import run_checks
+
         rep.checks = run_checks(es)
     return rep
 
 
 def _cmd_moment(args) -> EvalReport:
+    from .moments import moment_frac, moment_log
+
     es = solve_lambda(args.A)
     rep = EvalReport(
         command="moment", inputs={"A": args.A, "s": list(args.s), "log": args.log}
     )
     closed = [moment_frac(s, es).value for s in args.s]
     lv = moment_log(es) if args.log else None
-    # one quadrature pass recomputes every order and the logarithm
-    quads = quad_moments(es, args.s, args.log)[1:] if args.check else ()
+    quads = ()
+    if args.check:
+        from .quadrature import quad_moments
+        from .verify import dual_route_row
+
+        # one quadrature pass recomputes every order and the logarithm
+        quads = quad_moments(es, args.s, args.log)[1:]
     for k, (s, m) in enumerate(zip(args.s, closed)):
         rep.results.append(ResultRow(f"moment[s={s!r}]", m, "closed_form"))
         if args.check:
@@ -135,6 +148,8 @@ def _cmd_moment(args) -> EvalReport:
 def _cmd_table(args) -> EvalReport:
     if not 2 <= args.points <= _TABLE_POINTS_MAX:
         raise DomainError(f"--points must be 2 to {_TABLE_POINTS_MAX}, got {args.points}")
+    from .distribution import _pdf_cdf
+
     es = solve_lambda(args.A)
     rep = EvalReport(command="table", inputs={"A": args.A, "points": args.points})
     last = args.points - 1
@@ -148,6 +163,8 @@ def _cmd_table(args) -> EvalReport:
 
 
 def _cmd_verify(args) -> EvalReport:
+    from .verify import run_checks
+
     inputs = {"A": args.A}
     es = solve_lambda(args.A)
     if args.perturb_lambda is not None:

@@ -44,7 +44,6 @@ import math
 from collections import namedtuple
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .generator import Eigenfunction
 from .report import CheckRow, guarded_row
 from .specfun import (
     WPlan,
@@ -282,7 +281,10 @@ class EigenSystem(namedtuple("EigenSystem", "A lam xi C residual")):
         """Dense march of the generator's eigenfunction at this rate, the
         W-free route to the pdf and cdf; built on first use. Raises
         ConsistencyError (and caches nothing) when its endpoint flux is not
-        positive and finite."""
+        positive and finite. The generator module loads here, so a process
+        that never marches never compiles it."""
+        from .generator import Eigenfunction
+
         return Eigenfunction(self.A, self.lam)
 
 

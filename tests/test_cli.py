@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiryaev_qsd.cli as cli
+import shiryaev_qsd.quadrature as quadrature
 from shiryaev_qsd.errors import (
     ConsistencyError,
     ConvergenceError,
@@ -50,6 +51,36 @@ def test_cli_import_loads_no_heavy_standard_modules():
         "name,value,provenance\n"
         "pdf[x=3.0],0.13402287711300789,closed_form\n"
     )
+
+
+_COMMAND_MODULES = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import shiryaev_qsd.cli as cli
+lazy = {"generator", "distribution", "moments", "quadrature", "verify"}
+loaded = lambda: sorted(m for m in lazy if "shiryaev_qsd." + m in sys.modules)
+print(loaded())
+for argv in (["eig", "--A", "20"], ["pdf", "--A", "20", "--x", "3"], ["verify", "--A", "20"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    print(loaded())
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    # the CLI imports each command's modules in its handler and spectral
+    # imports generator only to march: eig loads none of the five deferred
+    # modules, pdf distribution alone, verify all five
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _COMMAND_MODULES, str(_SRC)],
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out.splitlines() == [
+        "[]",
+        "[]",
+        "['distribution']",
+        "['distribution', 'generator', 'moments', 'quadrature', 'verify']",
+    ]
 
 
 def test_eig_json(capsys):
@@ -267,7 +298,7 @@ def test_exceptions_map_to_exit_codes(capsys, monkeypatch, exc, expected):
     def boom(*a, **k):
         raise exc
 
-    monkeypatch.setattr(cli, "quad_moments", boom)
+    monkeypatch.setattr(quadrature, "quad_moments", boom)
     code, out, err = run(capsys, "moment", "--A", "20", "--s", "0.3", "--check")
     assert code == expected
     assert out == ""
