@@ -45,6 +45,7 @@ _DE_H = 1.0 / 16.0
 _DE_IMAG_B = 1.26          # |Im b| the step h = 1/16 resolves
 _DE_TURN = math.pi / 4     # the ray's angle at complex b
 _DE_MAX_HALVINGS = 6       # node ceiling: h = 1/1024 (6,856 nodes), |Im b| <= 80.64
+W_IMAG_B_MAX = _DE_IMAG_B * 2**_DE_MAX_HALVINGS  # the largest |Im b| W serves
 
 # stopping rule of the ascending series (see _hyp_series)
 _SERIES_REL_TOL = 1e-15
@@ -335,24 +336,22 @@ def _require_positive_real(z) -> float:
 
 
 @functools.cache
-def _de_rule(halvings: int, turn: int) -> tuple[tuple, tuple, tuple, tuple]:
-    # nodes u_k, log u_k, weights w_k e^{-u_k} and their logs of the exp-sinh
-    # rule at step _DE_H / 2^halvings on the ray arg u = turn * _DE_TURN;
-    # floats if turn = 0. The log of a weight is summed from its factors, so
-    # it stays finite where the weight underflows
+def _de_rule(halvings: int, turn: int) -> tuple[tuple, tuple, tuple]:
+    # nodes u_k, log u_k and weights w_k e^{-u_k} of the exp-sinh rule at
+    # step _DE_H / 2^halvings on the ray arg u = turn * _DE_TURN; floats if
+    # turn = 0
     h = _DE_H / 2**halvings
     theta = turn * _DE_TURN
     ray, exp = (cmath.exp(1j * theta), cmath.exp) if turn else (1.0, math.exp)
-    nodes, logs, weights, log_weights = [], [], [], []
+    nodes, logs, weights = [], [], []
     t = _DE_T_MIN
     while math.exp(log_r := 0.5 * math.pi * math.sinh(t)) * math.cos(theta) <= _DE_U_MAX:
         u = math.exp(log_r) * ray
         nodes.append(u)
         logs.append(complex(log_r, theta) if turn else log_r)
         weights.append(h * 0.5 * math.pi * math.cosh(t) * u * exp(-u))
-        log_weights.append(math.log(h * 0.5 * math.pi * math.cosh(t)) + logs[-1] - u)
         t += h
-    return tuple(nodes), tuple(logs), tuple(weights), tuple(log_weights)
+    return tuple(nodes), tuple(logs), tuple(weights)
 
 
 def _w_index(kappa: complex, b: complex) -> tuple:
@@ -409,7 +408,7 @@ class WPlan:
 
     def __init__(self, kappa: complex, b: complex) -> None:
         self._ix = b, kappa0, _, _, rule, real = _w_index(kappa, b)
-        self._nodes, logs, weights, _ = _de_rule(*rule)
+        self._nodes, logs, weights = _de_rule(*rule)
         exp, am1 = (math.exp if real else cmath.exp), b - kappa0 - 0.5
         coef = (w * exp(am1 * s) for s, w in zip(logs, weights))
         self._coef = array("d", coef) if real else tuple(coef)
@@ -437,104 +436,22 @@ class WPlan:
         return _w_climb(self._ix, z, j0, j1, up)
 
 
-@functools.lru_cache(maxsize=1)
-def _z_factors(z: float, rule: tuple) -> tuple[tuple, tuple]:
-    # log(1 + u_k/z) and u_k / (1 + u_k/z) for the complex sum of _node_sums,
-    # kept for the last z
-    nodes = _de_rule(*rule)[0]
-    return tuple(cmath.log(1.0 + u / z) for u in nodes), tuple(u / (1.0 + u / z) for u in nodes)
-
-
-@functools.lru_cache(maxsize=1)
-def _z_exponents(z: float, kappa0: float) -> tuple[tuple, tuple, tuple]:
-    # on the real ray, (c_k, L_k, u_k / (1 + u_k/z)) with the node term
-    # w_k e^{-u_k} u_k^{a0-1} (1 + u_k/z)^{p0} of _node_sums equal to
-    # exp(c_k + (b - 1/2) L_k): with s_k = log u_k and q_k = log(1 + u_k/z),
-    # c_k = log(w_k e^{-u_k}) - kappa0 (s_k - q_k) and L_k = s_k + q_k. Kept
-    # for the last z: a solve sums the nodes at one z 5 to 11 times from
-    # A = 0.5 to 1e5 (16 at 0.2), once per index its bracket ends and Brent
-    # steps try, always at kappa0 = 0
-    nodes, logs, _, log_weights = _de_rule(0, 0)
-    qs = [math.log1p(u / z) for u in nodes]
-    return (
-        tuple(lw - kappa0 * (s - q) for lw, s, q in zip(log_weights, logs, qs)),
-        tuple(s + q for s, q in zip(logs, qs)),
-        tuple(u / (1.0 + u / z) for u in nodes),
-    )
-
-
-@functools.lru_cache(maxsize=32)
-def _node_sums(b: complex, kappa0: complex, z: float, rule: tuple, climb: bool) -> tuple:
-    # (j0, j1) of _w_climb for the index (b, kappa0) of _w_index, floats at a
-    # real index, with j1 = 0 unless the climb needs it. Kept for the last 32
-    # keys: W_{1, xi/2} at the rate Brent returns and W_{0, xi/2} there, which
-    # the normalizer and the invariant battery ask for, read the same sums.
-    # The sums run left to right, as sum() did before Python 3.12 compensated
-    # it: the last bits of W stay the same on every version. On the real ray
-    # at a real kappa0 a node costs one real exponential, and a cosine and a
-    # sine more at complex b; a turned ray, or a complex kappa0, sums
-    # w_k e^{(a0-1) s_k + p0 q_k} in complex arithmetic
-    j0 = j1 = 0.0
-    if rule[1] or kappa0.imag:
-        _, logs, weights, _ = _de_rule(*rule)
-        log1p, ratio = _z_factors(z, rule)
-        am1, p = b - kappa0 - 0.5, b + kappa0 - 0.5
-        for s, w, q, r in zip(logs, weights, log1p, ratio):
-            t = w * cmath.exp(am1 * s + p * q)
-            j0 += t
-            if climb:
-                j1 += t * r
-        return j0, j1
-    cs, ls, ratio = _z_exponents(z, kappa0.real)
-    exp, bh = math.exp, b.real - 0.5
-    if not b.imag:
-        for c, L, r in zip(cs, ls, ratio):
-            t = exp(c + bh * L)
-            j0 += t
-            if climb:
-                j1 += t * r
-        return j0, j1
-    cos, sin, bi = math.cos, math.sin, b.imag
-    i0 = i1 = 0.0
-    for c, L, r in zip(cs, ls, ratio):
-        m = exp(c + bh * L)
-        tr, ti = m * cos(bi * L), m * sin(bi * L)
-        j0 += tr
-        i0 += ti
-        if climb:
-            j1 += tr * r
-            i1 += ti * r
-    return complex(j0, i0), complex(j1, i1)
-
-
-def _w_sum(kappa: complex, b: complex, z: float, up: int) -> tuple:
-    # WPlan's integral at one z, with the node factors that depend on z
-    # shared by the calls at the last z; _w_climb's values
-    z = _require_positive_real(z)
-    ix = b, kappa0, n, _, rule, _ = _w_index(kappa, b)
-    return _w_climb(ix, z, *_node_sums(b, kappa0, z, rule, n + up > 0), up)
-
-
 def whittaker_w(kappa: complex, b: complex, z: float) -> complex:
-    """Whittaker W_{kappa,b}(z) for real z > 0; even in b.
-
-    WPlan's nodes and weights, with the factors of each node that depend
-    on z kept for the last z asked: another call at that z costs one
-    exponential a node at real b, and a cosine and a sine more at
-    |Im b| <= 1.26. The sums of the last 32 index and z pairs are kept
-    too, so W_kappa at kappa > Re b and the pair at kappa - 1 share one.
+    """Whittaker W_{kappa,b}(z) for real z > 0; even in b. WPlan's sum,
+    with the plan built for this one call.
 
     Raises:
         DomainError: z is not a positive real, or |Im b| is past the
             rule's node ceiling.
     """
-    return _w_sum(kappa, b, z, 0)[0]
+    return WPlan(kappa, b)(z)
 
 
 def whittaker_w_pair(kappa: complex, b: complex, z: float) -> tuple[complex, complex]:
-    """W_{kappa,b}(z) and W_{kappa+1,b}(z) from whittaker_w's one sum over
-    the nodes; the first is the same bits as whittaker_w(kappa, b, z)."""
-    return _w_sum(kappa, b, z, 1)
+    """W_{kappa,b}(z) and W_{kappa+1,b}(z) from one sum over the nodes of a
+    plan built for this one call; the first is the same bits as
+    whittaker_w(kappa, b, z)."""
+    return WPlan(kappa, b).pair(z)
 
 
 def whittaker_w_dz(kappa: complex, b: complex, z: float) -> complex:

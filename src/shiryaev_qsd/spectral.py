@@ -3,9 +3,11 @@
 Everything downstream hangs off one number per cutoff A: the smallest
 positive root lam of the boundary condition W_{1, xi/2}(2/A) = 0 with
 xi = sqrt(1 - 8 lam). This module brackets that root with the proven
-two-sided bounds, polishes it with Brent iteration, checks that the root
-found is the smallest, and packages the result as a validated EigenSystem
-the distribution and moment code can trust blindly.
+two-sided bounds, polishes it with Brent iteration on the Macdonald form
+of W (eigencondition), checks that the root found is the smallest, and
+packages the result as a validated EigenSystem the distribution and
+moment code can trust blindly. Its normalizer and the battery's check of
+the root read W's Laplace integral (specfun), which Brent never reads.
 
 The check needs no W and no march. At the n-th root lam, the
 eigenfunction f of 1/2 x^2 f'' + f' + lam f = 0 with f(0) = 1 vanishes at
@@ -29,11 +31,11 @@ second rate lam_2 exceeds lam, so that lam is the first:
   [y_t, log x_c], starts in (0, pi/2) and grows at most at sqrt(Q). It
   cannot reach pi by log x_c if (log x_c - y_t) sqrt(Q) < pi/2.
 
-This certifies every rate the solve returns, from A = 0.1608 to 1e9, with
-room: it would still certify 1.26 lam at A = 0.1608, 2.2 lam at 1, 10 lam
-at 20 and 38 lam from 1e5 up, where the second rate lies at 1.72 lam,
-3.2 lam, 15 lam and 1.8e4 lam. Being a proof, it refuses every higher
-root.
+This certifies every rate the solve returns, from A = 0.1608 to 1e15,
+with room: it would still certify 1.26 lam at A = 0.1608, 2.2 lam at 1,
+10 lam at 20 and 37 lam from 1e5 up, where the second rate lies at
+1.72 lam, 3.2 lam, 15 lam and 1.8e4 lam. Being a proof, it refuses every
+higher root.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ from collections import namedtuple
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .report import CheckRow, guarded_row
 from .specfun import (
+    W_IMAG_B_MAX,
     WPlan,
     documented_real,
     gamma,
     hyp2f2,
     rgamma,
-    whittaker_w,
     whittaker_w_pair,
 )
 
@@ -61,6 +63,9 @@ _XI_IDENTITY_TOL = 1e-12   # |xi^2 + 8 lam - 1| allowance
 _DUAL_C_TOL = 1e-8         # agreement between the two normalizer routes
 _BRACKET_SLACK = 1e-9      # relative slack when re-checking the bracket
 _BRENT_REL_TOL = 1e-12     # relative width at which Brent stops
+_K_STEP = 0.2              # trapezoid step of the Macdonald integrals ...
+_K_WAVES = 0.8             # ... and at most this over beta at an imaginary index
+_K_CUT = 50.0              # nodes stop where X (cosh t - 1) - t reaches this
 
 
 def _check_cutoff(A: float) -> float:
@@ -108,12 +113,78 @@ def lambda_bounds(A: float) -> tuple[float, float]:
     return lo, hi
 
 
+@functools.lru_cache(maxsize=2)
+def _macdonald_nodes(X: float, h: float, real: bool) -> tuple[tuple, ...]:
+    # trapezoid nodes t_k = k h of the Macdonald integrals at X over e^{-X},
+    # up to where d_k - t_k reaches _K_CUT, d_k = X (cosh t_k - 1); kept for
+    # the last two (X, h, real): every Brent step at one cutoff reads one
+    # table, and a bracket across lam = 1/8 reads both. With w_k = h (h/2 at
+    # t = 0): at a real index (t_k/2, w_k e^{-d_k + t_k/2}/2,
+    # w_k e^{-d_k - t_k/2}/2), at an imaginary one
+    # (t_k, w_k e^{-d_k} (2 X + d_k - 1/2))
+    ts, ds, sinh, exp = [], [], math.sinh, math.exp
+    t = d = 0.0
+    while d - t < _K_CUT:  # d turns inf, never raises, past the double range
+        ts.append(t)
+        ds.append(d)
+        t = len(ts) * h
+        sh = sinh(0.5 * t)
+        d = 2.0 * X * sh * sh
+    ws = [h] * len(ts)
+    ws[0] = 0.5 * h
+    if real:
+        ss = tuple(0.5 * t for t in ts)
+        return (ss, tuple(0.5 * w * exp(s - d) for w, s, d in zip(ws, ss, ds)),
+                tuple(0.5 * w * exp(-s - d) for w, s, d in zip(ws, ss, ds)))
+    return tuple(ts), tuple(w * exp(-d) * (2.0 * X + d - 0.5) for w, d in zip(ws, ds))
+
+
 def eigencondition(A: float, lam: float) -> float:
     """Boundary-condition function g(lam) = W_{1, xi/2}(2/A); vanishes at
-    the spectrum. Real part only; the imaginary residue is kernel noise."""
+    the spectrum.
+
+    W_{0,nu}(2/A) = sqrt(2/(pi A)) K_nu(X), X = 1/A (DLMF 13.18.9), with
+    K_nu(X) = int_0^inf e^{-X cosh t} cosh(nu t) dt (DLMF 10.32.9). DLMF
+    13.15 and K_nu' = -K_{nu-1} - (nu/X) K_nu (DLMF 10.29.2) then give
+    W_{1, xi/2}(2/A) = sqrt(2/(pi A)) G with, for lam <= 1/8 and
+    eta = 1 - xi = 8 lam / (1 + xi),
+
+        G = (X - eta/2) K_{1/2 - eta/2}(X) + X K_{1/2 + eta/2}(X),
+
+    and for lam > 1/8, beta = sqrt(8 lam - 1) / 2,
+
+        G = int_0^inf e^{-X cosh t} cos(beta t) (X (1 + cosh t) - 1/2) dt.
+
+    Both are summed by the trapezoid rule on one node table per cutoff
+    (_macdonald_nodes), at the step h = min(0.2, 0.8 / beta) for the
+    largest beta of the proven bracket (or lam's own above it): a call costs
+    one exponential e^{eta t_k / 2} a node, which takes eta exactly, or one
+    cosine. DomainError past W_IMAG_B_MAX, the Laplace W's ceiling.
+    """
     A = _check_cutoff(A)
     xi = xi_of_lambda(lam)
-    return whittaker_w(1.0, 0.5 * xi, 2.0 / A).real
+    X = 1.0 / A
+    top = math.sqrt(max(0.0, 8.0 * max(lam, lambda_bounds(A)[1]) - 1.0)) / 2.0
+    if top > W_IMAG_B_MAX:
+        raise DomainError(f"W at |Im b| = {top:.4g} is past its rule's node ceiling")
+    h = min(_K_STEP, _K_WAVES / top) if top else _K_STEP
+    # left to right, not by sum(), which compensates from Python 3.12 on
+    if xi.imag:
+        ts, qs = _macdonald_nodes(X, h, False)
+        beta, cos = 0.5 * xi.imag, math.cos
+        g = 0.0
+        for t, q in zip(ts, qs):
+            g += q * cos(beta * t)
+    else:
+        halves, ps, ms = _macdonald_nodes(X, h, True)
+        eta, exp = one_minus_xi(lam, xi).real, math.exp
+        k_minus = k_plus = 0.0
+        for s, p, m in zip(halves, ps, ms):
+            e = exp(eta * s)
+            k_minus += p / e + m * e
+            k_plus += p * e + m / e
+        g = (X - 0.5 * eta) * k_minus + X * k_plus
+    return math.sqrt(2.0 / (math.pi * A)) * math.exp(-X) * g
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -161,6 +232,13 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
     raise ConvergenceError("root refinement did not converge in 200 iterations")
 
 
+@functools.lru_cache(maxsize=1)
+def _endpoint_pair(A: float, xi: complex) -> tuple[complex, complex]:
+    # W_{0, xi/2}(2/A) and W_{1, xi/2}(2/A) by the Laplace integral, kept for the
+    # last (A, xi): assemble_system and its system's battery read one sum
+    return whittaker_w_pair(0.0, 0.5 * xi, 2.0 / A)
+
+
 def _normalizer_endpoint(A: float, w0: float) -> float:
     # C = 1 / (e^{-1/A} W_{0, xi/2}(2/A)), from w0 = the real part of that W;
     # infinite where the product is 0
@@ -194,8 +272,9 @@ def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
 
     Every row's residual is the dimensionless metric the pass/fail
     threshold applies to. Every row is recomputed from the four fields, so
-    a stale or tampered field cannot hide. The W pair at 2/A comes through
-    specfun's memo of node sums, which holds the bits a fresh sum gives.
+    a stale or tampered field cannot hide. The Laplace W pair at 2/A is
+    assemble_system's, kept by _endpoint_pair; Brent never reads it, so the
+    residual row checks the root by a second route.
     """
     A = _check_cutoff(A)
     rows: list[CheckRow] = []
@@ -209,7 +288,7 @@ def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
     ident = abs(xi * xi + 8.0 * lam - 1.0) / max(1.0, 8.0 * lam)
     rows.append(CheckRow("index-identity", ident <= _XI_IDENTITY_TOL, ident))
 
-    w0, w1 = whittaker_w_pair(0.0, 0.5 * xi, 2.0 / A)
+    w0, w1 = _endpoint_pair(A, xi)
     res = abs(w1) / max(1.0, abs(w0))
     rows.append(CheckRow("eigencondition-residual", res <= _RESIDUAL_TOL, res))
 
@@ -299,7 +378,7 @@ def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:
     """
     A = _check_cutoff(A)
     xi = xi_of_lambda(lam)
-    w0, w1 = whittaker_w_pair(0.0, 0.5 * xi, 2.0 / A)
+    w0, w1 = _endpoint_pair(A, xi)
     w0 = documented_real(w0, "W at the right endpoint")
     if validate and w0 <= 0.0:
         raise ConsistencyError(
@@ -315,14 +394,17 @@ def solve_lambda(A: float) -> EigenSystem:
 
     Brent iteration on the proven bracket (lambda_bounds) stops at a
     relative width of 1e-12. Raises ConvergenceError if W has no sign
-    change on that bracket (at many cutoffs from about 1.5e9 up) or the
-    iteration stalls, and ConsistencyError if the root fails its
-    invariants (at A = 0.15 and 0.1553, where W's sum loses accuracy at the
-    large imaginary index; on 41 log-spaced cutoffs in [0.15, 0.6] the
-    solve succeeds from A = 0.1608 up) or if the closed-form certificate
-    cannot prove it the smallest root (module docstring). Every root from
-    A = 0.1608 to 1e9 is certified; the margin is thinnest at 0.1608,
-    where the certificate would still accept 1.26 times the rate.
+    change on that bracket (from about A = 1e18 up, where the rate lies
+    within a rounding of the bracket's lower end) or the iteration stalls,
+    DomainError below A = 0.0178, where the bracket reaches past the W
+    rules' index ceiling, and ConsistencyError if the root fails its
+    invariants (at 7 of 15 log-spaced cutoffs in [0.1, 0.1116], where the
+    Laplace W of the normalizer loses accuracy at the large imaginary
+    index; on 61 in [0.1, 0.16] the solve succeeds at every one from
+    A = 0.1125 up) or if the closed-form certificate cannot prove it the
+    smallest root (module docstring). Every root from A = 0.1608 to 1e15
+    is certified; the margin is thinnest at 0.1608, where the certificate
+    would still accept 1.26 times the rate.
     """
     A = _check_cutoff(A)
 

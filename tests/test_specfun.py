@@ -281,7 +281,7 @@ def test_w_matches_mpmath_at_solved_indices():
 
 
 def test_w_plan_reuse_in_mixed_order():
-    # a plan, and whittaker_w with its per-z factors, give the same bits
+    # a plan, and whittaker_w with a plan of its own, give the same bits
     # whatever z and entry they served before; the pair entries too
     zs = (3.0, 0.4, 25.0, 0.05, 15.0, 2.0, 0.4, 3.0, 250.0, 9.0)
     for kappa, b in ((1.0, 0.5 - 1e-4), (0.0, 0.3), (0.0, 0.2j), (1.0, 2.7j), (0.8, 1.21)):

@@ -44,6 +44,34 @@ def test_rate_and_normalizer_anchors(A, solved):
     assert abs(es.C - C_ref) / C_ref < 1e-11
 
 
+# the rate of bench/oracle.py (40-digit mpmath root of W_{1, xi/2}(2/A)),
+# from the smallest documented cutoff up to 1e12. A W whose index takes xi
+# rounded, not 1 - xi, misses it by 3.9e-12 at 5.623e5 and 1.5e-10 at 1e7,
+# and from about 1.5e9 up finds no sign change on the bracket
+ORACLE_RATES = {
+    0.1608: "3.869720447711977738626214e+1",
+    0.5: "6.449376241422374876360199",
+    3.0: "5.471307051568946369640777e-1",
+    10.2: "1.25569808072826250107891e-1",
+    10.3: "1.241706802099627119570438e-1",
+    5623.0: "1.78245892120819932135586e-4",
+    1e5: "1.00018493152290745073486e-5",
+    5.623e5: "1.778479494521536570799018e-6",
+    1e7: "1.000002769563643724316682e-7",
+    1e9: "1.000000036905808936482005e-9",
+    1e10: "1.000000004151097653929678e-10",
+    1e12: "1.000000000050721316546392e-12",
+}
+
+
+@pytest.mark.parametrize("A", sorted(ORACLE_RATES))
+def test_rate_matches_the_oracle(A):
+    # within Brent's relative stop of 1e-12; the worst, 2.5e-13 at 5623, is
+    # that stop's residue
+    ref = float(ORACLE_RATES[A])
+    assert abs(solve_lambda(A).lam - ref) <= 1e-12 * ref
+
+
 @pytest.mark.parametrize("A", sorted(ANCHORS))
 def test_rate_inside_proven_bracket(A, solved):
     lo, hi = lambda_bounds(A)
@@ -226,10 +254,10 @@ def test_binding_w_plans_keeps_equality_and_repr(solved):
     assert es == twin and hash(es) == hash(twin) and es == solved(20.0)
 
 
-def test_solve_takes_two_w_passes_after_brent(monkeypatch):
-    # the endpoint normalizer and the battery's residual each read W_0 and
-    # W_1 at z = 2/A from one pass, and both passes reuse the node sums of
-    # Brent's last W_1 at the root: no node is summed after Brent
+def test_solve_sums_the_laplace_w_once_after_brent(monkeypatch):
+    # Brent reads the Macdonald form of W_{1, xi/2}(2/A) and sums no Laplace
+    # W; after it, the endpoint normalizer and the battery's residual read
+    # W_0 and W_1 at z = 2/A from one shared pass
     for A in (3.0, 20.0, 1e5):
         passes = []
         at_brent = []
@@ -240,37 +268,39 @@ def test_solve_takes_two_w_passes_after_brent(monkeypatch):
 
         def marked_brent(*args):
             lam = brent(*args)
-            at_brent.append((len(passes), specfun._node_sums.cache_info().misses))
+            at_brent.append(len(passes))
             return lam
 
         climb, brent = specfun._w_climb, spectral._brent
+        spectral._endpoint_pair.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(specfun, "_w_climb", counted_climb)
             m.setattr(spectral, "_brent", marked_brent)
             solve_lambda(A)
-        ((climbs, sums),) = at_brent
-        assert passes[climbs:] == [2.0 / A] * 2, (A, len(passes), climbs)
-        assert specfun._node_sums.cache_info().misses == sums, A
+        assert at_brent == [0], (A, at_brent)
+        assert passes == [2.0 / A], (A, passes)
 
 
-@pytest.mark.parametrize("A", (3.0, 20.0))
-def test_eigencondition_reads_the_pair_sums_bit_for_bit(A, solved):
-    # W_{1, xi/2} from Brent's entry and from the pair entry at kappa = 0
-    # share one memo key, at an imaginary xi (A = 3) and a real one (A = 20):
-    # fresh or remembered, the sums give the same bits
-    es = solved(A)
-    b, z = 0.5 * es.xi, 2.0 / A
-    values = []
-    for fresh in (True, False):
-        for w1 in (
-            lambda: eigencondition(A, es.lam),
-            lambda: specfun.whittaker_w(1.0, b, z).real,
-            lambda: specfun.whittaker_w_pair(0.0, b, z)[1].real,
-        ):
-            if fresh:
-                specfun._node_sums.cache_clear()
-            values.append(w1())
-    assert len({v.hex() for v in values}) == 1, (A, values)
+# |Macdonald - Laplace| / |W_0| at 11 rates across the proven bracket, as
+# measured: 2.3e-13 at A = 0.5, where the Laplace sum at |Im b| = 3.6 loses
+# digits, and at most 8.4e-16 at the other cutoffs
+CROSS_KERNEL_TOL = {0.5: 1e-12}
+
+
+@pytest.mark.parametrize("A", (0.5, 3.0, 10.2, 10.3, 20.0, 1e5))
+def test_eigencondition_matches_the_laplace_w(A):
+    # the Macdonald form Brent solves on against the Laplace W_{1, xi/2}(2/A)
+    # that the battery's residual reads, at imaginary (0.5, 3, 10.2) and
+    # real (10.3, 20, 1e5) indices; relative to |W_0|, the residual's scale
+    lo, hi = lambda_bounds(A)
+    worst = 0.0
+    for k in range(11):
+        lam = lo + (hi - lo) * k / 10
+        b = 0.5 * xi_of_lambda(lam)
+        w0 = abs(specfun.whittaker_w(0.0, b, 2.0 / A))
+        w1 = specfun.whittaker_w(1.0, b, 2.0 / A).real
+        worst = max(worst, abs(eigencondition(A, lam) - w1) / w0)
+    assert worst <= CROSS_KERNEL_TOL.get(A, 4e-15), (A, worst)
 
 
 def test_assemble_system_matches_solve(solved):
@@ -308,8 +338,9 @@ def test_solve_rejects_bad_inputs():
 
 
 def test_no_sign_change_on_the_bracket_fails_at_once(monkeypatch):
-    # at A = 1e10 W has the same sign at both proven bounds: the solve
-    # raises after evaluating W there, and tries no wider bracket
+    # at A = 1e33 the proven bounds round to one point, so W has the same
+    # sign at both: the solve raises after evaluating W there, and tries no
+    # wider bracket
     calls = []
 
     def counted(A, lam):
@@ -317,9 +348,11 @@ def test_no_sign_change_on_the_bracket_fails_at_once(monkeypatch):
         return eigencondition(A, lam)
 
     monkeypatch.setattr(spectral, "eigencondition", counted)
+    lo, hi = lambda_bounds(1e33)
+    assert lo == hi
     with pytest.raises(ConvergenceError, match="proven bracket"):
-        solve_lambda(1e10)
-    assert calls == list(lambda_bounds(1e10))
+        solve_lambda(1e33)
+    assert calls == [lo, hi]
 
 
 def test_bounds_ordering():
@@ -428,16 +461,16 @@ def test_solve_marches_only_at_rates_from_one_eighth(A, above, monkeypatch):
     assert ends == []
 
 
-# the cutoffs of 41 log-spaced ones in [0.15, 0.6] at which the solve
-# succeeds, from 0.1608 up
+# the cutoffs of 41 log-spaced ones in [0.15, 0.6] from 0.1608 up, the
+# smallest cutoff the README documents
 SMALL_CUTOFFS = [0.15 * 4 ** (k / 40) for k in range(2, 41)]
 
 
 def test_certificate_accepts_the_solved_rates():
     # every rate the solve returns on the benchmark grid, at small cutoffs
     # down to the thinnest margin (A = 0.1608, certified up to 1.25 times its
-    # rate) and at large cutoffs up to 1e9 is certified principal
-    large = [10 ** (6 + k / 4) for k in range(13)]
+    # rate) and at large cutoffs up to 1e15 is certified principal
+    large = [10 ** (6 + k / 4) for k in range(37)]
     for A in GRID_EVERY_64TH + SMALL_CUTOFFS + large:
         lam = solve_lambda(A).lam
         assert spectral._is_principal(A, lam), A
