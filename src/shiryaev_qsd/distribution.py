@@ -6,6 +6,9 @@ Both closed forms share the normalizer C carried by the EigenSystem:
     pdf(x) = C exp(-1/x) (1/x) W_{1, xi/2}(2/x)
     cdf(x) = C exp(-1/x)       W_{0, xi/2}(2/x)
 
+Both W come from spectral.macdonald_w at X = 1/x, the sum that also gives
+the rate and C, so one pass at a point serves the pdf and the cdf.
+
 Values are clamped only inside a narrow roundoff band at the edges of
 [0, 1]; anything farther out raises ConsistencyError, because it means
 the spectral data and the kernel disagree about the same function.
@@ -16,8 +19,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConsistencyError, DomainError
-from .specfun import documented_real
-from .spectral import EigenSystem
+from .spectral import EigenSystem, macdonald_w
 
 # exp(-1/x) underflows to subnormal mush below ~1/745; cut a little early
 UNDERFLOW_X = 1.0 / 700.0
@@ -47,12 +49,11 @@ def stationary_pdf(x: float) -> float:
     return 2.0 / (x * x) * math.exp(-2.0 / x)
 
 
-def _pdf_of(x: float, sys: EigenSystem, w: complex) -> float:
+def _pdf_of(x: float, sys: EigenSystem, w: float) -> float:
     # qsd_pdf at x in (0, A) from w = W_{1, xi/2}(2/x), unread at or below
     # UNDERFLOW_X
     if x <= UNDERFLOW_X:
         return 0.0
-    w = documented_real(w, "density Whittaker factor")
     val = sys.C * math.exp(-1.0 / x) * w / x
     if val < 0.0:
         # the boundary zero crossing may land a hair on the wrong side
@@ -62,12 +63,11 @@ def _pdf_of(x: float, sys: EigenSystem, w: complex) -> float:
     return val
 
 
-def _cdf_of(x: float, sys: EigenSystem, w: complex) -> float:
+def _cdf_of(x: float, sys: EigenSystem, w: float) -> float:
     # qsd_cdf at x in (0, A) from w = W_{0, xi/2}(2/x), unread at or below
     # UNDERFLOW_X
     if x <= UNDERFLOW_X:
         return 0.0
-    w = documented_real(w, "distribution Whittaker factor")
     val = sys.C * math.exp(-1.0 / x) * w
     if val < 0.0 or val > 1.0:
         if -_CLAMP <= val < 0.0:
@@ -85,7 +85,7 @@ def qsd_pdf(x: float, sys: EigenSystem) -> float:
         raise DomainError(f"point {x!r} outside [0, {sys.A}]")
     if x <= UNDERFLOW_X or x == sys.A:
         return 0.0
-    return _pdf_of(x, sys, sys.w_plan.pair(2.0 / x)[1])
+    return _pdf_of(x, sys, macdonald_w(sys.A, sys.lam, 1.0 / x)[1])
 
 
 def qsd_cdf(x: float, sys: EigenSystem) -> float:
@@ -97,7 +97,7 @@ def qsd_cdf(x: float, sys: EigenSystem) -> float:
         return 1.0
     if x <= UNDERFLOW_X:
         return 0.0
-    return _cdf_of(x, sys, sys.w_plan(2.0 / x))
+    return _cdf_of(x, sys, macdonald_w(sys.A, sys.lam, 1.0 / x)[0])
 
 
 def _pdf_cdf(x: float, sys: EigenSystem) -> tuple[float, float]:
@@ -106,5 +106,5 @@ def _pdf_cdf(x: float, sys: EigenSystem) -> tuple[float, float]:
     x = _check_point(x)
     if not UNDERFLOW_X < x < sys.A:
         return qsd_pdf(x, sys), qsd_cdf(x, sys)
-    w0, w1 = sys.w_plan.pair(2.0 / x)
+    w0, w1 = macdonald_w(sys.A, sys.lam, 1.0 / x)
     return _pdf_of(x, sys, w1), _cdf_of(x, sys, w0)

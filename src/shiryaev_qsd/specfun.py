@@ -7,7 +7,10 @@ and its reciprocal at a real argument use the standard library's
 math.gamma (within 1e-15 relative of a 40-digit reference on [-52, 60]);
 at a complex argument they use a Lanczos sum.
 
-Every Whittaker W is the Laplace integral (DLMF 13.4.4 through 13.14.3)
+Whittaker W here serves any (kappa, b); the law's own W_{0, xi/2} and
+W_{1, xi/2} come from spectral.macdonald_w, and inside the package only
+the battery's second route (spectral.eigen_checks) reads this one. It is
+the Laplace integral (DLMF 13.4.4 through 13.14.3)
 
     W_{kappa,b}(z) = z^kappa e^{-z/2} / Gamma(a)
                      * int_0^inf e^{-u} u^{a-1} (1 + u/z)^{b+kappa-1/2} du,
@@ -26,7 +29,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from array import array
 
 from .errors import (
     ConsistencyError,
@@ -393,65 +395,38 @@ def _w_climb(ix: tuple, z: float, j0: complex, j1: complex, up: int) -> tuple:
     return out
 
 
-class WPlan:
-    """Whittaker W_{kappa,b}(z) at one index pair, for many real z > 0.
-
-    Sums the Laplace integral of the module docstring with the factor
-    w_k e^{-u_k} u_k^{a0-1} of every node bound once, so each z costs one
-    power per node. Threads share only the read-only node table.
-
-    Raises:
-        DomainError: |Im b| is past the rule's node ceiling.
-    """
-
-    __slots__ = ("_ix", "_nodes", "_coef")
-
-    def __init__(self, kappa: complex, b: complex) -> None:
-        self._ix = b, kappa0, _, _, rule, real = _w_index(kappa, b)
-        self._nodes, logs, weights = _de_rule(*rule)
-        exp, am1 = (math.exp if real else cmath.exp), b - kappa0 - 0.5
-        coef = (w * exp(am1 * s) for s, w in zip(logs, weights))
-        self._coef = array("d", coef) if real else tuple(coef)
-
-    def __call__(self, z: float) -> complex:
-        """W_{kappa,b}(z)."""
-        return self._sum(z, 0)[0]
-
-    def pair(self, z: float) -> tuple[complex, complex]:
-        """W_{kappa,b}(z) and W_{kappa+1,b}(z) from one sum over the nodes;
-        the first is the same bits as the plan's call."""
-        return self._sum(z, 1)
-
-    def _sum(self, z: float, up: int) -> tuple:
-        z = _require_positive_real(z)
-        b, kappa0, n = self._ix[:3]
-        iz, p, climb = 1.0 / z, b + kappa0 - 0.5, n + up
-        j0 = j1 = 0.0
-        for u, c in zip(self._nodes, self._coef):
-            q = 1.0 + u * iz
-            t = c * q**p
-            j0 += t
-            if climb:
-                j1 += t * u / q
-        return _w_climb(self._ix, z, j0, j1, up)
+def _w_sum(kappa: complex, b: complex, z: float, up: int) -> tuple:
+    # the Laplace integral of the module docstring: (W_{kappa,b}(z),), or with
+    # up = 1 also W_{kappa+1,b}(z) from the same sum over the nodes
+    z = _require_positive_real(z)
+    ix = b, kappa0, n, _, rule, real = _w_index(kappa, b)
+    nodes, logs, weights = _de_rule(*rule)
+    exp, am1 = (math.exp if real else cmath.exp), b - kappa0 - 0.5
+    iz, p, climb = 1.0 / z, b + kappa0 - 0.5, n + up
+    j0 = j1 = 0.0
+    for u, s, w in zip(nodes, logs, weights):
+        q = 1.0 + u * iz
+        t = w * exp(am1 * s) * q**p
+        j0 += t
+        if climb:
+            j1 += t * u / q
+    return _w_climb(ix, z, j0, j1, up)
 
 
 def whittaker_w(kappa: complex, b: complex, z: float) -> complex:
-    """Whittaker W_{kappa,b}(z) for real z > 0; even in b. WPlan's sum,
-    with the plan built for this one call.
+    """Whittaker W_{kappa,b}(z) for real z > 0; even in b.
 
     Raises:
         DomainError: z is not a positive real, or |Im b| is past the
             rule's node ceiling.
     """
-    return WPlan(kappa, b)(z)
+    return _w_sum(kappa, b, z, 0)[0]
 
 
 def whittaker_w_pair(kappa: complex, b: complex, z: float) -> tuple[complex, complex]:
-    """W_{kappa,b}(z) and W_{kappa+1,b}(z) from one sum over the nodes of a
-    plan built for this one call; the first is the same bits as
-    whittaker_w(kappa, b, z)."""
-    return WPlan(kappa, b).pair(z)
+    """W_{kappa,b}(z) and W_{kappa+1,b}(z) from one sum over the nodes; the
+    first is the same bits as whittaker_w(kappa, b, z)."""
+    return _w_sum(kappa, b, z, 1)
 
 
 def whittaker_w_dz(kappa: complex, b: complex, z: float) -> complex:

@@ -6,8 +6,9 @@ xi = sqrt(1 - 8 lam). This module brackets that root with the proven
 two-sided bounds, polishes it with Brent iteration on the Macdonald form
 of W (eigencondition), checks that the root found is the smallest, and
 packages the result as a validated EigenSystem the distribution and
-moment code can trust blindly. Its normalizer and the battery's check of
-the root read W's Laplace integral (specfun), which Brent never reads.
+moment code can trust blindly. One sum, macdonald_w, gives W to Brent, C,
+the pdf and the cdf; the battery's checks of the root and of C read W's
+Laplace integral (specfun), which nothing else reads.
 
 The check needs no W and no march. At the n-th root lam, the
 eigenfunction f of 1/2 x^2 f'' + f' + lam f = 0 with f(0) = 1 vanishes at
@@ -49,7 +50,6 @@ from .errors import ConsistencyError, ConvergenceError, DomainError
 from .report import CheckRow, guarded_row
 from .specfun import (
     W_IMAG_B_MAX,
-    WPlan,
     documented_real,
     gamma,
     hyp2f2,
@@ -64,7 +64,8 @@ _DUAL_C_TOL = 1e-8         # agreement between the two normalizer routes
 _BRACKET_SLACK = 1e-9      # relative slack when re-checking the bracket
 _BRENT_REL_TOL = 1e-12     # relative width at which Brent stops
 _K_STEP = 0.2              # trapezoid step of the Macdonald integrals ...
-_K_WAVES = 0.8             # ... and at most this over beta at an imaginary index
+_K_WAVES = 0.8             # ... at most this over beta at an imaginary index ...
+_K_PEAK = 0.7              # ... and at most this over sqrt(X)
 _K_CUT = 50.0              # nodes stop where X (cosh t - 1) - t reaches this
 
 
@@ -114,77 +115,105 @@ def lambda_bounds(A: float) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=2)
-def _macdonald_nodes(X: float, h: float, real: bool) -> tuple[tuple, ...]:
-    # trapezoid nodes t_k = k h of the Macdonald integrals at X over e^{-X},
-    # up to where d_k - t_k reaches _K_CUT, d_k = X (cosh t_k - 1); kept for
-    # the last two (X, h, real): every Brent step at one cutoff reads one
-    # table, and a bracket across lam = 1/8 reads both. With w_k = h (h/2 at
-    # t = 0): at a real index (t_k/2, w_k e^{-d_k + t_k/2}/2,
-    # w_k e^{-d_k - t_k/2}/2), at an imaginary one
-    # (t_k, w_k e^{-d_k} (2 X + d_k - 1/2))
-    ts, ds, sinh, exp = [], [], math.sinh, math.exp
-    t = d = 0.0
-    while d - t < _K_CUT:  # d turns inf, never raises, past the double range
-        ts.append(t)
-        ds.append(d)
-        t = len(ts) * h
-        sh = sinh(0.5 * t)
+def _macdonald_nodes(X: float, h: float, real: bool) -> tuple[list, list, list]:
+    # read-only trapezoid nodes t_k = k h of the Macdonald integrals at X
+    # over e^{-X}, up to where d_k - t_k reaches _K_CUT, d_k = 2 X
+    # sinh^2(t_k/2), exact near the peak at t = 0; kept for the last two
+    # (X, h, real): Brent's steps and C read one table, and a bracket across
+    # lam = 1/8 reads both. With w_k = h (h/2 at t = 0): at a real index
+    # (t_k/2, w_k e^{-d_k} e^{t_k/2}/2, w_k e^{-d_k} e^{-t_k/2}/2), at an
+    # imaginary one (t_k, w_k e^{-d_k}, w_k e^{-d_k} (2 X + d_k - 1/2))
+    exp, sinh = math.exp, math.sinh
+    ts, ps, qs = [], [], []
+    k, s, d = 0, 0.0, 0.0  # s = t_k/2
+    w = 0.5 * h
+    while d - 2.0 * s < _K_CUT:  # d turns inf, never raises, past the double range
+        c = w * exp(-d)
+        if real:
+            e = exp(s)
+            ts.append(s)
+            ps.append(0.5 * c * e)
+            qs.append(0.5 * c / e)
+        else:
+            ts.append(2.0 * s)
+            ps.append(c)
+            qs.append(c * (2.0 * X + d - 0.5))
+        k += 1
+        w = h
+        s = 0.5 * k * h
+        sh = sinh(s)
         d = 2.0 * X * sh * sh
-    ws = [h] * len(ts)
-    ws[0] = 0.5 * h
-    if real:
-        ss = tuple(0.5 * t for t in ts)
-        return (ss, tuple(0.5 * w * exp(s - d) for w, s, d in zip(ws, ss, ds)),
-                tuple(0.5 * w * exp(-s - d) for w, s, d in zip(ws, ss, ds)))
-    return tuple(ts), tuple(w * exp(-d) * (2.0 * X + d - 0.5) for w, d in zip(ws, ds))
+    return ts, ps, qs
 
 
-def eigencondition(A: float, lam: float) -> float:
-    """Boundary-condition function g(lam) = W_{1, xi/2}(2/A); vanishes at
-    the spectrum.
+@functools.lru_cache(maxsize=4)
+def _macdonald_index(A: float, lam: float) -> tuple[float, float, float]:
+    # (step before its peak term, eta = 1 - xi or 0, beta = Im xi / 2 or 0)
+    # of macdonald_w at (A, lam), kept for the last four
+    xi = xi_of_lambda(lam)
+    if 0.5 * xi.imag > W_IMAG_B_MAX:
+        raise DomainError(f"W at |Im b| = {0.5 * xi.imag:.4g} is past its rule's node ceiling")
+    top = math.sqrt(max(0.0, 8.0 * max(lam, lambda_bounds(A)[1]) - 1.0)) / 2.0
+    h = min(_K_STEP, _K_WAVES / min(top, W_IMAG_B_MAX)) if top else _K_STEP
+    if xi.imag:
+        return h, 0.0, 0.5 * xi.imag
+    return h, one_minus_xi(lam, xi).real, 0.0
 
-    W_{0,nu}(2/A) = sqrt(2/(pi A)) K_nu(X), X = 1/A (DLMF 13.18.9), with
+
+def macdonald_w(A: float, lam: float, X: float) -> tuple[float, float]:
+    """W_{0, xi/2}(2X) and W_{1, xi/2}(2X), xi = sqrt(1 - 8 lam), for the
+    system at cutoff A: the one sum of the rate, C, the pdf and the cdf.
+
+    W_{0,nu}(2X) = sqrt(2X/pi) K_nu(X) (DLMF 13.18.9), with
     K_nu(X) = int_0^inf e^{-X cosh t} cosh(nu t) dt (DLMF 10.32.9). DLMF
     13.15 and K_nu' = -K_{nu-1} - (nu/X) K_nu (DLMF 10.29.2) then give
-    W_{1, xi/2}(2/A) = sqrt(2/(pi A)) G with, for lam <= 1/8 and
+    W_{1, xi/2}(2X) = sqrt(2X/pi) G with, for lam <= 1/8 and
     eta = 1 - xi = 8 lam / (1 + xi),
 
         G = (X - eta/2) K_{1/2 - eta/2}(X) + X K_{1/2 + eta/2}(X),
 
-    and for lam > 1/8, beta = sqrt(8 lam - 1) / 2,
+    and for lam > 1/8, where K_{i beta} has cos(beta t), beta = sqrt(8 lam - 1)/2,
 
         G = int_0^inf e^{-X cosh t} cos(beta t) (X (1 + cosh t) - 1/2) dt.
 
-    Both are summed by the trapezoid rule on one node table per cutoff
-    (_macdonald_nodes), at the step h = min(0.2, 0.8 / beta) for the
-    largest beta of the proven bracket (or lam's own above it): a call costs
-    one exponential e^{eta t_k / 2} a node, which takes eta exactly, or one
-    cosine. DomainError past W_IMAG_B_MAX, the Laplace W's ceiling.
+    Both are trapezoid sums on one node table per (X, h) (_macdonald_nodes),
+    h = min(0.2, 0.8 / beta, 0.7 / sqrt(X)): beta is the largest of A's
+    proven bracket (or lam's own above it), and the last term resolves the
+    peak of e^{-X (cosh t - 1)} up to X = 700; at X = 1/A it binds only
+    below A = 0.082. A node costs one exponential e^{eta t/2}, exact in eta,
+    or one cosine. DomainError where lam's own beta passes W_IMAG_B_MAX,
+    the ceiling of the Laplace W that the battery reads.
     """
-    A = _check_cutoff(A)
-    xi = xi_of_lambda(lam)
-    X = 1.0 / A
-    top = math.sqrt(max(0.0, 8.0 * max(lam, lambda_bounds(A)[1]) - 1.0)) / 2.0
-    if top > W_IMAG_B_MAX:
-        raise DomainError(f"W at |Im b| = {top:.4g} is past its rule's node ceiling")
-    h = min(_K_STEP, _K_WAVES / top) if top else _K_STEP
+    h, eta, beta = _macdonald_index(A, lam)
+    h = min(h, _K_PEAK / math.sqrt(X))
     # left to right, not by sum(), which compensates from Python 3.12 on
-    if xi.imag:
-        ts, qs = _macdonald_nodes(X, h, False)
-        beta, cos = 0.5 * xi.imag, math.cos
-        g = 0.0
-        for t, q in zip(ts, qs):
-            g += q * cos(beta * t)
+    if beta:
+        ts, ps, qs = _macdonald_nodes(X, h, False)
+        cos = math.cos
+        k = g = 0.0
+        for t, p, q in zip(ts, ps, qs):
+            c = cos(beta * t)
+            k += p * c
+            g += q * c
     else:
         halves, ps, ms = _macdonald_nodes(X, h, True)
-        eta, exp = one_minus_xi(lam, xi).real, math.exp
-        k_minus = k_plus = 0.0
+        exp = math.exp
+        k = k_plus = 0.0
         for s, p, m in zip(halves, ps, ms):
             e = exp(eta * s)
-            k_minus += p / e + m * e
+            k += p / e + m * e
             k_plus += p * e + m / e
-        g = (X - 0.5 * eta) * k_minus + X * k_plus
-    return math.sqrt(2.0 / (math.pi * A)) * math.exp(-X) * g
+        g = (X - 0.5 * eta) * k + X * k_plus
+    f = math.sqrt(2.0 * X / math.pi) * math.exp(-X)
+    return f * k, f * g
+
+
+def eigencondition(A: float, lam: float) -> float:
+    """Boundary-condition function g(lam) = W_{1, xi/2}(2/A); vanishes at
+    the spectrum. macdonald_w's second value at X = 1/A.
+    """
+    A = _check_cutoff(A)
+    return macdonald_w(A, lam, 1.0 / A)[1]
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -232,13 +261,6 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
     raise ConvergenceError("root refinement did not converge in 200 iterations")
 
 
-@functools.lru_cache(maxsize=1)
-def _endpoint_pair(A: float, xi: complex) -> tuple[complex, complex]:
-    # W_{0, xi/2}(2/A) and W_{1, xi/2}(2/A) by the Laplace integral, kept for the
-    # last (A, xi): assemble_system and its system's battery read one sum
-    return whittaker_w_pair(0.0, 0.5 * xi, 2.0 / A)
-
-
 def _normalizer_endpoint(A: float, w0: float) -> float:
     # C = 1 / (e^{-1/A} W_{0, xi/2}(2/A)), from w0 = the real part of that W;
     # infinite where the product is 0
@@ -272,9 +294,9 @@ def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
 
     Every row's residual is the dimensionless metric the pass/fail
     threshold applies to. Every row is recomputed from the four fields, so
-    a stale or tampered field cannot hide. The Laplace W pair at 2/A is
-    assemble_system's, kept by _endpoint_pair; Brent never reads it, so the
-    residual row checks the root by a second route.
+    a stale or tampered field cannot hide. The residual and endpoint rows
+    read the Laplace W pair at 2/A, which Brent and C never read: a second
+    route to the root and to C.
     """
     A = _check_cutoff(A)
     rows: list[CheckRow] = []
@@ -288,7 +310,7 @@ def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
     ident = abs(xi * xi + 8.0 * lam - 1.0) / max(1.0, 8.0 * lam)
     rows.append(CheckRow("index-identity", ident <= _XI_IDENTITY_TOL, ident))
 
-    w0, w1 = _endpoint_pair(A, xi)
+    w0, w1 = whittaker_w_pair(0.0, 0.5 * xi, 2.0 / A)
     res = abs(w1) / max(1.0, abs(w0))
     rows.append(CheckRow("eigencondition-residual", res <= _RESIDUAL_TOL, res))
 
@@ -316,7 +338,8 @@ class EigenSystem(namedtuple("EigenSystem", "A lam xi C residual")):
     Construction re-runs the invariant battery and raises ConsistencyError
     if anything fails; validate=False skips that (used to inject known-bad
     systems when exercising the verification path, never in normal flow).
-    The battery's rows are kept and served by `checks`. The fields are
+    The battery's rows are kept and served by `checks`; the pdf and cdf
+    read macdonald_w at (A, lam), so no W state is kept. The fields are
     read-only; the class has no __slots__, so the cached properties below
     keep their values in the instance __dict__.
     """
@@ -349,13 +372,6 @@ class EigenSystem(namedtuple("EigenSystem", "A lam xi C residual")):
         return tuple(eigen_checks(self.A, self.lam, self.xi, self.C))
 
     @functools.cached_property
-    def w_plan(self) -> WPlan:
-        """Plan of W_{0, xi/2}, whose pair entry also gives W_{1, xi/2}: the
-        cdf's and the pdf's W; built on first use. A race between threads
-        builds equal plans twice."""
-        return WPlan(0.0, 0.5 * self.xi)
-
-    @functools.cached_property
     def generator(self) -> Eigenfunction:
         """Dense march of the generator's eigenfunction at this rate, the
         W-free route to the pdf and cdf; built on first use. Raises
@@ -378,8 +394,7 @@ def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:
     """
     A = _check_cutoff(A)
     xi = xi_of_lambda(lam)
-    w0, w1 = _endpoint_pair(A, xi)
-    w0 = documented_real(w0, "W at the right endpoint")
+    w0, w1 = macdonald_w(A, lam, 1.0 / A)
     if validate and w0 <= 0.0:
         raise ConsistencyError(
             f"endpoint Whittaker value must be positive, got {w0!r} at A={A}"
@@ -393,15 +408,15 @@ def solve_lambda(A: float) -> EigenSystem:
     """Solve the boundary condition for the principal rate at cutoff A.
 
     Brent iteration on the proven bracket (lambda_bounds) stops at a
-    relative width of 1e-12. Raises ConvergenceError if W has no sign
-    change on that bracket (from about A = 1e18 up, where the rate lies
-    within a rounding of the bracket's lower end) or the iteration stalls,
-    DomainError below A = 0.0178, where the bracket reaches past the W
-    rules' index ceiling, and ConsistencyError if the root fails its
-    invariants (at 7 of 15 log-spaced cutoffs in [0.1, 0.1116], where the
-    Laplace W of the normalizer loses accuracy at the large imaginary
-    index; on 61 in [0.1, 0.16] the solve succeeds at every one from
-    A = 0.1125 up) or if the closed-form certificate cannot prove it the
+    relative width of 1e-12; C reads W_0 on Brent's node table. Raises
+    ConvergenceError if W has no sign change on the bracket, which is
+    proven for the principal rate only (from about A = 1e18 the rate is
+    within a rounding of its lower end; below 0.07 it holds two roots), or
+    if the iteration stalls; DomainError below A = 0.0178, where the
+    bracket passes the Laplace W's index ceiling; and ConsistencyError if
+    the root fails its invariants (at 11 of 61 log-spaced cutoffs in
+    [0.1, 0.16], all below 0.1152, where the battery's Laplace W misses C
+    by over 1e-8) or if the closed-form certificate cannot prove it the
     smallest root (module docstring). Every root from A = 0.1608 to 1e15
     is certified; the margin is thinnest at 0.1608, where the certificate
     would still accept 1.26 times the rate.
@@ -416,7 +431,8 @@ def solve_lambda(A: float) -> EigenSystem:
     if (glo > 0.0) == (ghi > 0.0):
         raise ConvergenceError(
             f"eigencondition does not change sign on the proven bracket "
-            f"[{lo!r}, {hi!r}] at A={A!r}"
+            f"[{lo!r}, {hi!r}] at A={A!r}; the bracket is proven for the "
+            f"principal rate only and may hold an even number of roots"
         )
     lam = _brent(g, lo, hi, glo, ghi)
     if not _is_principal(A, lam):

@@ -19,7 +19,7 @@ from .distribution import _cdf_of, _pdf_of, qsd_cdf, stationary_cdf
 from .moments import moment_frac, moment_integer, recurrence_defect
 from .quadrature import quad_moments
 from .report import CheckRow, guarded_row
-from .spectral import EigenSystem
+from .spectral import EigenSystem, macdonald_w
 
 __all__ = ["run_checks", "dual_route_row", "GRID_POINTS"]
 
@@ -75,9 +75,9 @@ def run_checks(sys: EigenSystem) -> list[CheckRow]:
     moment = functools.cache(lambda s: moment_frac(s, sys).value)
     integer = functools.cache(lambda n: moment_integer(n, sys).value)
     xs = _grid(sys.A)
-    # one W pass per grid point serves both closed forms, and one call of
-    # the march's batched Horner sum both of the generator's
-    ws = functools.cache(lambda: [sys.w_plan.pair(2.0 / x) for x in xs])
+    # one Macdonald sum per grid point serves both closed forms, and one call
+    # of the march's batched Horner sum both of the generator's
+    ws = functools.cache(lambda: [macdonald_w(sys.A, sys.lam, 1.0 / x) for x in xs])
     pdfs = functools.cache(lambda: [_pdf_of(x, sys, w) for x, (_, w) in zip(xs, ws())])
     cdfs = functools.cache(lambda: [_cdf_of(x, sys, w) for x, (w, _) in zip(xs, ws())])
     gens = functools.cache(lambda: sys.generator.densities(xs, True))

@@ -49,7 +49,7 @@ def test_cli_import_loads_no_heavy_standard_modules():
     assert out == (
         "[]\n"
         "name,value,provenance\n"
-        "pdf[x=3.0],0.13402287711300789,closed_form\n"
+        "pdf[x=3.0],0.13402287711300792,closed_form\n"
     )
 
 

@@ -10,7 +10,6 @@ from shiryaev_qsd.errors import (
     PoleError,
 )
 from shiryaev_qsd.specfun import (
-    WPlan,
     digamma,
     documented_real,
     gamma,
@@ -241,7 +240,7 @@ def test_stencil_arms_stay_off_the_poles():
     ]
     with mpmath.workdps(40):
         for kappa, b, z in cases:
-            got = WPlan(kappa, b)(z)
+            got = whittaker_w(kappa, b, z)
             want = complex(mpmath.whitw(kappa, b, z))
             assert got.imag == 0.0 and rel(got, want) < 1e-10, (kappa, b, z)
 
@@ -257,16 +256,14 @@ def test_w_matches_mpmath_at_solved_indices():
     with mpmath.workdps(40):
         for A in W_CHECK_CUTOFFS:
             b = 0.5 * solve_lambda(A).xi
-            plans = (WPlan(0.0, b), WPlan(1.0, b))
             for j in range(13):
                 z = 2.0 / A * (350.0 * A) ** (j / 12)  # log-spaced over [2/A, 700]
                 w0 = mpmath.whitw(0, b, z)
                 w1 = mpmath.whitw(1, b, z)
                 scale1 = max(abs(w1), abs(z * w0))  # W1 = z W0 - (1/4 - b^2) W-1
-                for got0, got1 in ((whittaker_w(0.0, b, z), whittaker_w(1.0, b, z)),
-                                   (plans[0](z), plans[1](z))):
-                    worst0 = max(worst0, float(abs(got0 - w0) / abs(w0)))
-                    worst1 = max(worst1, float(abs(got1 - w1) / scale1))
+                got0, got1 = whittaker_w(0.0, b, z), whittaker_w(1.0, b, z)
+                worst0 = max(worst0, float(abs(got0 - w0) / abs(w0)))
+                worst1 = max(worst1, float(abs(got1 - w1) / scale1))
         # the other indices the suite evaluates W at
         others = [(0.3, 0.4, 1.1)]
         others += [(0.8, b, z) for b in (0.37, 1.21) for z in (0.6, 2.5, 9.0)]
@@ -275,24 +272,18 @@ def test_w_matches_mpmath_at_solved_indices():
             others += [(0.5, 0.5 * (xi - sigma), 2.0 / A) for sigma in (1, -1)]
         for kappa, b, z in others:
             want = mpmath.whitw(kappa, b, z)
-            for got in (whittaker_w(kappa, b, z), WPlan(kappa, b)(z)):
-                worst_k = max(worst_k, float(abs(got - want) / abs(want)))
+            got = whittaker_w(kappa, b, z)
+            worst_k = max(worst_k, float(abs(got - want) / abs(want)))
     assert max(worst0, worst1, worst_k) < 1e-13, (worst0, worst1, worst_k)
 
 
-def test_w_plan_reuse_in_mixed_order():
-    # a plan, and whittaker_w with a plan of its own, give the same bits
-    # whatever z and entry they served before; the pair entries too
+def test_w_calls_in_mixed_order():
+    # whittaker_w and whittaker_w_pair give the same bits whatever z, entry
+    # and index they served before
     zs = (3.0, 0.4, 25.0, 0.05, 15.0, 2.0, 0.4, 3.0, 250.0, 9.0)
     for kappa, b in ((1.0, 0.5 - 1e-4), (0.0, 0.3), (0.0, 0.2j), (1.0, 2.7j), (0.8, 1.21)):
-        plan = WPlan(kappa, b)
         first = {}
-        for i, z in enumerate(zs):
-            pair = plan.pair(z)
-            if i % 2:
-                assert plan(z) == WPlan(kappa, b)(z) == pair[0], (kappa, b, z)
-            else:
-                assert plan.pair(z) == WPlan(kappa, b).pair(z) == pair, (kappa, b, z)
+        for z in zs:
             w = first.setdefault(z, whittaker_w_pair(kappa, b, z))
             assert whittaker_w(kappa, b, z) == w[0], (kappa, b, z)
             assert whittaker_w_pair(kappa, b, z) == w, (kappa, b, z)
@@ -305,7 +296,7 @@ def _bits(w: complex) -> tuple[str, str]:
 
 def test_w_pair_is_the_two_single_passes_bit_for_bit():
     # W_{0,b} and W_{1,b} from one sum equal the separate passes at kappa = 0
-    # and kappa = 1, through the plan and through whittaker_w: at real b in
+    # and kappa = 1: at real b in
     # (0, 1/2], at b = 0 (rate 1/8), and at imaginary b in every band of the
     # rule's step up to the index of A = 0.2 (|Im b| = 7.34)
     rng = random.Random(20250613)
@@ -314,10 +305,7 @@ def test_w_pair_is_the_two_single_passes_bit_for_bit():
     bs += [1j * rng.uniform(lo, hi) for lo, hi in zip(edges, edges[1:]) for _ in range(2)]
     bs += [1j * (hi + 1e-9) for hi in edges[1:-1]]
     for b in bs:
-        plan = WPlan(0.0, b)
         for z in [math.exp(rng.uniform(math.log(2e-3), math.log(1400.0))) for _ in range(6)]:
-            got = [_bits(w) for w in plan.pair(z)]
-            assert got == [_bits(plan(z)), _bits(WPlan(1.0, b)(z))], (b, z)
             got = [_bits(w) for w in whittaker_w_pair(0.0, b, z)]
             assert got == [_bits(whittaker_w(0.0, b, z)), _bits(whittaker_w(1.0, b, z))], (b, z)
 

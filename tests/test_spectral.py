@@ -10,7 +10,6 @@ import shiryaev_qsd.generator as generator
 import shiryaev_qsd.specfun as specfun
 import shiryaev_qsd.spectral as spectral
 from shiryaev_qsd.errors import ConsistencyError, ConvergenceError, DomainError, PoleError
-from shiryaev_qsd.specfun import WPlan
 from shiryaev_qsd.spectral import (
     EigenSystem,
     assemble_system,
@@ -239,25 +238,25 @@ def test_eigensystem_validate_false_admits_anything(solved):
     assert bad.lam == es.lam * 2
 
 
-def test_binding_w_plans_keeps_equality_and_repr(solved):
-    # one plan serves W_{0, xi/2} and, by its pair entry, W_{1, xi/2}
+def test_cached_properties_keep_equality_and_repr(solved):
+    # the battery's rows and the march, cached on first use, change neither
+    # the fields nor equality
     es = solve_lambda(20.0)
     twin = EigenSystem(
         A=es.A, lam=es.lam, xi=es.xi, C=es.C, residual=es.residual, validate=False
     )
     before = repr(es)
-    plan = es.w_plan
-    assert es.w_plan is plan
-    assert plan.pair(3.0) == (plan(3.0), WPlan(1.0, 0.5 * es.xi)(3.0))
+    march = es.generator
+    assert es.generator is march
     assert twin.checks
     assert repr(es) == before == repr(twin)
     assert es == twin and hash(es) == hash(twin) and es == solved(20.0)
 
 
 def test_solve_sums_the_laplace_w_once_after_brent(monkeypatch):
-    # Brent reads the Macdonald form of W_{1, xi/2}(2/A) and sums no Laplace
-    # W; after it, the endpoint normalizer and the battery's residual read
-    # W_0 and W_1 at z = 2/A from one shared pass
+    # Brent and the normalizer read the Macdonald form of W at 2/A and sum no
+    # Laplace W; after them, the battery's residual and endpoint rows read
+    # W_0 and W_1 at z = 2/A from one Laplace pass
     for A in (3.0, 20.0, 1e5):
         passes = []
         at_brent = []
@@ -272,13 +271,81 @@ def test_solve_sums_the_laplace_w_once_after_brent(monkeypatch):
             return lam
 
         climb, brent = specfun._w_climb, spectral._brent
-        spectral._endpoint_pair.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(specfun, "_w_climb", counted_climb)
             m.setattr(spectral, "_brent", marked_brent)
             solve_lambda(A)
         assert at_brent == [0], (A, at_brent)
         assert passes == [2.0 / A], (A, passes)
+
+
+def test_solve_builds_one_node_table(monkeypatch):
+    # every Brent step at one cutoff and then C read one Macdonald node
+    # table; a bracket across lam = 1/8 (A = 10.24) builds one per regime
+    for A, tables in ((3.0, 1), (10.24, 2), (20.0, 1), (1e5, 1)):
+        steps = []
+
+        def counted(A, lam):
+            steps.append(lam)
+            return eigencondition(A, lam)
+
+        spectral._macdonald_nodes.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "eigencondition", counted)
+            solve_lambda(A)
+        info = spectral._macdonald_nodes.cache_info()
+        assert (info.misses, info.hits) == (tables, len(steps) + 1 - tables), (A, info)
+
+
+# worst gaps of macdonald_w to mpmath at 13 points X from 1/A to 700, 10x
+# the measured ones rounded up: W_0 relative, and W_1 relative to
+# max(|W_1|, 2X |W_0|), as W_1 vanishes at X = 1/A. At an imaginary index
+# far from 1/8 the sum cancels about e^{pi beta/2 - X} fold (2.4e-14 and
+# 6.0e-14 at A = 0.1125, 3.3e-15 and 8.6e-15 at 0.5); elsewhere it reads at
+# most 6.4e-16 and 7.1e-16
+MACDONALD_TOL = {0.1125: (3e-13, 6e-13), 0.5: (4e-14, 9e-14)}
+
+
+@pytest.mark.parametrize("A", (0.1125, 0.5, 3.0, 10.2, 10.3, 20.0, 1e5, 1e9))
+def test_macdonald_w_matches_mpmath(A, solved):
+    # the law's W_{0, xi/2}(2X) and W_{1, xi/2}(2X) against mpmath at 40
+    # digits, with xi = sqrt(1 - 8 lam) formed in mpmath from the package's
+    # double lam: the eta-exact reference. At the double xi the W_1 reference
+    # would read xi's rounding instead, 4.1e-13 at A = 1e5 and 1.6e-8 at 1e9
+    mpmath = pytest.importorskip("mpmath")
+    lam = solved(A).lam
+    worst0 = worst1 = 0.0
+    with mpmath.workdps(40):
+        b = mpmath.sqrt(1 - 8 * mpmath.mpf(lam)) / 2
+        for j in range(13):
+            X = 700.0 if j == 12 else (700.0 * A) ** (j / 12) / A
+            w0, w1 = spectral.macdonald_w(A, lam, X)
+            ref0 = mpmath.whitw(0, b, 2 * mpmath.mpf(X))
+            ref1 = mpmath.whitw(1, b, 2 * mpmath.mpf(X))
+            worst0 = max(worst0, float(abs(w0 - ref0) / abs(ref0)))
+            worst1 = max(worst1, float(abs(w1 - ref1) / max(abs(ref1), 2 * X * abs(ref0))))
+    tol0, tol1 = MACDONALD_TOL.get(A, (7e-15, 8e-15))
+    assert worst0 <= tol0 and worst1 <= tol1, (A, worst0, worst1)
+
+
+def test_normalizer_row_is_a_second_route(solved, monkeypatch):
+    # C comes from the Macdonald W_0 at 2/A, and normalizer-endpoint from
+    # the Laplace one: a Laplace W_0 scaled by 1 + 1e-7 fails that row alone
+    # and leaves C as it was
+    es = solved(20.0)
+    laplace = spectral.whittaker_w_pair
+
+    def scaled(kappa, b, z):
+        w0, w1 = laplace(kappa, b, z)
+        return w0 * (1.0 + 1e-7), w1
+
+    monkeypatch.setattr(spectral, "whittaker_w_pair", scaled)
+    with pytest.raises(ConsistencyError, match="normalizer-endpoint") as err:
+        solve_lambda(20.0)
+    assert "normalizer-series" not in str(err.value)
+    bad = assemble_system(20.0, es.lam, validate=False)
+    assert bad.C == es.C
+    assert [r.name for r in bad.checks if not r.passed] == ["normalizer-endpoint"]
 
 
 # |Macdonald - Laplace| / |W_0| at 11 rates across the proven bracket, as
@@ -335,6 +402,18 @@ def test_solve_rejects_bad_inputs():
         solve_lambda(0.0)
     with pytest.raises(DomainError):
         solve_lambda(1e-300)  # the proven bounds leave the double range
+
+
+def test_no_sign_change_names_an_even_count_of_roots():
+    # below about A = 0.07 the bracket holds the second rate as well as the
+    # first, so W_1 has one sign at both ends: at A = 0.05 it is +1.1e-8 at
+    # lo and +3.4e-19 at hi. The bracket is proven for the principal rate
+    # only, and the message says so
+    with pytest.raises(ConvergenceError) as err:
+        solve_lambda(0.05)
+    msg = str(err.value)
+    assert "proven bracket [" in msg
+    assert "principal rate only" in msg and "even number of roots" in msg
 
 
 def test_no_sign_change_on_the_bracket_fails_at_once(monkeypatch):

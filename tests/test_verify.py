@@ -4,7 +4,7 @@ import math
 import pytest
 
 import shiryaev_qsd.cli as cli
-import shiryaev_qsd.specfun as specfun
+import shiryaev_qsd.distribution as distribution
 import shiryaev_qsd.verify as verify
 from shiryaev_qsd.errors import ConsistencyError, ConvergenceError
 from shiryaev_qsd.generator import Eigenfunction
@@ -119,9 +119,28 @@ def test_shared_density_leaves_quadrature_metrics_unchanged(solved, capsys):
         assert cli_rows["dual-route[log]"] == want, A
 
 
+# rows that fail on a solved system at the edges of verify's range: none at
+# small A, where a Laplace W pdf reads pdf-generator 1.5e-11 and 1.1e-12 at
+# A = 0.2 and 0.25; at large A only the integer moments, as M(1) = A - 1/lam
+# cancels, where a W pdf with xi rounded reads pdf-generator 1.0e-12 at 1e7
+# and 1.9e-11 at 1e8. The generator rows read at most 3.1e-14 on these four
+EDGE_FAILURES = {
+    0.2: set(),
+    0.25: set(),
+    1e7: {"moment-integer-consistency[n=2]"},
+    1e8: {"moment-integer-consistency[n=1]", "moment-integer-consistency[n=2]"},
+}
+
+
+@pytest.mark.parametrize("A", sorted(EDGE_FAILURES))
+def test_verify_edges_fail_only_the_named_rows(A, solved):
+    rows = run_checks(solved(A))
+    assert {r.name for r in rows if not r.passed} == EDGE_FAILURES[A], A
+
+
 def test_battery_pdf_evaluation_budget(solved, monkeypatch):
-    # a battery sums W over the nodes once per point of the 33-point grid,
-    # for both closed forms, and once for `cdf-endpoint`; the grid takes one
+    # a battery sums the Macdonald form of W once per point of the 33-point
+    # grid, for both closed forms, and once for `cdf-endpoint`; the grid takes one
     # batched call of the dense march for both of the generator's values at
     # all 33 points. Its one quadrature pass evaluates the march's pdf in
     # one batch of 15 nodes per GK15 panel: 105, 180 and 210 nodes, within
@@ -132,9 +151,9 @@ def test_battery_pdf_evaluation_budget(solved, monkeypatch):
         calls = {"w": 0, "pdf_cdf": 0, "pdf": 0}
         nodes = {"pdf_cdf": 0, "pdf": 0}
 
-        def counted_climb(*args):
+        def counted_w(*args):
             calls["w"] += 1
-            return climb(*args)
+            return macdonald_w(*args)
 
         def counted_densities(self, xs, cdf=False):
             key = "pdf_cdf" if cdf else "pdf"
@@ -142,9 +161,10 @@ def test_battery_pdf_evaluation_budget(solved, monkeypatch):
             nodes[key] += len(xs)
             return densities(self, xs, cdf)
 
-        climb, densities = specfun._w_climb, Eigenfunction.densities
+        macdonald_w, densities = verify.macdonald_w, Eigenfunction.densities
         with monkeypatch.context() as m:
-            m.setattr(specfun, "_w_climb", counted_climb)
+            m.setattr(verify, "macdonald_w", counted_w)
+            m.setattr(distribution, "macdonald_w", counted_w)
             m.setattr(Eigenfunction, "densities", counted_densities)
             run_checks(es)
         assert calls["w"] == verify.GRID_POINTS + 1, (A, calls)
@@ -155,7 +175,8 @@ def test_battery_pdf_evaluation_budget(solved, monkeypatch):
 
 # the rows of run_checks after sys.checks that read each battery input,
 # directly or through another input: the quadrature pass and the W grid
-# feed several rows, and the march feeds the quadrature
+# ("pair": W_0 and W_1 at each point) feed several rows, and the march feeds
+# the quadrature
 _QUAD_ROWS = {
     "quadrature-normalization", "moment-dual-route[s=0.5]", "moment-dual-route[s=3.14159]"}
 _CDF_ROWS = {"cdf-monotone", "cdf-endpoint", "dominates-stationary-cdf"}
@@ -193,7 +214,7 @@ def test_raising_input_fails_exactly_its_rows(solved, monkeypatch, source, exc):
             if source == "generator":
                 m.setattr(EigenSystem, "generator", property(raising))
             elif source == "pair":
-                m.setattr(specfun.WPlan, "pair", raising)
+                m.setattr(verify, "macdonald_w", raising)
             else:
                 m.setattr(verify, source, raising)
             rows = run_checks(es)
