@@ -153,10 +153,9 @@ def _cmd_table(args) -> EvalReport:
     es = solve_lambda(args.A)
     rep = EvalReport(command="table", inputs={"A": args.A, "points": args.points})
     last = args.points - 1
-    for i in range(args.points):
-        # A * last / last may round one ulp past A, outside the support
-        x = args.A if i == last else args.A * i / last
-        pdf, cdf = _pdf_cdf(x, es)
+    # A * last / last may round one ulp past A, outside the support
+    xs = [args.A * i / last for i in range(last)] + [args.A]
+    for x, (pdf, cdf) in zip(xs, _pdf_cdf(xs, es)):
         rep.results.append(ResultRow(f"pdf[x={x!r}]", pdf, "closed_form"))
         rep.results.append(ResultRow(f"cdf[x={x!r}]", cdf, "closed_form"))
     return rep

@@ -6,9 +6,13 @@ xi = sqrt(1 - 8 lam). This module brackets that root with the proven
 two-sided bounds, polishes it with Brent iteration on the Macdonald form
 of W (eigencondition), checks that the root found is the smallest, and
 packages the result as a validated EigenSystem the distribution and
-moment code can trust blindly. One sum, macdonald_w, gives W to Brent, C,
-the pdf and the cdf; the battery's checks of the root and of C read W's
-Laplace integral (specfun), which nothing else reads.
+moment code can trust blindly. One sum, Macdonald's, gives W to Brent, C,
+the pdf and the cdf, on one of two node layouts: macdonald_w keeps the
+node factors of one X (one table per point, which Brent's steps and C
+share), and distribution.macdonald_w_grid the factors of one rate (one
+table per step for many points, as in `table` and verify's grid). The
+battery's checks of the root and of C read W's Laplace integral
+(specfun), which nothing else reads.
 
 The check needs no W and no march. At the n-th root lam, the
 eigenfunction f of 1/2 x^2 f'' + f' + lam f = 0 with f(0) = 1 vanishes at
@@ -162,7 +166,8 @@ def _macdonald_index(A: float, lam: float) -> tuple[float, float, float]:
 
 def macdonald_w(A: float, lam: float, X: float) -> tuple[float, float]:
     """W_{0, xi/2}(2X) and W_{1, xi/2}(2X), xi = sqrt(1 - 8 lam), for the
-    system at cutoff A: the one sum of the rate, C, the pdf and the cdf.
+    system at cutoff A: the one sum of the rate, C, the pdf and the cdf at
+    a point (distribution.macdonald_w_grid sums it at many points).
 
     W_{0,nu}(2X) = sqrt(2X/pi) K_nu(X) (DLMF 13.18.9), with
     K_nu(X) = int_0^inf e^{-X cosh t} cosh(nu t) dt (DLMF 10.32.9). DLMF
@@ -185,7 +190,7 @@ def macdonald_w(A: float, lam: float, X: float) -> tuple[float, float]:
     the ceiling of the Laplace W that the battery reads.
     """
     h, eta, beta = _macdonald_index(A, lam)
-    h = min(h, _K_PEAK / math.sqrt(X))
+    h = _macdonald_step(h, X)
     # left to right, not by sum(), which compensates from Python 3.12 on
     if beta:
         ts, ps, qs = _macdonald_nodes(X, h, False)
@@ -206,6 +211,14 @@ def macdonald_w(A: float, lam: float, X: float) -> tuple[float, float]:
         g = (X - 0.5 * eta) * k + X * k_plus
     f = math.sqrt(2.0 * X / math.pi) * math.exp(-X)
     return f * k, f * g
+
+
+def _macdonald_step(h: float, X: float) -> float:
+    # the trapezoid step at X from the rate's step h (_macdonald_index),
+    # which resolves the peak of e^{-X (cosh t - 1)} at t = 0: the step rule
+    # of macdonald_w and distribution.macdonald_w_grid, which both cut
+    # their nodes where X (cosh t - 1) - t reaches _K_CUT
+    return min(h, _K_PEAK / math.sqrt(X))
 
 
 def eigencondition(A: float, lam: float) -> float:
@@ -339,9 +352,10 @@ class EigenSystem(namedtuple("EigenSystem", "A lam xi C residual")):
     if anything fails; validate=False skips that (used to inject known-bad
     systems when exercising the verification path, never in normal flow).
     The battery's rows are kept and served by `checks`; the pdf and cdf
-    read macdonald_w at (A, lam), so no W state is kept. The fields are
-    read-only; the class has no __slots__, so the cached properties below
-    keep their values in the instance __dict__.
+    read macdonald_w or distribution.macdonald_w_grid at (A, lam), so no
+    W state is kept. The fields are read-only; the class has no __slots__,
+    so the cached properties below keep their values in the instance
+    __dict__.
     """
 
     def __new__(

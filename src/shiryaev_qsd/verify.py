@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 import math
 
-from .distribution import _cdf_of, _pdf_of, qsd_cdf, stationary_cdf
+from .distribution import _cdf_of, _pdf_of, macdonald_w_grid, qsd_cdf, stationary_cdf
 from .moments import moment_frac, moment_integer, recurrence_defect
 from .quadrature import quad_moments
 from .report import CheckRow, guarded_row
-from .spectral import EigenSystem, macdonald_w
+from .spectral import EigenSystem
 
 __all__ = ["run_checks", "dual_route_row", "GRID_POINTS"]
 
@@ -69,15 +69,17 @@ def run_checks(sys: EigenSystem) -> list[CheckRow]:
     wrong rate still gets its full report. The inputs (the quadrature pass,
     each closed-form and integer moment, the march, the W grid and the
     lists built on it) are lazy: each is computed on first use, once for
-    all rows that read it, and again by each such row when it raises.
+    all rows that read it, and again by each such row when it raises. The
+    W grid is one distribution.macdonald_w_grid pass over the 33 points,
+    and `cdf-endpoint` reads one more macdonald_w point just below A.
     """
     quads = functools.cache(lambda: quad_moments(sys, _DUAL_ORDERS))
     moment = functools.cache(lambda s: moment_frac(s, sys).value)
     integer = functools.cache(lambda n: moment_integer(n, sys).value)
     xs = _grid(sys.A)
-    # one Macdonald sum per grid point serves both closed forms, and one call
-    # of the march's batched Horner sum both of the generator's
-    ws = functools.cache(lambda: [macdonald_w(sys.A, sys.lam, 1.0 / x) for x in xs])
+    # one pass of the Macdonald sums over the grid serves both closed forms,
+    # and one call of the march's batched Horner sum both of the generator's
+    ws = functools.cache(lambda: macdonald_w_grid(sys.A, sys.lam, [1.0 / x for x in xs]))
     pdfs = functools.cache(lambda: [_pdf_of(x, sys, w) for x, (_, w) in zip(xs, ws())])
     cdfs = functools.cache(lambda: [_cdf_of(x, sys, w) for x, (w, _) in zip(xs, ws())])
     gens = functools.cache(lambda: sys.generator.densities(xs, True))

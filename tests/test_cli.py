@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import shiryaev_qsd.cli as cli
 import shiryaev_qsd.quadrature as quadrature
+from shiryaev_qsd.distribution import qsd_cdf, qsd_pdf
 from shiryaev_qsd.errors import (
     ConsistencyError,
     ConvergenceError,
@@ -146,6 +147,30 @@ def test_table_grid(capsys):
     doc = json.loads(out)
     assert len(doc["results"]) == 10  # pdf and cdf per node
     assert doc["results"][0]["name"] == "pdf[x=0.0]"
+
+
+@pytest.mark.parametrize("A", ("0.7", "20", "1e5"))
+def test_table_matches_the_point_functions(capsys, A, solved):
+    # table reads its interior points from one Macdonald grid pass: each
+    # cdf within 1e-14 relative of qsd_cdf, and each pdf within 1e-14 of
+    # qsd_pdf relative to max(pdf, 2 cdf / x^2), the scale of W_1's
+    # rounding as the pdf vanishes toward A (pdf = C e^{-1/x} W_1(2/x) / x
+    # against 2X W_0); the endpoints keep their rules
+    code, out, err = run(capsys, "table", "--A", A, "--points", "65")
+    assert code == 0, err
+    es = solved(float(A))
+    rows = json.loads(out)["results"]
+    assert len(rows) == 130
+    for pdf_row, cdf_row in zip(rows[::2], rows[1::2]):
+        x = float(pdf_row["name"][len("pdf[x="):-1])
+        pdf, cdf = pdf_row["value"], cdf_row["value"]
+        want_pdf, want_cdf = qsd_pdf(x, es), qsd_cdf(x, es)
+        if x in (0.0, es.A):
+            assert (pdf, cdf) == (0.0, 0.0 if x == 0.0 else 1.0), (A, x)
+            continue
+        assert abs(cdf - want_cdf) <= 1e-14 * want_cdf, (A, x, cdf, want_cdf)
+        scale = max(want_pdf, 2.0 * want_cdf / (x * x))
+        assert abs(pdf - want_pdf) <= 1e-14 * scale, (A, x, pdf, want_pdf)
 
 
 @pytest.mark.parametrize(

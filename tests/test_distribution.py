@@ -1,15 +1,18 @@
 import math
+import random
 
 import pytest
 
 from shiryaev_qsd.distribution import (
     UNDERFLOW_X,
+    macdonald_w_grid,
     qsd_cdf,
     qsd_pdf,
     stationary_cdf,
     stationary_pdf,
 )
 from shiryaev_qsd.errors import DomainError
+from shiryaev_qsd.spectral import macdonald_w
 
 
 def test_stationary_closed_forms():
@@ -90,3 +93,33 @@ def test_imaginary_index_regime_is_real_valued(solved):
         assert isinstance(p, float) and p >= 0.0
         total += p / 32.0
     assert 0.9 < total < 1.1  # crude Riemann mass
+
+
+@pytest.mark.parametrize("A", (0.1125, 0.2, 0.3, 0.5, 3.0, 10.2, 10.3, 20.0, 1e5, 1e9))
+def test_macdonald_w_grid_matches_points(A, solved):
+    # the grid pass against one macdonald_w per point, on verify's 33-point
+    # grid and at points below x = 0.082, whose step is their own
+    # 0.7 / sqrt(X): the same bits at an imaginary index (lam > 1/8), and
+    # within 1e-14 of each W's peak over the points at a real one, where
+    # the worst measured is 6.8e-16 (A = 10.3); a shuffled batch gives the
+    # same bits
+    lam = solved(A).lam
+    xs = [A * (i + 1) / 34 for i in range(33)]
+    xs += [x for x in (0.0015, 0.01, 0.05, 0.08) if x < A]
+    Xs = [1.0 / x for x in xs]
+    got = macdonald_w_grid(A, lam, Xs)
+    want = [macdonald_w(A, lam, X) for X in Xs]
+    if lam > 0.125:
+        assert got == want, A
+    for j in (0, 1):
+        peak = max(abs(w[j]) for w in want)
+        gap = max(abs(g[j] - w[j]) for g, w in zip(got, want))
+        assert gap <= 1e-14 * peak, (A, j, gap / peak)
+    # the points of their own step also agree with their own value
+    for g, w, x in zip(got, want, xs):
+        if x < 0.082:
+            assert g == pytest.approx(w, rel=1e-14, abs=0.0), (A, x)
+    order = list(range(len(Xs)))
+    random.Random(7).shuffle(order)
+    shuffled = macdonald_w_grid(A, lam, [Xs[i] for i in order])
+    assert [got[i] for i in order] == shuffled, A

@@ -139,21 +139,27 @@ def test_verify_edges_fail_only_the_named_rows(A, solved):
 
 
 def test_battery_pdf_evaluation_budget(solved, monkeypatch):
-    # a battery sums the Macdonald form of W once per point of the 33-point
-    # grid, for both closed forms, and once for `cdf-endpoint`; the grid takes one
-    # batched call of the dense march for both of the generator's values at
-    # all 33 points. Its one quadrature pass evaluates the march's pdf in
-    # one batch of 15 nodes per GK15 panel: 105, 180 and 210 nodes, within
-    # 5% here, after the two leading seed panels that the tail bound leaves
-    # out (135, 210 and 240 nodes with them)
+    # a battery sums the Macdonald form of W in one grid pass over the
+    # 33-point grid, for both closed forms, and once at a single point for
+    # `cdf-endpoint`; the grid takes one batched call of the dense march for
+    # both of the generator's values at all 33 points. Its one quadrature
+    # pass evaluates the march's pdf in one batch of 15 nodes per GK15
+    # panel: 105, 180 and 210 nodes, within 5% here, after the two leading
+    # seed panels that the tail bound leaves out (135, 210 and 240 nodes
+    # with them)
     for A, budget in ((20.0, 110), (1e4, 189), (1e5, 220)):
         es = solved(A)
-        calls = {"w": 0, "pdf_cdf": 0, "pdf": 0}
-        nodes = {"pdf_cdf": 0, "pdf": 0}
+        calls = {"w": 0, "grid": 0, "pdf_cdf": 0, "pdf": 0}
+        nodes = {"grid": 0, "pdf_cdf": 0, "pdf": 0}
 
         def counted_w(*args):
             calls["w"] += 1
             return macdonald_w(*args)
+
+        def counted_grid(A, lam, Xs):
+            calls["grid"] += 1
+            nodes["grid"] += len(Xs)
+            return macdonald_w_grid(A, lam, Xs)
 
         def counted_densities(self, xs, cdf=False):
             key = "pdf_cdf" if cdf else "pdf"
@@ -161,13 +167,15 @@ def test_battery_pdf_evaluation_budget(solved, monkeypatch):
             nodes[key] += len(xs)
             return densities(self, xs, cdf)
 
-        macdonald_w, densities = verify.macdonald_w, Eigenfunction.densities
+        macdonald_w, macdonald_w_grid = distribution.macdonald_w, verify.macdonald_w_grid
+        densities = Eigenfunction.densities
         with monkeypatch.context() as m:
-            m.setattr(verify, "macdonald_w", counted_w)
+            m.setattr(verify, "macdonald_w_grid", counted_grid)
             m.setattr(distribution, "macdonald_w", counted_w)
             m.setattr(Eigenfunction, "densities", counted_densities)
             run_checks(es)
-        assert calls["w"] == verify.GRID_POINTS + 1, (A, calls)
+        assert (calls["grid"], nodes["grid"]) == (1, verify.GRID_POINTS), (A, calls)
+        assert calls["w"] == 1, (A, calls)
         assert (calls["pdf_cdf"], nodes["pdf_cdf"]) == (1, verify.GRID_POINTS), (A, calls)
         assert nodes["pdf"] == 15 * calls["pdf"], (A, calls, nodes)
         assert 0 < nodes["pdf"] <= budget, (A, nodes)
@@ -175,8 +183,8 @@ def test_battery_pdf_evaluation_budget(solved, monkeypatch):
 
 # the rows of run_checks after sys.checks that read each battery input,
 # directly or through another input: the quadrature pass and the W grid
-# ("pair": W_0 and W_1 at each point) feed several rows, and the march feeds
-# the quadrature
+# ("pair": W_0 and W_1 at each point, from one grid pass) feed several
+# rows, and the march feeds the quadrature
 _QUAD_ROWS = {
     "quadrature-normalization", "moment-dual-route[s=0.5]", "moment-dual-route[s=3.14159]"}
 _CDF_ROWS = {"cdf-monotone", "cdf-endpoint", "dominates-stationary-cdf"}
@@ -214,7 +222,7 @@ def test_raising_input_fails_exactly_its_rows(solved, monkeypatch, source, exc):
             if source == "generator":
                 m.setattr(EigenSystem, "generator", property(raising))
             elif source == "pair":
-                m.setattr(verify, "macdonald_w", raising)
+                m.setattr(verify, "macdonald_w_grid", raising)
             else:
                 m.setattr(verify, source, raising)
             rows = run_checks(es)
