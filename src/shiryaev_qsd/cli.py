@@ -31,9 +31,10 @@ _TABLE_POINTS_MAX = 10_000   # table grid sizes above this are refused
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process:
-    parsing reads it and never changes it."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and its command subparsers by name, built on
+    first use and kept for the process: parsing reads them and never
+    changes them."""
     p = argparse.ArgumentParser(
         prog="shiryaev-qsd",
         description=(
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     negative = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
     for sp in sub.choices.values():
         sp._negative_number_matcher = negative
-    return p
+    return p, sub.choices
 
 
 def _cmd_eig(args) -> EvalReport:
@@ -184,10 +185,24 @@ _DISPATCH = {
 }
 
 
+def _parse(argv) -> argparse.Namespace:
+    # a request that starts with a command and leaves nothing over is parsed
+    # by that command's subparser alone, in one pass, as the full parser
+    # would hand it on; every other request, and every usage error the
+    # subparser does not raise itself, goes through the full parser
+    parser, commands = _build_parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 2
         return 0 if code == 0 else 2

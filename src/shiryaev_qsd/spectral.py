@@ -7,12 +7,13 @@ two-sided bounds, polishes it with Brent iteration on the Macdonald form
 of W (eigencondition), checks that the root found is the smallest, and
 packages the result as a validated EigenSystem the distribution and
 moment code can trust blindly. One sum, Macdonald's, gives W to Brent, C,
-the pdf and the cdf, on one of two node layouts: macdonald_w keeps the
-node factors of one X (one table per point, which Brent's steps and C
-share), and distribution.macdonald_w_grid the factors of one rate (one
-table per step for many points, as in `table` and verify's grid). The
-battery's checks of the root and of C read W's Laplace integral
-(specfun), which nothing else reads.
+the pdf and the cdf, on one of two node layouts: the factors of one X
+(one table per point; macdonald_w, and the solve, which prepares X = 1/A,
+its step and its table once and takes C from the pair of Brent's root),
+and distribution.macdonald_w_grid the factors of one rate (one table per
+step for many points, as in `table` and verify's grid). The battery's
+checks of the root and of C read W's Laplace integral (specfun), which
+nothing else reads.
 
 The check needs no W and no march. At the n-th root lam, the
 eigenfunction f of 1/2 x^2 f'' + f' + lam f = 0 with f(0) = 1 vanishes at
@@ -123,7 +124,7 @@ def _macdonald_nodes(X: float, h: float, real: bool) -> tuple[list, list, list]:
     # read-only trapezoid nodes t_k = k h of the Macdonald integrals at X
     # over e^{-X}, up to where d_k - t_k reaches _K_CUT, d_k = 2 X
     # sinh^2(t_k/2), exact near the peak at t = 0; kept for the last two
-    # (X, h, real): Brent's steps and C read one table, and a bracket across
+    # (X, h, real): a solve's Brent steps read one table, and a bracket across
     # lam = 1/8 reads both. With w_k = h (h/2 at t = 0): at a real index
     # (t_k/2, w_k e^{-d_k} e^{t_k/2}/2, w_k e^{-d_k} e^{-t_k/2}/2), at an
     # imaginary one (t_k, w_k e^{-d_k}, w_k e^{-d_k} (2 X + d_k - 1/2))
@@ -150,18 +151,25 @@ def _macdonald_nodes(X: float, h: float, real: bool) -> tuple[list, list, list]:
     return ts, ps, qs
 
 
-@functools.lru_cache(maxsize=4)
-def _macdonald_index(A: float, lam: float) -> tuple[float, float, float]:
-    # (step before its peak term, eta = 1 - xi or 0, beta = Im xi / 2 or 0)
-    # of macdonald_w at (A, lam), kept for the last four
+def _macdonald_eta_beta(lam: float) -> tuple[float, float]:
+    # (eta = 1 - xi or 0, beta = Im xi / 2 or 0) of the Macdonald sum at lam
     xi = xi_of_lambda(lam)
     if 0.5 * xi.imag > W_IMAG_B_MAX:
         raise DomainError(f"W at |Im b| = {0.5 * xi.imag:.4g} is past its rule's node ceiling")
+    if xi.imag:
+        return 0.0, 0.5 * xi.imag
+    return one_minus_xi(lam, xi).real, 0.0
+
+
+@functools.lru_cache(maxsize=4)
+def _macdonald_index(A: float, lam: float) -> tuple[float, float, float]:
+    # (step before its peak term, eta, beta) of macdonald_w at (A, lam),
+    # kept for the last four; the step is the same for every lam up to A's
+    # upper bound, so that one evaluation serves a whole solve
+    eta, beta = _macdonald_eta_beta(lam)
     top = math.sqrt(max(0.0, 8.0 * max(lam, lambda_bounds(A)[1]) - 1.0)) / 2.0
     h = min(_K_STEP, _K_WAVES / min(top, W_IMAG_B_MAX)) if top else _K_STEP
-    if xi.imag:
-        return h, 0.0, 0.5 * xi.imag
-    return h, one_minus_xi(lam, xi).real, 0.0
+    return h, eta, beta
 
 
 def macdonald_w(A: float, lam: float, X: float) -> tuple[float, float]:
@@ -190,7 +198,12 @@ def macdonald_w(A: float, lam: float, X: float) -> tuple[float, float]:
     the ceiling of the Laplace W that the battery reads.
     """
     h, eta, beta = _macdonald_index(A, lam)
-    h = _macdonald_step(h, X)
+    return _macdonald_sum(X, _macdonald_step(h, X), eta, beta)
+
+
+def _macdonald_sum(X: float, h: float, eta: float, beta: float) -> tuple[float, float]:
+    # macdonald_w's pair at X from its trapezoid step h and index (eta, beta):
+    # the one node loop of macdonald_w and the rate solve
     # left to right, not by sum(), which compensates from Python 3.12 on
     if beta:
         ts, ps, qs = _macdonald_nodes(X, h, False)
@@ -400,7 +413,9 @@ class EigenSystem(namedtuple("EigenSystem", "A lam xi C residual")):
 def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:
     """Build the full spectral record for a given rate.
 
-    The normal path is solve_lambda; this entry exists so a deliberately
+    The normal path is solve_lambda, which packages its root with the W
+    pair of the Brent step that found it; this entry sums that pair afresh
+    (macdonald_w at X = 1/A), to the same bits, so that a deliberately
     off-eigenvalue rate can be packaged (validate=False) and fed to the
     verification battery, which must then flag it. Only a validated system
     needs a positive endpoint W; otherwise C may come out negative or
@@ -408,21 +423,32 @@ def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:
     """
     A = _check_cutoff(A)
     xi = xi_of_lambda(lam)
-    w0, w1 = macdonald_w(A, lam, 1.0 / A)
+    return _system(A, lam, xi, macdonald_w(A, lam, 1.0 / A), validate)
+
+
+def _system(
+    A: float, lam: float, xi: complex, w: tuple[float, float], validate: bool,
+) -> EigenSystem:
+    # the record of (A, lam, xi) from the pair w = (W_0, W_1) at z = 2/A:
+    # C from W_0, the residual from W_1
+    w0, w1 = w
     if validate and w0 <= 0.0:
         raise ConsistencyError(
             f"endpoint Whittaker value must be positive, got {w0!r} at A={A}"
         )
     C = _normalizer_endpoint(A, w0)
-    residual = abs(w1)
-    return EigenSystem(A=A, lam=lam, xi=xi, C=C, residual=residual, validate=validate)
+    return EigenSystem(A=A, lam=lam, xi=xi, C=C, residual=abs(w1), validate=validate)
 
 
 def solve_lambda(A: float) -> EigenSystem:
     """Solve the boundary condition for the principal rate at cutoff A.
 
     Brent iteration on the proven bracket (lambda_bounds) stops at a
-    relative width of 1e-12; C reads W_0 on Brent's node table. Raises
+    relative width of 1e-12. The solve prepares the Macdonald sum once:
+    X = 1/A, the step of the bracket's top and its node table (one per
+    index regime), so that a Brent step forms only eta or beta. Its root
+    is a rate Brent evaluated, and C and the residual read that step's W
+    pair, the bits assemble_system would sum again. Raises
     ConvergenceError if W has no sign change on the bracket, which is
     proven for the principal rate only (from about A = 1e18 the rate is
     within a rounding of its lower end; below 0.07 it holds two roots), or
@@ -436,11 +462,17 @@ def solve_lambda(A: float) -> EigenSystem:
     would still accept 1.26 times the rate.
     """
     A = _check_cutoff(A)
+    lo, hi = lambda_bounds(A)
+    X = 1.0 / A
+    # every rate Brent reads lies in [lo, hi] and so takes the step of hi:
+    # one index evaluation, at lo, which raises first past the ceiling
+    h = _macdonald_step(_macdonald_index(A, lo)[0], X)
+    pairs = {}
 
     def g(lam: float) -> float:
-        return eigencondition(A, lam)
+        pairs[lam] = w = _macdonald_sum(X, h, *_macdonald_eta_beta(lam))
+        return w[1]
 
-    lo, hi = lambda_bounds(A)
     glo, ghi = g(lo), g(hi)
     if (glo > 0.0) == (ghi > 0.0):
         raise ConvergenceError(
@@ -454,7 +486,7 @@ def solve_lambda(A: float) -> EigenSystem:
             f"rate {lam!r} at A={A!r} is not certified as the principal one: "
             f"a smaller root may exist"
         )
-    return assemble_system(A, lam)
+    return _system(A, lam, xi_of_lambda(lam), pairs[lam], True)
 
 
 def _is_principal(A: float, lam: float) -> bool:

@@ -299,6 +299,60 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+_TOP_USAGE = "usage: shiryaev-qsd [-h] {eig,pdf,cdf,moment,table,verify} ...\n"
+_EIG_USAGE = "usage: shiryaev-qsd eig [-h] --A A [--format {json,csv}]\n"
+_COMMANDS = "(choose from 'eig', 'pdf', 'cdf', 'moment', 'table', 'verify')"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ([], 2, "", _TOP_USAGE
+     + "shiryaev-qsd: error: the following arguments are required: command\n"),
+    (["frob"], 2, "", _TOP_USAGE
+     + f"shiryaev-qsd: error: argument command: invalid choice: 'frob' {_COMMANDS}\n"),
+    # arguments left over after a valid command: the top-level usage
+    (["eig", "--A", "3", "extra"], 2, "", _TOP_USAGE
+     + "shiryaev-qsd: error: unrecognized arguments: extra\n"),
+    (["eig", "--A", "20", "--tol", "1e-12"], 2, "", _TOP_USAGE
+     + "shiryaev-qsd: error: unrecognized arguments: --tol 1e-12\n"),
+    # an option before the command: the option's value is read as the command
+    (["--format", "csv", "eig", "--A", "3"], 2, "", _TOP_USAGE
+     + f"shiryaev-qsd: error: argument command: invalid choice: 'csv' {_COMMANDS}\n"),
+    (["--A=3"], 2, "", _TOP_USAGE
+     + "shiryaev-qsd: error: the following arguments are required: command\n"),
+    (["eig", "--A=x"], 2, "", _EIG_USAGE
+     + "shiryaev-qsd eig: error: argument --A: invalid float value: 'x'\n"),
+    (["eig"], 2, "", _EIG_USAGE
+     + "shiryaev-qsd eig: error: the following arguments are required: --A\n"),
+    (["eig", "--A", "3", "--format", "xml"], 2, "", _EIG_USAGE
+     + "shiryaev-qsd eig: error: argument --format: invalid choice: 'xml' "
+     "(choose from 'json', 'csv')\n"),
+    (["eig", "--help"], 0, _EIG_USAGE + "\noptions:\n"
+     "  -h, --help           show this help message and exit\n"
+     "  --A A                confinement cutoff, > 0\n"
+     "  --format {json,csv}  output shape\n", ""),
+], ids=["no-command", "unknown-command", "left-over", "unknown-option",
+        "option-first", "no-command-A", "bad-A", "missing-A", "bad-format", "eig-help"])
+def test_usage_errors_byte_for_byte(capsys, monkeypatch, argv, code, out, err):
+    # argparse wraps its usage and help at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_well_formed_request_parses_once(capsys, monkeypatch):
+    # a request that starts with a command and leaves nothing over takes one
+    # argparse pass, and `--A=3` is the request `--A 3`
+    passes = []
+    parse = cli.argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, "eig", "--A=3") == run(capsys, "eig", "--A", "3")
+    assert passes == ["shiryaev-qsd eig"] * 2
+
+
 def test_byte_determinism(capsys):
     _, out1, _ = run(capsys, "moment", "--A", "100", "--s", "2.5", "--check")
     _, out2, _ = run(capsys, "moment", "--A", "100", "--s", "2.5", "--check")

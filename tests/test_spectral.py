@@ -279,22 +279,58 @@ def test_solve_sums_the_laplace_w_once_after_brent(monkeypatch):
         assert passes == [2.0 / A], (A, passes)
 
 
-def test_solve_builds_one_node_table(monkeypatch):
-    # every Brent step at one cutoff and then C read one Macdonald node
-    # table; a bracket across lam = 1/8 (A = 10.24) builds one per regime
-    for A, tables in ((3.0, 1), (10.24, 2), (20.0, 1), (1e5, 1)):
-        steps = []
+def _count_sums(m):
+    # every Macdonald W sum, and the rates at which the solve's Brent
+    # iteration asks for W past the bracket's two ends
+    sums, steps = [], []
+    macdonald_sum, brent = spectral._macdonald_sum, spectral._brent
 
-        def counted(A, lam):
+    def counted_sum(*args):
+        sums.append(args)
+        return macdonald_sum(*args)
+
+    def counted_brent(f, *args):
+        def step(lam):
             steps.append(lam)
-            return eigencondition(A, lam)
+            return f(lam)
+        return brent(step, *args)
 
+    m.setattr(spectral, "_macdonald_sum", counted_sum)
+    m.setattr(spectral, "_brent", counted_brent)
+    return sums, steps
+
+
+def test_solve_builds_one_node_table(monkeypatch):
+    # every W the solve reads, at the bracket's ends and at Brent's steps,
+    # reads one Macdonald node table per index regime, two for a bracket
+    # across lam = 1/8 (A = 10.24); C and the residual take the pair of
+    # Brent's root and sum no W
+    for A, tables in ((3.0, 1), (10.24, 2), (20.0, 1), (1e5, 1)):
         spectral._macdonald_nodes.cache_clear()
         with monkeypatch.context() as m:
-            m.setattr(spectral, "eigencondition", counted)
+            sums, steps = _count_sums(m)
             solve_lambda(A)
         info = spectral._macdonald_nodes.cache_info()
-        assert (info.misses, info.hits) == (tables, len(steps) + 1 - tables), (A, info)
+        assert len(sums) == 2 + len(steps), (A, len(sums), len(steps))
+        assert (info.misses, info.hits) == (tables, len(sums) - tables), (A, info)
+
+
+@pytest.mark.parametrize("A, lam, C", [
+    (0.5, "0x1.9cc29491208b4p+2", "0x1.4a7028d116bcap+10"),
+    (3.0, "0x1.1821840a92937p-1", "0x1.3c3f48101a18ep+2"),
+    (10.24, "0x1.00036bdc23bf2p-3", "0x1.cdfb9674cfd46p+0"),
+    (20.0, "0x1.e2264a2ffa673p-5", "0x1.692503d99ad19p+0"),
+    (1e5, "0x1.4f9b3b3e229bep-17", "0x1.000ebd90cb672p+0"),
+    (1e12, "0x1.197998131bf29p-40", "0x1.000000003c2a9p+0"),
+])
+def test_solve_bits_are_pinned(A, lam, C):
+    # the rate and normalizer bits of the solve that summed W once more for
+    # C (macdonald_w at the root); a fresh sum at the root gives the bits of
+    # the pair the solve reuses
+    es = solve_lambda(A)
+    assert (es.lam.hex(), es.C.hex()) == (lam, C)
+    again = assemble_system(A, es.lam)
+    assert (again.C.hex(), again.residual.hex()) == (es.C.hex(), es.residual.hex())
 
 
 # worst gaps of macdonald_w to mpmath at 13 points X from 1/A to 700, 10x
@@ -420,18 +456,14 @@ def test_no_sign_change_on_the_bracket_fails_at_once(monkeypatch):
     # at A = 1e33 the proven bounds round to one point, so W has the same
     # sign at both: the solve raises after evaluating W there, and tries no
     # wider bracket
-    calls = []
-
-    def counted(A, lam):
-        calls.append(lam)
-        return eigencondition(A, lam)
-
-    monkeypatch.setattr(spectral, "eigencondition", counted)
     lo, hi = lambda_bounds(1e33)
     assert lo == hi
-    with pytest.raises(ConvergenceError, match="proven bracket"):
-        solve_lambda(1e33)
-    assert calls == [lo, hi]
+    with monkeypatch.context() as m:
+        sums, steps = _count_sums(m)
+        with pytest.raises(ConvergenceError, match="proven bracket"):
+            solve_lambda(1e33)
+    assert len(sums) == 2 and steps == []
+    assert sums[0] == sums[1]
 
 
 def test_bounds_ordering():
