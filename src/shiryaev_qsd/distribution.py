@@ -109,17 +109,14 @@ def macdonald_w_grid(A: float, lam: float, Xs) -> list[tuple[float, float]]:
     ws = {}
     for h, group in steps.items():
         shs, ts, a_s, bs = _macdonald_rate_nodes(h, min(group), eta, beta)
-        for X in group:
+        n, lo = len(shs), 1
+        # X (cosh t - 1) - t is convex in t and 0 at t = 0, so it crosses
+        # the cut once, and later the smaller X is: each X's first node
+        # past its cut is found by one walk up the table, largest X first
+        for X in sorted(set(group), reverse=True):
             x2 = 2.0 * X
-            # the first node past X's cut, by bisection: X (cosh t - 1) - t
-            # is convex in t and 0 at t = 0, so the cut is crossed once
-            lo, hi = 1, len(shs)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if x2 * shs[mid] * shs[mid] - ts[mid] < _K_CUT:
-                    lo = mid + 1
-                else:
-                    hi = mid
+            while lo < n and x2 * shs[lo] * shs[lo] - ts[lo] < _K_CUT:
+                lo += 1
             # left to right, not by sum(), which compensates from Python 3.12 on
             k = g = 0.0
             if beta:
@@ -129,8 +126,9 @@ def macdonald_w_grid(A: float, lam: float, Xs) -> list[tuple[float, float]]:
                     k += p * c
                     g += p * (x2 + d - 0.5) * c
             else:
+                mx2 = -x2
                 for sh, a, b in zip(shs[:lo], a_s, bs):
-                    e = exp(-x2 * sh * sh)
+                    e = exp(mx2 * sh * sh)
                     k += a * e
                     g += b * e
                 g = X * g - 0.5 * eta * k

@@ -16,8 +16,9 @@ march() starts at x0 = min(0.03, A/4, 0.1/lam) from the asymptotic series
 f = sum c_n x^n, c_{n+1} = -(n(n-1)/2 + lam) c_n / (n+1), summed in terms
 t_n = c_n x^n. It diverges, but its terms fall until n nears 2/x, to about
 e^{-2/x} relative: below 1e-28 at x <= 0.03. From x0 it steps to A by
-Taylor series over h = min(x/2, x^2, A - x). h <= x^2 keeps the rounding
-of the other solution, e^{2/x} near 0, from growing. A step is halved
+Taylor series over h = min(x^2, x/3, A - x). h <= x^2 keeps the rounding
+of the other solution, e^{2/x} near 0, from growing; x/3 sizes a step for
+the dense reads below (see march). A step is halved
 while h sqrt(2 lam/x^2 + 2/x^3) >= pi: by Sturm comparison such a step
 holds at most one zero of f, so the sign changes at the nodes count the
 zeros of f, the oracle the tests hold the rate solver's certificate to.
@@ -70,30 +71,44 @@ def taylor(x: float, h: float, lam: float, f: float, g: float, small: float,
     u = 2.0 * h / x
     v = u / x
     q = 0.5 * h * v
-    # b0, b1, b2 hold b_{k-1}, b_k, b_{k+1}; c = ((k-1)(k-2) + 2 lam) h^2/x^2
-    b0, b1, fn, gn, k, c = f, g, f + g, g, 1.0, 2.0 * lam * q
+    q2 = 2.0 * q
+    if out is None:
+        out = []
+    # b0, b1, b2 hold b_{k-1}, b_k, b_{k+1}, a1 = |b_k| and km = k - 1;
+    # c = ((k-1)(k-2) + 2 lam) h^2/x^2
+    b0, b1, fn, gn, km, k, c = f, g, f + g, g, 0.0, 1.0, 2.0 * lam * q
+    a1 = g if g >= 0.0 else -g
     while True:
-        b2 = -(((k - 1.0) * u + v) * b1 + c * b0 / k) / (k + 1.0)
+        k1 = k + 1.0
+        b2 = -((km * u + v) * b1 + c * b0 / k) / k1
         fn += b2
-        gn += (k + 1.0) * b2
-        if out is not None:
-            out.append(b2)
-        if (k + 1.0) * (abs(b2) + abs(b1)) <= small:
+        gn += k1 * b2
+        out.append(b2)
+        a2 = b2 if b2 >= 0.0 else -b2
+        if k1 * (a2 + a1) <= small:
             return fn, gn
-        c += 2.0 * (k - 1.0) * q
-        k += 1.0
-        b0, b1 = b1, b2
+        c += km * q2
+        km = k
+        k = k1
+        b0, b1, a1 = b1, b2, a2
 
 
 def march(A: float, lam: float, tol: float, joint: bool = False,
           dense: list | None = None):
     """Nodes (xs, fs, ds) of f and f' from x0 to xs[-1] = A.
 
-    The series at x0 stops at _TOL; Taylor terms stop at tol of
-    min(|f|, |h f'|) at the step's start, or of their sum if joint (enough
-    for signs). A step that would leave less than 1/1000 of itself to A
-    runs to A instead, so that no node but A lies too close to A for the
-    sign of f there to be resolved.
+    The step from x is h = min(x^2, x/3, A - x), halved while it fails the
+    Sturm bound (module docstring). The cap x/3 sizes a step for its dense
+    reads: a march sums about as many Taylor terms for any cap from x/4 to
+    x/2 (945 a march at x/3 and 954 at x/2, over 149 cutoffs of the
+    benchmark's grid), while a Horner read sums all of one step's terms,
+    21.8 at x/3 against 28.6 at x/2 over verify's reads (x/4 reads 12%
+    fewer, but marches 5% more terms over 11% more steps, and timed no
+    faster in verify). The series at x0 stops at _TOL;
+    Taylor terms stop at tol of min(|f|, |h f'|) at the step's start, or of
+    their sum if joint (enough for signs). A step that would leave less
+    than 1/1000 of itself to A runs to A instead, so that no node but A
+    lies too close to A for the sign of f there to be resolved.
     If dense is a list, each step appends to it its length h and its scaled
     Taylor terms b_k, highest k first.
     """
@@ -102,7 +117,7 @@ def march(A: float, lam: float, tol: float, joint: bool = False,
     xs, fs, ds = [x], [f], [g / x]
     h, lam2 = x, 2.0 * lam            # g = h f'(x) from here on
     while True:
-        step = x * x if x < 0.5 else 0.5 * x
+        step = x * x if x < 1.0 / 3.0 else x / 3.0
         last = x + 1.001 * step >= A
         if last:
             step = A - x
@@ -117,7 +132,8 @@ def march(A: float, lam: float, tol: float, joint: bool = False,
         bs = None if dense is None else [f, g]
         f, g = taylor(x, h, lam, f, g, small, bs)
         if bs is not None:
-            dense.append((h, bs[::-1]))
+            bs.reverse()
+            dense.append((h, bs))
         x = A if last else x + h
         xs.append(x)
         fs.append(f)
@@ -155,12 +171,13 @@ class Eigenfunction:
     def densities(self, xs, cdf: bool = False) -> list:
         """pdf at each point of xs in (0, A], or (pdf, cdf) pairs if cdf,
         from one Horner pass per point (f and f' together for the cdf)."""
-        lam, flux, nodes, fs, ds, steps = (
-            self.lam, self.flux, self.xs, self.fs, self.ds, self.steps)
+        A, lam, flux, nodes, fs, ds, steps = (
+            self.A, self.lam, self.flux, self.xs, self.fs, self.ds, self.steps)
+        lam2, exp = lam * 2.0, math.exp
         out = []
         for x in xs:
-            if not 0.0 < x <= self.A:
-                raise DomainError(f"point {x!r} outside (0, {self.A}]")
+            if not 0.0 < x <= A:
+                raise DomainError(f"point {x!r} outside (0, {A}]")
             # j with nodes[j] < x <= nodes[j + 1], or -1 below the first node
             j = bisect_left(nodes, x) - 1
             if j < 0:
@@ -180,7 +197,7 @@ class Eigenfunction:
                 else:
                     for b in bs:
                         f = f * t + b
-            e = math.exp(-2.0 / x)
-            pdf = lam * 2.0 / (x * x) * e * f / flux
+            e = exp(-2.0 / x)
+            pdf = lam2 / (x * x) * e * f / flux
             out.append((pdf, -e * d / flux) if cdf else pdf)
         return out

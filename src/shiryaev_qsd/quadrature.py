@@ -103,14 +103,16 @@ def _gk15(f, a: float, b: float) -> tuple[list[float], list[float]]:
     for xk in _XGK[:7]:
         off = half * xk
         ts += (mid - off, mid + off)
+    w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
+    g0, g1, g2, g3 = _WG
     ks, es = [], []
-    for col in f(ts):
-        p0, p1, p2, p3, p4, p5, p6 = [u + v for u, v in zip(col[1::2], col[2::2])]
+    for c, m0, q0, m1, q1, m2, q2, m3, q3, m4, q4, m5, q5, m6, q6 in f(ts):
+        p1, p3, p5 = m1 + q1, m3 + q3, m5 + q5
         # the centre, then pair by pair from the outermost abscissa: this
         # order of the sums fixes the rounding of every estimate
-        k = (_WGK[7] * col[0] + _WGK[0] * p0 + _WGK[1] * p1 + _WGK[2] * p2
-             + _WGK[3] * p3 + _WGK[4] * p4 + _WGK[5] * p5 + _WGK[6] * p6)
-        g = _WG[3] * col[0] + _WG[0] * p1 + _WG[1] * p3 + _WG[2] * p5
+        k = (w7 * c + w0 * (m0 + q0) + w1 * p1 + w2 * (m2 + q2)
+             + w3 * p3 + w4 * (m4 + q4) + w5 * p5 + w6 * (m6 + q6))
+        g = g3 * c + g0 * p1 + g1 * p3 + g2 * p5
         ks.append(k * half)
         es.append(abs((k - g) * half))
     return ks, es
@@ -184,14 +186,17 @@ def _expect(sys: EigenSystem, orders, log: bool) -> list[float]:
         raise DomainError(f"cutoff {UNDERFLOW_X} swallows the whole support [0, {sys.A}]")
     gen = sys.generator
     A = sys.A
+    exp, power, ln = math.exp, math.pow, math.log
 
     def f(ts: list[float]) -> list[list[float]]:
         # exp may round a node next to log A past A, where the pdf raises
-        xs = [min(math.exp(t), A) for t in ts]
-        ds = gen.densities(xs)
-        cols = [[math.pow(x, s) * d * x for x, d in zip(xs, ds)] for s in orders]
+        xs = [x if x < A else A for x in map(exp, ts)]
+        dxs = list(zip(xs, gen.densities(xs)))
+        # pow(x, 0.0) is 1.0, so the mass column is d * x, bit for bit
+        cols = [[d * x for x, d in dxs] if s == 0.0
+                else [power(x, s) * d * x for x, d in dxs] for s in orders]
         if log:
-            cols.append([math.log(x) * d * x for x, d in zip(xs, ds)])
+            cols.append([ln(x) * d * x for x, d in dxs])
         return cols
 
     seeds = _seed_panels(math.log(UNDERFLOW_X), math.log(A))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -123,3 +124,25 @@ def test_macdonald_w_grid_matches_points(A, solved):
     random.Random(7).shuffle(order)
     shuffled = macdonald_w_grid(A, lam, [Xs[i] for i in order])
     assert [got[i] for i in order] == shuffled, A
+
+
+# macdonald_w_grid's bits on verify's 33-point grid: a sha256 prefix of the
+# float.hex strings of every (W_0, W_1), in grid order, and the pair at the
+# middle point x = A/2, at imaginary (0.5, 3) and real indices
+GRID_BITS = {
+    0.5: ("41766ec407bb56da", "0x1.072a56b9ad94ep-8", "0x1.ab5c20aa8a5e1p-6"),
+    3.0: ("69a694842af70dd3", "0x1.2cfd059e36e1ep-2", "0x1.10c6d7040ca26p-2"),
+    10.3: ("ec0f789b8b61e2c1", "0x1.413333bf3a8dep-1", "0x1.2b0d4d1b5f57ep-3"),
+    20.0: ("bb9d71fa3ef8e252", "0x1.833543e2506a5p-1", "0x1.600c223b67e89p-4"),
+    1e5: ("07cf08acb5878b1d", "0x1.ffe457973ab39p-1", "0x1.4f88704bf58c4p-16"),
+    1e9: ("99d765d13b148fed", "0x1.fffffeac87ac8p-1", "0x1.12e0be72cf949p-29"),
+}
+
+
+@pytest.mark.parametrize("A", sorted(GRID_BITS))
+def test_macdonald_w_grid_bits_are_pinned(A, solved):
+    xs = [A * (i + 1) / 34 for i in range(33)]
+    ws = macdonald_w_grid(A, solved(A).lam, [1.0 / x for x in xs])
+    text = " ".join(v.hex() for w in ws for v in w)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (digest, ws[16][0].hex(), ws[16][1].hex()) == GRID_BITS[A]

@@ -171,6 +171,19 @@ def test_batch_matches_one_point_calls(A):
         e.densities([A, A * (1.0 + 1e-15)])
 
 
+@pytest.mark.parametrize("A", (0.5, 20.0, 1e5, 1e9))
+def test_steps_keep_the_step_rule(A, solved):
+    # every step from x_j is at most min(x_j^2, x_j/3) and passes the Sturm
+    # bound h sqrt(2 lam/x_j^2 + 2/x_j^3) < pi; the last step, which runs to
+    # A, may be up to 1.001 times the first bound
+    e = Eigenfunction(A, solved(A).lam)
+    assert len(e.steps) == len(e.xs) - 1
+    for j, (x, (h, _)) in enumerate(zip(e.xs, e.steps)):
+        cap = min(x * x, x / 3.0) * (1.001 if j == len(e.steps) - 1 else 1.0)
+        assert h <= cap, (A, x, h)
+        assert h * math.sqrt(2.0 * e.lam / (x * x) + 2.0 / x**3) < math.pi, (A, x, h)
+
+
 def test_eigenfunction_bounded_by_one_up_to_2(solved):
     # E = f^2 + x^2 f'^2 / (2 lam) has E' = (x - 2) f'^2 / lam <= 0 and
     # E(0+) = 1, so |f| <= 1 on (0, 2] at any rate lam > 0; the quadrature

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 import scipy.integrate
@@ -143,6 +144,43 @@ def test_tail_cut_keeps_every_panel_with_weight(solved, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(quadrature, "_tail_cut", lambda *args: 0)
                 assert quad_moments(es, orders[1:], log) == cut, (A, orders)
+
+
+def _gk15_reference(f, a, b):
+    # _gk15 with its pair sums formed by slice and zip and its weights read
+    # by index: the same sums in the same order
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    ts = [mid]
+    for xk in quadrature._XGK[:7]:
+        off = half * xk
+        ts += (mid - off, mid + off)
+    wgk, wg = quadrature._WGK, quadrature._WG
+    ks, es = [], []
+    for col in f(ts):
+        p0, p1, p2, p3, p4, p5, p6 = [u + v for u, v in zip(col[1::2], col[2::2])]
+        k = (wgk[7] * col[0] + wgk[0] * p0 + wgk[1] * p1 + wgk[2] * p2
+             + wgk[3] * p3 + wgk[4] * p4 + wgk[5] * p5 + wgk[6] * p6)
+        g = wg[3] * col[0] + wg[0] * p1 + wg[1] * p3 + wg[2] * p5
+        ks.append(k * half)
+        es.append(abs((k - g) * half))
+    return ks, es
+
+
+def test_gk15_matches_the_reference_bit_for_bit():
+    # random columns spanning many magnitudes and both signs, so that every
+    # change of the order of a sum shows in the bits
+    rng = random.Random(20)
+    for _ in range(200):
+        a = rng.uniform(-8.0, 4.0)
+        b = a + rng.uniform(1e-6, 2.0)
+        cols = [
+            [rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-30, 30)
+             for _ in range(15)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        got = quadrature._gk15(lambda ts: cols, a, b)
+        assert got == _gk15_reference(lambda ts: cols, a, b)
 
 
 def test_bit_determinism(solved):

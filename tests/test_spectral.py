@@ -636,18 +636,20 @@ def test_one_zero_below_rate_one_eighth():
 
 
 def test_march_keeps_two_zeros_out_of_one_step():
-    # the ninth eigenfunction at A = 3: unsplit steps of min(x/2, x^2) hold
-    # two of its eight zeros at once, twice, and the count would read 6
-    ninth = _higher_roots(3.0, 8)[-1]
-    assert len(_zeros(3.0, ninth)) == 8
+    # the 13th eigenfunction at A = 3: unsplit steps of min(x/3, x^2) would
+    # hold more than one of its 12 zeros, and the count would read 10
+    thirteenth = _higher_roots(3.0, 12)[-1]
+    assert len(_zeros(3.0, thirteenth)) == 12
 
 
 @pytest.mark.parametrize(
     "A",
-    # from x = 0.03, the march's steps reach 1.1381729323879970 and then
-    # 1.7072593985819955: 1.6e-4 before the first cutoff, one ulp before the
-    # second, where f(x) is rounding noise
-    (1.7074219126822299, math.nextafter(1.7072593985819955, 2.0)),
+    # from x = 0.03, the march's steps reach 1.1674832872796603 and then
+    # 1.556644383039547: 1.6e-4 before the first cutoff, one ulp before the
+    # second, where f(x) is rounding noise. From that node the last two
+    # cutoffs take a last step of 0.15, under a third of a full one
+    (1.556804383039547, math.nextafter(1.556644383039547, 2.0),
+     1.7074219126822299, math.nextafter(1.7072593985819955, 2.0)),
 )
 def test_march_runs_a_short_last_step_to_a(A, solved):
     assert _zeros(A, solved(A).lam) == []
