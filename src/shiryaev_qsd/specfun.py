@@ -8,9 +8,10 @@ math.gamma (within 1e-15 relative of a 40-digit reference on [-52, 60]);
 at a complex argument they use a Lanczos sum.
 
 Whittaker W here serves any (kappa, b); the law's own W_{0, xi/2} and
-W_{1, xi/2} come from spectral.macdonald_w, and inside the package only
-the battery's second route (spectral.eigen_checks) reads this one. It is
-the Laplace integral (DLMF 13.4.4 through 13.14.3)
+W_{1, xi/2} come from spectral.macdonald_w, and nothing inside the
+package reads this one; it stays as an independent kernel to test that sum
+against, and its node ceiling W_IMAG_B_MAX is also the Macdonald sum's.
+It is the Laplace integral (DLMF 13.4.4 through 13.14.3)
 
     W_{kappa,b}(z) = z^kappa e^{-z/2} / Gamma(a)
                      * int_0^inf e^{-u} u^{a-1} (1 + u/z)^{b+kappa-1/2} du,

@@ -12,8 +12,8 @@ the pdf and the cdf, on one of two node layouts: the factors of one X
 its step and its table once and takes C from the pair of Brent's root),
 and distribution.macdonald_w_grid the factors of one rate (one table per
 step for many points, as in `table` and verify's grid). The battery's
-checks of the root and of C read W's Laplace integral (specfun), which
-nothing else reads.
+second route to the root and to C is the confluent series of C, which
+reads no W.
 
 The check needs no W and no march. At the n-th root lam, the
 eigenfunction f of 1/2 x^2 f'' + f' + lam f = 0 with f(0) = 1 vanishes at
@@ -53,19 +53,11 @@ from collections import namedtuple
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .report import CheckRow, guarded_row
-from .specfun import (
-    W_IMAG_B_MAX,
-    documented_real,
-    gamma,
-    hyp2f2,
-    rgamma,
-    whittaker_w_pair,
-)
+from .specfun import W_IMAG_B_MAX, documented_real, gamma, hyp2f2, rgamma
 
 _EPS = 2.220446049250313e-16
-_RESIDUAL_TOL = 1e-9       # eigencondition residual allowance, scaled by |W0|
 _XI_IDENTITY_TOL = 1e-12   # |xi^2 + 8 lam - 1| allowance
-_DUAL_C_TOL = 1e-8         # agreement between the two normalizer routes
+_SERIES_C_TOL = 1e-10      # agreement of the series and endpoint normalizers
 _BRACKET_SLACK = 1e-9      # relative slack when re-checking the bracket
 _BRENT_REL_TOL = 1e-12     # relative width at which Brent stops
 _K_STEP = 0.2              # trapezoid step of the Macdonald integrals ...
@@ -195,7 +187,7 @@ def macdonald_w(A: float, lam: float, X: float) -> tuple[float, float]:
     peak of e^{-X (cosh t - 1)} up to X = 700; at X = 1/A it binds only
     below A = 0.082. A node costs one exponential e^{eta t/2}, exact in eta,
     or one cosine. DomainError where lam's own beta passes W_IMAG_B_MAX,
-    the ceiling of the Laplace W that the battery reads.
+    the index ceiling of specfun's Laplace W, kept as this sum's own.
     """
     h, eta, beta = _macdonald_index(A, lam)
     return _macdonald_sum(X, _macdonald_step(h, X), eta, beta)
@@ -320,9 +312,16 @@ def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
 
     Every row's residual is the dimensionless metric the pass/fail
     threshold applies to. Every row is recomputed from the four fields, so
-    a stale or tampered field cannot hide. The residual and endpoint rows
-    read the Laplace W pair at 2/A, which Brent and C never read: a second
-    route to the root and to C.
+    a stale or tampered field cannot hide. normalizer-series compares C with
+    its confluent series at lam, which reads no W: a second route to C and
+    to the root. At a rate lam (1 + eps), with C summed afresh there, the
+    series at a real index (A above 10.24) moves from C by 0.54 |eps| near
+    10.24 and 2 |eps| from about 1e5 up. At an imaginary index it is
+    complex off the root: its real part may barely move (1e-3 |eps| at
+    A = 1.8), but from |eps| near 1e-10 (A = 1 to 3) or 1e-9 (A = 10) its
+    imaginary part fails documented_real, and the row fails with no
+    metric. At solved rates it reads at most 7.9e-13 from A = 0.1175 to
+    1e12, against its 1e-10 gate.
     """
     A = _check_cutoff(A)
     rows: list[CheckRow] = []
@@ -336,23 +335,16 @@ def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
     ident = abs(xi * xi + 8.0 * lam - 1.0) / max(1.0, 8.0 * lam)
     rows.append(CheckRow("index-identity", ident <= _XI_IDENTITY_TOL, ident))
 
-    w0, w1 = whittaker_w_pair(0.0, 0.5 * xi, 2.0 / A)
-    res = abs(w1) / max(1.0, abs(w0))
-    rows.append(CheckRow("eigencondition-residual", res <= _RESIDUAL_TOL, res))
-
     ok_c = math.isfinite(C) and C > 0.0
     rows.append(CheckRow("normalizer-positive", ok_c, C))
 
-    if ok_c and w0.real > 0.0:
-        rel = abs(_normalizer_endpoint(A, w0.real) - C) / C
-        rows.append(CheckRow("normalizer-endpoint", rel <= _DUAL_C_TOL, rel))
+    if ok_c:
         rows.append(guarded_row(
             "normalizer-series",
             lambda: max(abs(_normalizer_series(A, lam, xi, s) - C) / C for s in (1, -1)),
-            lambda m: m <= _DUAL_C_TOL,
+            lambda m: m <= _SERIES_C_TOL,
         ))
     else:
-        rows.append(CheckRow("normalizer-endpoint", False, math.inf))
         rows.append(CheckRow("normalizer-series", False, math.inf))
     return rows
 
@@ -451,15 +443,16 @@ def solve_lambda(A: float) -> EigenSystem:
     pair, the bits assemble_system would sum again. Raises
     ConvergenceError if W has no sign change on the bracket, which is
     proven for the principal rate only (from about A = 1e18 the rate is
-    within a rounding of its lower end; below 0.07 it holds two roots), or
-    if the iteration stalls; DomainError below A = 0.0178, where the
-    bracket passes the Laplace W's index ceiling; and ConsistencyError if
-    the root fails its invariants (at 11 of 61 log-spaced cutoffs in
-    [0.1, 0.16], all below 0.1152, where the battery's Laplace W misses C
-    by over 1e-8) or if the closed-form certificate cannot prove it the
-    smallest root (module docstring). Every root from A = 0.1608 to 1e15
-    is certified; the margin is thinnest at 0.1608, where the certificate
-    would still accept 1.26 times the rate.
+    within a rounding of its lower end; below about 0.072 it holds two roots),
+    or if the iteration stalls; DomainError below A = 0.0178, where the
+    bracket passes the Macdonald sum's index ceiling; and ConsistencyError
+    if the root fails its invariants or if the closed-form certificate
+    cannot prove it the smallest root (module docstring). Every root from
+    A = 0.1608 to 1e15 is certified; the margin is thinnest at 0.1608,
+    where the certificate would still accept 1.26 times the rate. Below
+    that the certificate still proves each root on the 21 cutoffs
+    10^(-1.4 + k/100) in [0.0724, 0.1148], where the series normalizer
+    reads at most 1.1e-11.
     """
     A = _check_cutoff(A)
     lo, hi = lambda_bounds(A)

@@ -134,7 +134,7 @@ def test_eigen_checks_series_failure_modes(solved, monkeypatch):
         for name, passed, metric in eigen_checks(es.A, es.lam, es.xi, es.C)
     }
     assert rows["normalizer-series"] == (False, math.inf)
-    assert rows["normalizer-endpoint"][0]
+    assert all(passed for name, (passed, _) in rows.items() if name != "normalizer-series")
 
     def broken(*args):
         raise TypeError("wiring fault")
@@ -253,30 +253,21 @@ def test_cached_properties_keep_equality_and_repr(solved):
     assert es == twin and hash(es) == hash(twin) and es == solved(20.0)
 
 
-def test_solve_sums_the_laplace_w_once_after_brent(monkeypatch):
-    # Brent and the normalizer read the Macdonald form of W at 2/A and sum no
-    # Laplace W; after them, the battery's residual and endpoint rows read
-    # W_0 and W_1 at z = 2/A from one Laplace pass
-    for A in (3.0, 20.0, 1e5):
+def test_solve_sums_no_laplace_w(monkeypatch):
+    # Brent, the normalizer and the battery read the Macdonald form of W at
+    # 2/A and the confluent series: a solve takes no pass of the Laplace W
+    for A in (0.5, 3.0, 20.0, 1e5):
         passes = []
-        at_brent = []
+        climb = specfun._w_climb
 
         def counted_climb(ix, z, *args):
             passes.append(z)
             return climb(ix, z, *args)
 
-        def marked_brent(*args):
-            lam = brent(*args)
-            at_brent.append(len(passes))
-            return lam
-
-        climb, brent = specfun._w_climb, spectral._brent
         with monkeypatch.context() as m:
             m.setattr(specfun, "_w_climb", counted_climb)
-            m.setattr(spectral, "_brent", marked_brent)
             solve_lambda(A)
-        assert at_brent == [0], (A, at_brent)
-        assert passes == [2.0 / A], (A, passes)
+        assert passes == [], (A, passes)
 
 
 def _count_sums(m):
@@ -365,23 +356,36 @@ def test_macdonald_w_matches_mpmath(A, solved):
 
 
 def test_normalizer_row_is_a_second_route(solved, monkeypatch):
-    # C comes from the Macdonald W_0 at 2/A, and normalizer-endpoint from
-    # the Laplace one: a Laplace W_0 scaled by 1 + 1e-7 fails that row alone
-    # and leaves C as it was
+    # C comes from the Macdonald W_0 at 2/A, and normalizer-series from the
+    # confluent series: a 2F2 scaled by 1 + 1e-9 moves the series about
+    # 4.6e-10 at A = 20, which fails that row alone and leaves C as it was
     es = solved(20.0)
-    laplace = spectral.whittaker_w_pair
+    series = spectral.hyp2f2
 
-    def scaled(kappa, b, z):
-        w0, w1 = laplace(kappa, b, z)
-        return w0 * (1.0 + 1e-7), w1
+    def scaled(*args):
+        return series(*args) * (1.0 + 1e-9)
 
-    monkeypatch.setattr(spectral, "whittaker_w_pair", scaled)
-    with pytest.raises(ConsistencyError, match="normalizer-endpoint") as err:
+    monkeypatch.setattr(spectral, "hyp2f2", scaled)
+    with pytest.raises(ConsistencyError, match="normalizer-series"):
         solve_lambda(20.0)
-    assert "normalizer-series" not in str(err.value)
     bad = assemble_system(20.0, es.lam, validate=False)
     assert bad.C == es.C
-    assert [r.name for r in bad.checks if not r.passed] == ["normalizer-endpoint"]
+    assert [r.name for r in bad.checks if not r.passed] == ["normalizer-series"]
+
+
+@pytest.mark.parametrize("A", (0.1608, 0.5, 3.0, 10.454, 12.141, 14.1, 20.0, 1e3, 1e5, 1e9))
+def test_battery_fails_every_perturbed_rate(A, solved):
+    # the rate moved to lam (1 + eps) with C summed afresh at the moved rate:
+    # the battery must refuse it at every eps. From A = 0.1175 to 1e12,
+    # normalizer-series reads 0.54 |eps| or more at a real index; at an
+    # imaginary one it fails at |eps| >= 1e-9 too, mostly as the series turns
+    # complex; at solved rates it reads at most 7.9e-13. At 10.454, 12.141
+    # and 14.1 it reads 6.4e-9 to 9.9e-9 at |eps| = 1e-8, inside a 1e-8 gate
+    lam = solved(A).lam
+    for eps in (1e-9, -1e-9, 1e-8, -1e-8, 1e-6, -1e-6):
+        bad = assemble_system(A, lam * (1.0 + eps), validate=False)
+        failed = [r.name for r in bad.checks if not r.passed]
+        assert "normalizer-series" in failed, (A, eps, failed)
 
 
 # |Macdonald - Laplace| / |W_0| at 11 rates across the proven bracket, as
@@ -393,7 +397,7 @@ CROSS_KERNEL_TOL = {0.5: 1e-12}
 @pytest.mark.parametrize("A", (0.5, 3.0, 10.2, 10.3, 20.0, 1e5))
 def test_eigencondition_matches_the_laplace_w(A):
     # the Macdonald form Brent solves on against the Laplace W_{1, xi/2}(2/A)
-    # that the battery's residual reads, at imaginary (0.5, 3, 10.2) and
+    # of specfun, an independent kernel, at imaginary (0.5, 3, 10.2) and
     # real (10.3, 20, 1e5) indices; relative to |W_0|, the residual's scale
     lo, hi = lambda_bounds(A)
     worst = 0.0
@@ -428,7 +432,7 @@ def test_unvalidated_system_keeps_a_nonpositive_endpoint_w(solved):
     assert assemble_system(1e-3, lambda_bounds(1e-3)[0], validate=False).C == math.inf
     rows = {r.name: r for r in bad.checks}
     assert not rows["normalizer-positive"].passed
-    assert rows["normalizer-endpoint"].residual == math.inf
+    assert rows["normalizer-series"].residual == math.inf
 
 
 def test_solve_rejects_bad_inputs():

@@ -16,9 +16,7 @@ from shiryaev_qsd.verify import run_checks
 EXPECTED_ROWS = {
     "rate-bracket",
     "index-identity",
-    "eigencondition-residual",
     "normalizer-positive",
-    "normalizer-endpoint",
     "normalizer-series",
     "quadrature-normalization",
     "pdf-nonnegative",
@@ -54,14 +52,15 @@ def test_perturbed_rate_caught(solved):
     rows = run_checks(wrong)
     failed = [r.name for r in rows if not r.passed]
     assert len(failed) >= 3
-    # the residual-based rows are the sensitive ones by design
-    assert "eigencondition-residual" in failed
+    # the series normalizer and the march each see the wrong rate
     assert "normalizer-series" in failed
+    assert "rate-generator" in failed
 
 
 def test_shrunk_normalizer_fails_cdf_endpoint(solved):
     # the closed-form cdf must reach 1 just below A, and the closed-form pdf
-    # and cdf must match the generator's, which carry no normalizer; a
+    # and cdf must match the generator's, which carry no normalizer, and the
+    # series normalizer reads it 1e-9 off against its 1e-10 gate; a
     # normalizer 1e-9 low passes every other row
     for A in (0.8, 20.0, 1e4):
         es = solved(A)
@@ -70,7 +69,9 @@ def test_shrunk_normalizer_fails_cdf_endpoint(solved):
             residual=es.residual, validate=False,
         )
         failed = [r.name for r in run_checks(bad) if not r.passed]
-        assert failed == ["pdf-generator", "cdf-endpoint", "cdf-generator"], (A, failed)
+        assert failed == [
+            "normalizer-series", "pdf-generator", "cdf-endpoint", "cdf-generator",
+        ], (A, failed)
 
 
 def test_rate_moved_off_its_normalizer_fails_generator_rows(solved):
