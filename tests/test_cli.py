@@ -274,9 +274,9 @@ LOW_EDGE_RATES = {
 
 @pytest.mark.parametrize("A", sorted(LOW_EDGE_RATES))
 def test_eig_passes_below_the_certified_range(capsys, A):
-    # below 0.1175 the certificate still proves the root, and the series
-    # normalizer reads 8.2e-13 to 1.7e-12 against its 1e-10 gate; the rate
-    # is within 6.2e-13 of mpmath's
+    # below the certificate's documented range (from 0.1608) it still proves
+    # these roots, and the series normalizer reads 8.2e-13 to 1.7e-12
+    # against its 1e-10 gate; the rate is within 6.2e-13 of mpmath's
     code, out, err = run(capsys, "eig", "--A", A)
     assert code == 0 and err == "", err
     doc = json.loads(out)
