@@ -1,11 +1,15 @@
-"""Self-contained complex special-function kernel.
+"""Self-contained special-function kernel.
 
-Scalar double precision throughout (Python ``complex``); no third-party
-dependencies. Provides Gamma, reciprocal Gamma, digamma, the confluent
-series 1F1 and 2F2, Whittaker M and W, and the z-derivative of W. Gamma
-and its reciprocal at a real argument use the standard library's
-math.gamma (within 1e-15 relative of a 40-digit reference on [-52, 60]);
-at a complex argument they use a Lanczos sum.
+Scalar double precision; no third-party dependencies. Provides Gamma,
+reciprocal Gamma, digamma, the confluent series 1F1 and 2F2, Whittaker M
+and W, and the z-derivative of W. Gamma, its reciprocal, 1F1 and 2F2 work
+in the arguments' type: a float at all-real arguments, a Python
+``complex`` as soon as one is complex. At real values the complex path
+keeps a zero imaginary part, and the real path repeats the bits of its
+real part at less cost. Gamma and its reciprocal at a real argument use
+the standard library's math.gamma (within 1e-15 relative of a 40-digit
+reference on [-52, 60]); at a complex argument they use a Lanczos sum.
+Digamma and Whittaker M and W stay complex.
 
 Whittaker W here serves any (kappa, b); the law's own W_{0, xi/2} and
 W_{1, xi/2} come from spectral.macdonald_w, and nothing inside the
@@ -30,6 +34,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Callable
 
 from .errors import (
     ConsistencyError,
@@ -84,7 +89,7 @@ _DIGAMMA_TAIL = (
 )
 
 
-def _nonpositive_int_near(z: complex, tol: float = _POLE_TOL) -> int | None:
+def _nonpositive_int_near(z: float | complex, tol: float = _POLE_TOL) -> int | None:
     """Nearest nonpositive integer within tol of z, or None."""
     n = round(z.real)
     if n <= 0 and abs(z - n) < tol:
@@ -135,7 +140,7 @@ def _lanczos(z: complex) -> complex:
     return out
 
 
-def _gamma_pq(z: complex) -> tuple:
+def _gamma_pq(z: float | complex) -> tuple:
     """(p, q) with Gamma(z) = p / q, z off the poles. Left of Re z = 1/2 it
     is the reflection (pi, sin(pi z) Gamma(1 - z)), whose q vanishes with
     full relative accuracy at a pole; right of it q is 1 and p is Gamma(z),
@@ -170,8 +175,9 @@ def _sin_gamma_far(z: complex) -> complex:
     return q if n % 2 == 0 else -q
 
 
-def gamma(z: complex) -> complex:
-    """Complex Gamma function.
+def gamma(z: float | complex) -> float | complex:
+    """Gamma function: a float at a real argument, a complex number at a
+    complex one (the same bits as its real part at zero imaginary part).
 
     Real arguments go through math.gamma, complex ones through
     a Lanczos sum.
@@ -180,7 +186,9 @@ def gamma(z: complex) -> complex:
         PoleError: z within 1e-12 of a nonpositive integer.
         OverflowError: |Gamma(z)| exceeds the double range.
     """
-    z = complex(z)
+    cplx = isinstance(z, complex)
+    if not cplx:
+        z = float(z)
     if _nonpositive_int_near(z) is not None:
         raise PoleError(f"gamma pole at z={z}")
     try:
@@ -189,26 +197,30 @@ def gamma(z: complex) -> complex:
         raise OverflowError(f"gamma({z}) overflows double precision") from exc
     # p itself when q is 1: a complex division by 1 may flip the sign of an
     # underflowed zero part
-    return complex(p if q == 1 else p / q)
+    g = p if q == 1 else p / q
+    return complex(g) if cplx else g
 
 
-def rgamma(z: complex) -> complex:
-    """1/Gamma(z); exact 0 at exact nonpositive integers, smooth nearby.
+def rgamma(z: float | complex) -> float | complex:
+    """1/Gamma(z) in the argument's type, as gamma; exact 0 at exact
+    nonpositive integers, smooth nearby.
 
     Near-pole arguments keep full relative accuracy via the reflection form
     1/Gamma(z) = sin(pi z) Gamma(1-z) / pi, so callers may cancel the zero
     against a matching pole without losing digits.
     """
-    z = complex(z)
+    cplx = isinstance(z, complex)
+    if not cplx:
+        z = float(z)
     x = z.real
     # round() goes first: it rejects inf and nan as gamma's pole test does
     if x == round(x) and x <= 0.0 and z.imag == 0.0:
-        return 0j
+        return 0j if cplx else 0.0
     try:
         p, q = _gamma_pq(z)
     except OverflowError as exc:
         raise OverflowError(f"rgamma({z}) overflows double precision") from exc
-    return complex(q / p)
+    return complex(q / p) if cplx else q / p
 
 
 def digamma(z: complex) -> complex:
@@ -232,12 +244,13 @@ def digamma(z: complex) -> complex:
 
 
 def _hyp_series(
-    num: tuple[complex, ...],
-    den: tuple[complex, ...],
-    z: complex,
+    num: tuple,
+    den: tuple,
+    z: float | complex,
     pole_tol: float,
-) -> complex:
-    """Ascending pFq series with the recurrent term update.
+) -> float | complex:
+    """Ascending pFq series with the recurrent term update, in the type of
+    its arguments: all floats or all complex (see _hyp_args).
 
     term_{n+1} = term_n * prod(a_i + n) / prod(b_j + n) * z / (n + 1),
     summed in increasing n until _SERIES_SMALL_RUN terms in a row fall
@@ -252,26 +265,25 @@ def _hyp_series(
     """
     terminates = False
     for a in num:
-        a = complex(a)
         if a.imag == 0.0 and a.real <= 0.0 and a.real == round(a.real):
             terminates = True
     if not terminates:
         for b in den:
-            if _nonpositive_int_near(complex(b), pole_tol) is not None:
+            if _nonpositive_int_near(b, pole_tol) is not None:
                 raise DenominatorPoleError(
                     f"denominator parameter {b} within {pole_tol} of nonpositive integer"
                 )
     rel_tol, small_run, max_terms = _SERIES_REL_TOL, _SERIES_SMALL_RUN, _SERIES_MAX_TERMS
-    term = 1.0 + 0j
-    total = 1.0 + 0j
+    one = complex(1.0) if isinstance(z, complex) else 1.0
+    term = total = one
     small = 0
     for n in range(max_terms):
-        fac = 1.0 + 0j
+        fac = one
         for a in num:
             fac *= a + n
         if fac == 0:
             return total  # terminated exactly
-        dfac = 1.0 + 0j
+        dfac = one
         for b in den:
             dfac *= b + n
         if dfac == 0:
@@ -291,21 +303,35 @@ def _hyp_series(
     )
 
 
-def hyp1f1(a: complex, b: complex, z: complex) -> complex:
-    """Kummer's 1F1(a; b; z) by ascending series (entire in z)."""
-    return _hyp_series((complex(a),), (complex(b),), complex(z), _POLE_TOL)
+def _hyp_args(*args: float | complex) -> tuple:
+    # every argument as a complex number if one is complex, else as a float
+    kind = complex if any(isinstance(x, complex) for x in args) else float
+    return tuple(map(kind, args))
 
 
-def hyp2f2(a1: complex, a2: complex, b1: complex, b2: complex, z: complex) -> complex:
-    """2F2(a1, a2; b1, b2; z) by ascending series (entire in z).
+def hyp1f1(a: float | complex, b: float | complex, z: float | complex) -> float | complex:
+    """Kummer's 1F1(a; b; z) by ascending series (entire in z); a float at
+    all-real arguments, else a complex number."""
+    a, b, z = _hyp_args(a, b, z)
+    return _hyp_series((a,), (b,), z, _POLE_TOL)
+
+
+def hyp2f2(
+    a1: float | complex,
+    a2: float | complex,
+    b1: float | complex,
+    b2: float | complex,
+    z: float | complex,
+) -> float | complex:
+    """2F2(a1, a2; b1, b2; z) by ascending series (entire in z); a float at
+    all-real arguments, else a complex number.
 
     Denominator parameters closer than 1e-6 to a nonpositive integer raise
     DenominatorPoleError (the moment code must switch branches well before
     that); a terminating numerator parameter disarms the check.
     """
-    return _hyp_series(
-        (complex(a1), complex(a2)), (complex(b1), complex(b2)), complex(z), 1e-6
-    )
+    a1, a2, b1, b2, z = _hyp_args(a1, a2, b1, b2, z)
+    return _hyp_series((a1, a2), (b1, b2), z, 1e-6)
 
 
 def whittaker_m(kappa: complex, b: complex, z: float) -> complex:
@@ -370,9 +396,8 @@ def _w_index(kappa: complex, b: complex) -> tuple:
     if real := kappa.imag == 0.0 and b.imag == 0.0:
         kappa, b = kappa.real, b.real
     kappa0 = kappa - n
-    rg = rgamma(0.5 + b - kappa0)
     rule = (halvings, (b.imag > 0.0) - (b.imag < 0.0) if halvings else 0)
-    return b, kappa0, n, rg.real if real else rg, rule, real
+    return b, kappa0, n, rgamma(0.5 + b - kappa0), rule, real
 
 
 def _w_climb(ix: tuple, z: float, j0: complex, j1: complex, up: int) -> tuple:
@@ -441,13 +466,17 @@ def whittaker_w_dz(kappa: complex, b: complex, z: float) -> complex:
     return ((0.5 * z - kappa) * w0 - w1) / z
 
 
-def documented_real(value: complex, what: str = "value") -> float:
-    """Collapse a complex result that is real on paper to a float.
+def documented_real(value: float | complex, what: str | Callable[[], str] = "value") -> float:
+    """Collapse a result that is real on paper to a float.
 
     Enforces |Im| <= 1e-10 * max(1, |Re|); anything larger means the kernel
-    or the formula wiring is broken, not the caller's input.
+    or the formula wiring is broken, not the caller's input. what names the
+    value in the error: a label, or a function returning one, called only
+    when the check fails.
     """
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
+        if callable(what):
+            what = what()
         raise ConsistencyError(
             f"{what} should be real, got imaginary residue {value.imag!r} "
             f"against real part {value.real!r}"

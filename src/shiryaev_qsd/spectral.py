@@ -85,12 +85,17 @@ def xi_of_lambda(lam: float) -> complex:
     return complex(0.0, math.sqrt(-d))
 
 
-def one_minus_xi(lam: float, xi: complex) -> complex:
-    """1 - xi without cancellation: 8 lam / (1 + xi).
+def one_minus_xi(lam: float, xi: float | complex) -> float | complex:
+    """1 - xi without cancellation: 8 lam / (1 + xi); a float at a real
+    index (zero imaginary part), a complex number at an imaginary one.
 
     For large cutoffs xi creeps toward 1 and the direct subtraction
     loses the leading digits; this form keeps full relative accuracy.
+    This is the one place that fixes the type of the moment closed form's
+    and the normalizer series' parameters, and with it their arithmetic.
     """
+    if xi.imag == 0.0:
+        return 8.0 * float(lam) / (1.0 + xi.real)
     return 8.0 * float(lam) / (1.0 + xi)
 
 
@@ -150,7 +155,7 @@ def _macdonald_eta_beta(lam: float) -> tuple[float, float]:
         raise DomainError(f"W at |Im b| = {0.5 * xi.imag:.4g} is past its rule's node ceiling")
     if xi.imag:
         return 0.0, 0.5 * xi.imag
-    return one_minus_xi(lam, xi).real, 0.0
+    return one_minus_xi(lam, xi), 0.0
 
 
 @functools.lru_cache(maxsize=4)
@@ -292,7 +297,7 @@ def _normalizer_series(A: float, lam: float, xi: complex, sigma: int) -> float:
     # Gamma(plus), and 1F1(a; plus; z) as 1 + a z / plus
     # 2F2(1, a + 1; 2, plus + 1; z), so that no Gamma argument or series
     # parameter nears a pole as plus = 1 - xi ~ 4/A nears 0 at sigma = -1
-    eta = one_minus_xi(lam, xi)            # 1 - xi, cancellation-free
+    eta = one_minus_xi(lam, xi)            # 1 - xi, cancellation-free; real at real xi
     if sigma > 0:
         plus, minus = 2.0 - eta, eta       # 1 + s*xi, 1 - s*xi
     else:

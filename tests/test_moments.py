@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from shiryaev_qsd.errors import DomainError, RegimeError
+import shiryaev_qsd.moments as moments
+from shiryaev_qsd.errors import ConsistencyError, DomainError, RegimeError
 from shiryaev_qsd.moments import (
     limit_moment,
     moment_frac,
@@ -183,6 +184,78 @@ def test_branch_dispatch(solved):
         for k in (0, 1, 2):
             for d in (-4e-4, 4e-4):
                 assert moment_frac(0.5 + k + d, es).branch == "interpolated", (A, k, d)
+
+
+# (moment_log, then (order, branch, moment_frac value) per order) as the
+# all-complex closed form gave them. A = 3 has an imaginary index; from
+# 10.2406 up it is real. The orders take each branch: the plain series, an
+# in-band window (0.5004 lies outside any at A = 3), a crowded window
+# (10.2406 around 1/2 + k, 700 and 1e5 around integers), the integer snap
+# and negative orders
+MOMENT_BITS = {
+    3.0: ("0x1.8d5982c68cb80p-5", (
+        (0.3, "series", "0x1.0672b94159036p+0"),
+        (0.5004, "series", "0x1.0ddaf0187513fp+0"),
+        (2.7, "series", "0x1.2b48bdab25a1ap+1"),
+        (3.0 + 1e-13, "series", "0x1.6092928674d6fp+1"),
+        (-2.2, "series", "0x1.a01189f261755p+0"),
+        (-5.0, "series", "0x1.dd288f491711dp+3"))),
+    10.2406: ("0x1.228e00e97f51ap-1", (
+        (0.3, "series", "0x1.363e1f4b6d168p+0"),
+        (1.5004, "interpolated", "0x1.fafc713f55a7ap+1"),
+        (3.0 + 1e-13, "series", "0x1.1cc14bb1e2217p+5"),
+        (-2.2, "series", "0x1.b393448fa9038p-1"))),
+    12.0: ("0x1.3d6d7db18c83cp-1", (
+        (0.3, "series", "0x1.3bbcf0af25500p+0"),
+        (1.7039, "interpolated", "0x1.7d332a9d69418p+2"),
+        (2.0 - 1e-13, "series", "0x1.276feb0d188c0p+3"),
+        (-1.3, "series", "0x1.5dc2d0468e796p-1"),
+        (-5.0, "series", "0x1.83041a4346a79p+2"))),
+    20.0: ("0x1.8992b972d8df4p-1", (
+        (0.3, "series", "0x1.4c30a7ce9c47ap+0"),
+        (0.8639, "interpolated", "0x1.3f019b6f42c52p+1"),
+        (2.1361, "interpolated", "0x1.5a5cd820bf0efp+4"),
+        (3.0 + 1e-13, "series", "0x1.1365ba354a856p+7"),
+        (-2.2, "series", "0x1.694683ef39778p-1"))),
+    700.0: ("0x1.36b6ab9ae9068p+0", (
+        (0.5, "series", "0x1.2116ca25ffe27p+1"),
+        (0.003, "interpolated", "0x1.00ef7b4d01e13p+0"),
+        (1.0005, "interpolated", "0x1.18aa1f01c2bdbp+3"),
+        (2.9991, "interpolated", "0x1.3fe56b20ed320p+17"),
+        (4.0 + 1e-13, "series", "0x1.b8ba6b3ce4f27p+25"),
+        (-3.5, "series", "0x1.0bcfdb9d7c04ep+0"))),
+    1e5: ("0x1.44e4108c437f8p+0", (
+        (0.5, "series", "0x1.3db1c6b87ab17p+1"),
+        (1e-4, "interpolated", "0x1.0008517a29f0ap+0"),
+        (1.0001, "interpolated", "0x1.28025160043b3p+4"),
+        (3.14159, "series", "0x1.c448f1abd940ap+33"),
+        (8.0, "series", "0x1.603bd43305682p+111"),
+        (-5.0, "series", "0x1.e01b258e19a1cp+1"))),
+}
+
+
+@pytest.mark.parametrize("A", sorted(MOMENT_BITS))
+def test_moment_bits_are_pinned(A, solved):
+    es = solved(A)
+    log_bits, orders = MOMENT_BITS[A]
+    assert moment_log(es).hex() == log_bits
+    for s, branch, bits in orders:
+        m = moment_frac(s, es)
+        assert (m.branch, m.value.hex()) == (branch, bits), (A, s)
+
+
+@pytest.mark.parametrize("A", (3.0, 20.0))
+def test_imaginary_residue_names_the_order(A, solved, monkeypatch):
+    # a closed form that turns complex off the real axis is refused, with
+    # the order in the message, at a real index as at an imaginary one
+    series = moments.hyp2f2
+
+    def tilted(*args):
+        return series(*args) * complex(1.0, 1e-6)
+
+    monkeypatch.setattr(moments, "hyp2f2", tilted)
+    with pytest.raises(ConsistencyError, match=r"^moment of order 0\.3 should be real"):
+        moment_frac(0.3, solved(A))
 
 
 def test_integer_snap_matches_plain_integer(solved):

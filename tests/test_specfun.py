@@ -96,6 +96,27 @@ def test_real_axis_gamma_matches_mpmath():
     assert worst_g <= 2e-15 and worst_r <= 2e-15, (worst_g, worst_r)
 
 
+def test_real_gamma_repeats_the_complex_bits():
+    # a float argument gives a float with the bits of the real part at the
+    # complex argument, on the grid, next to every pole from -50 to 0, and
+    # within the pole test's 1e-12, where gamma raises and rgamma is smooth
+    near = [n + d for n in range(-50, 1) for d in (5e-13, -5e-13, 1e-13)]
+    for x in _real_axis_points() + near:
+        r, rc = rgamma(x), rgamma(complex(x))
+        assert type(r) is float and rc.imag == 0.0 and r.hex() == rc.real.hex(), x
+        try:
+            g = gamma(x)
+        except PoleError:
+            with pytest.raises(PoleError):
+                gamma(complex(x))
+            continue
+        gc = gamma(complex(x))
+        assert type(g) is float and gc.imag == 0.0 and g.hex() == gc.real.hex(), x
+    for n in range(0, 51):
+        assert rgamma(float(-n)) == 0.0 and type(rgamma(float(-n))) is float
+        assert rgamma(complex(-n)) == 0j
+
+
 def test_real_axis_gamma_poles_and_overflow():
     for n in range(0, 51):
         for d in (0.0, 9e-13, -9e-13):
@@ -166,6 +187,43 @@ def test_terminating_series_ignores_denominator_graze():
     # numerator terminates at j=2, denominator pole sits at j=3: fine
     val = hyp2f2(1.0, -1.0, 0.5, -2.0 + 1e-9, 0.3)
     assert math.isfinite(val.real)
+
+
+def _hyp_cases(count: int) -> list[tuple]:
+    # seeded (a1, a2, b1, b2, z): generic parameters; a2 = -n, a terminating
+    # numerator (the moment formula's -s at integer s); and denominators
+    # 1e-6 to 1e-3 from a pole, on either side
+    rng = random.Random(20261020)
+    cases = []
+    for k in range(count):
+        a1, a2 = rng.uniform(-3.0, 3.0), rng.uniform(-9.0, 9.0)
+        b1, b2 = rng.uniform(-8.0, 9.0), rng.uniform(0.1, 9.0)
+        z = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 1.3)
+        if k % 3 == 1:
+            a2 = -float(rng.randint(0, 12))
+        if k % 4 == 2:
+            d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.8, -3.0)
+            b1 = -float(rng.randint(0, 8)) + d
+        cases.append((a1, a2, b1, b2, z))
+    return cases
+
+
+def test_hyp_float_arguments_repeat_the_complex_bits():
+    # all-float arguments give a float with the bits of the real part of
+    # the all-complex result, on 400 cases for each: 101 with a denominator
+    # near a pole and 133 terminating
+    for a1, a2, b1, b2, z in _hyp_cases(400):
+        for f, args in ((hyp2f2, (a1, a2, b1, b2, z)), (hyp1f1, (a2, b1, z))):
+            got, want = f(*args), f(*map(complex, args))
+            assert type(got) is float and want.imag == 0.0, (f, args)
+            assert got.hex() == want.real.hex(), (f, args)
+
+
+def test_hyp_type_follows_the_arguments():
+    assert type(hyp2f2(1, -2, 3, 4, 0.5)) is float
+    assert type(hyp2f2(1.0, -0.5, complex(1.2, 0.1), 0.8, 0.3)) is complex
+    assert type(hyp1f1(0.5, 1.5, 2.0)) is float
+    assert type(hyp1f1(0.5, 1.5, complex(2.0))) is complex
 
 
 def test_nonterminating_denominator_pole_raises():
@@ -330,5 +388,17 @@ def test_whittaker_w_rejects_bad_z():
 
 def test_documented_real_accepts_and_rejects():
     assert documented_real(complex(2.0, 1e-12)) == 2.0
+    assert documented_real(2.0) == 2.0
     with pytest.raises(ConsistencyError):
         documented_real(complex(2.0, 1e-3))
+
+
+def test_documented_real_names_the_value_only_on_failure():
+    def label():
+        raise AssertionError("label built for a value that passed")
+
+    assert documented_real(complex(2.0, 1e-12), label) == 2.0
+    with pytest.raises(ConsistencyError, match=r"^the sum should be real"):
+        documented_real(complex(2.0, 1e-3), lambda: "the sum")
+    with pytest.raises(ConsistencyError, match=r"^the sum should be real"):
+        documented_real(complex(2.0, 1e-3), "the sum")

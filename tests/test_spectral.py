@@ -109,6 +109,19 @@ def test_one_minus_xi_stable_for_xi_near_one(solved):
     assert abs(eta * (1.0 + es.xi) - 8.0 * es.lam) < 1e-18
 
 
+def test_one_minus_xi_follows_the_index_type(solved):
+    # a float at a real index, with the bits of the complex quotient's real
+    # part; a complex number at an imaginary one
+    for A in (10.2406, 20.0, 1e5):
+        es = solved(A)
+        eta = one_minus_xi(es.lam, es.xi)
+        assert type(eta) is float, A
+        assert eta.hex() == (8.0 * es.lam / (1.0 + es.xi)).real.hex(), A
+    for A in (0.5, 3.0, 10.2404):
+        es = solved(A)
+        assert type(one_minus_xi(es.lam, es.xi)) is complex, A
+
+
 def test_oscillatory_crossover_location():
     # the rate passes 1/8 between these two cutoffs
     assert solve_lambda(10.2404).xi.imag != 0.0
@@ -322,6 +335,23 @@ def test_solve_bits_are_pinned(A, lam, C):
     assert (es.lam.hex(), es.C.hex()) == (lam, C)
     again = assemble_system(A, es.lam)
     assert (again.C.hex(), again.residual.hex()) == (es.C.hex(), es.residual.hex())
+
+
+@pytest.mark.parametrize("A, residual", [
+    (3.0, "0x1.9e75e9920e600p-52"),
+    (10.2406, "0x1.74634e702d166p-49"),
+    (12.0, "0x1.c8d3cf544b743p-51"),
+    (20.0, "0x1.103383849e251p-51"),
+    (700.0, "0x1.f6c26bb9ef66fp-53"),
+    (1e5, "0x1.ffe28690e0984p-52"),
+])
+def test_normalizer_series_bits_are_pinned(A, residual, solved):
+    # the residual of the series route to C, summed in complex arithmetic
+    # at A = 3 and in real arithmetic from 10.2406 up, where xi is real;
+    # the bits are those of the all-complex series
+    es = solved(A)
+    rows = {r.name: r.residual for r in eigen_checks(es.A, es.lam, es.xi, es.C)}
+    assert rows["normalizer-series"].hex() == residual
 
 
 # worst gaps of macdonald_w to mpmath at 13 points X from 1/A to 700, 10x
