@@ -112,8 +112,8 @@ def moment_integer(n: int, sys: EigenSystem) -> MomentResult:
 
 def _regular_value(s: float, sys: EigenSystem) -> float:
     # closed form with no dispatch; callers keep s clear of the ladder
-    lam, A, xi, C = sys.lam, sys.A, sys.xi, sys.C
-    half_eta = 0.5 * one_minus_xi(lam, xi)          # (1 - xi)/2, stable; real at real xi
+    lam, A, C = sys.lam, sys.A, sys.C
+    half_eta = 0.5 * one_minus_xi(lam)              # (1 - xi)/2, stable; real at real xi
     # all four parameters built as (integer - s) +- half_eta so that a
     # small result keeps the relative accuracy of half_eta instead of
     # absorbing an absolute eps from 0.5 + 0.5*xi rounded near 1
@@ -147,7 +147,7 @@ def _ladder_window(s: float, sys: EigenSystem) -> tuple[float, float, float] | N
     ladder order, while quintic truncation grows like (h log A)^6.
     """
     xi = sys.xi
-    half_eta = 0.5 * one_minus_xi(sys.lam, xi)     # (1 - xi)/2, stable
+    half_eta = 0.5 * one_minus_xi(sys.lam)         # (1 - xi)/2, stable
     # the nearest members p = 1 - half_eta + kp and q = half_eta + kq are
     # the poles of _regular_value; q is on p's rung or the next, so they
     # are xi or 1 - xi apart, and their midpoint is (1 + kp + kq)/2 exactly
@@ -216,7 +216,7 @@ def moment_special_value(sys: EigenSystem, sigma: int) -> MomentResult:
     sigma is +1 or -1. Real index only (RegimeError otherwise).
     """
     xi = _ladder_index(sys, sigma, "the distinguished-order shortcut")
-    h = 0.5 * one_minus_xi(sys.lam, sys.xi)         # (1 - xi)/2, stable
+    h = 0.5 * one_minus_xi(sys.lam)                 # (1 - xi)/2, stable
     t = 1.0 - h if sigma > 0 else h                 # s + 1 = (1 + sigma xi)/2
     s = -0.5 + 0.5 * sigma * xi
     _check_order(s + 1.0, sys.A)  # the value itself scales like A^(s+1)
@@ -231,7 +231,7 @@ def moment_singular_base(sys: EigenSystem, sigma: int) -> MomentResult:
     lam, A = sys.lam, sys.A
     s_star = 0.5 + 0.5 * sigma * xi
     z = 2.0 / A
-    h = 0.5 * one_minus_xi(lam, sys.xi)             # (1 - xi)/2, stable
+    h = 0.5 * one_minus_xi(lam)                     # (1 - xi)/2, stable
     # bracket_j = psi(1 + j) + psi(d + j) - psi(a + j) - log z, with
     # a = -1/2 - sigma xi/2 and d = 1 - sigma xi. For xi near 1, a + j and
     # d + j graze the digamma poles at -1 and 0 with offsets ~h, where plain

@@ -2,7 +2,8 @@
 
 Everything downstream hangs off one number per cutoff A: the smallest
 positive root lam of the boundary condition W_{1, xi/2}(2/A) = 0 with
-xi = sqrt(1 - 8 lam). This module brackets that root with the proven
+xi = sqrt(1 - 8 lam), so the rate alone fixes the index: no function here
+takes xi beside lam. This module brackets that root with the proven
 two-sided bounds, polishes it with Brent iteration on the Macdonald form
 of W (eigencondition), checks that the root found is the smallest, and
 packages the result as a validated EigenSystem the distribution and
@@ -53,10 +54,9 @@ from collections import namedtuple
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .report import CheckRow, guarded_row
-from .specfun import W_IMAG_B_MAX, documented_real, gamma, hyp2f2, rgamma
+from .specfun import documented_real, gamma, hyp2f2, rgamma
 
 _EPS = 2.220446049250313e-16
-_XI_IDENTITY_TOL = 1e-12   # |xi^2 + 8 lam - 1| allowance
 _SERIES_C_TOL = 1e-10      # agreement of the series and endpoint normalizers
 _BRACKET_SLACK = 1e-9      # relative slack when re-checking the bracket
 _BRENT_REL_TOL = 1e-12     # relative width at which Brent stops
@@ -64,6 +64,8 @@ _K_STEP = 0.2              # trapezoid step of the Macdonald integrals ...
 _K_WAVES = 0.8             # ... at most this over beta at an imaginary index ...
 _K_PEAK = 0.7              # ... and at most this over sqrt(X)
 _K_CUT = 50.0              # nodes stop where X (cosh t - 1) - t reaches this
+_K_BETA_MAX = 80.64        # index ceiling: inherited from specfun's Laplace W, it is
+                           # the DomainError edge where the bracket top's beta passes it
 
 
 def _check_cutoff(A: float) -> float:
@@ -85,18 +87,18 @@ def xi_of_lambda(lam: float) -> complex:
     return complex(0.0, math.sqrt(-d))
 
 
-def one_minus_xi(lam: float, xi: float | complex) -> float | complex:
-    """1 - xi without cancellation: 8 lam / (1 + xi); a float at a real
-    index (zero imaginary part), a complex number at an imaginary one.
+def one_minus_xi(lam: float) -> float | complex:
+    """1 - xi without cancellation: 8 lam / (1 + xi), xi = xi_of_lambda(lam)
+    (whose DomainError it raises); a float at a real index (zero imaginary
+    part), a complex number at an imaginary one.
 
     For large cutoffs xi creeps toward 1 and the direct subtraction
     loses the leading digits; this form keeps full relative accuracy.
     This is the one place that fixes the type of the moment closed form's
     and the normalizer series' parameters, and with it their arithmetic.
     """
-    if xi.imag == 0.0:
-        return 8.0 * float(lam) / (1.0 + xi.real)
-    return 8.0 * float(lam) / (1.0 + xi)
+    xi = xi_of_lambda(lam)
+    return 8.0 * float(lam) / (1.0 + (xi.real if xi.imag == 0.0 else xi))
 
 
 def lambda_bounds(A: float) -> tuple[float, float]:
@@ -150,12 +152,12 @@ def _macdonald_nodes(X: float, h: float, real: bool) -> tuple[list, list, list]:
 
 def _macdonald_eta_beta(lam: float) -> tuple[float, float]:
     # (eta = 1 - xi or 0, beta = Im xi / 2 or 0) of the Macdonald sum at lam
-    xi = xi_of_lambda(lam)
-    if 0.5 * xi.imag > W_IMAG_B_MAX:
-        raise DomainError(f"W at |Im b| = {0.5 * xi.imag:.4g} is past its rule's node ceiling")
-    if xi.imag:
-        return 0.0, 0.5 * xi.imag
-    return one_minus_xi(lam, xi), 0.0
+    beta = 0.5 * xi_of_lambda(lam).imag
+    if beta > _K_BETA_MAX:
+        raise DomainError(
+            f"beta {beta:.4g} passes the Macdonald sum's index ceiling {_K_BETA_MAX:g}"
+        )
+    return (0.0, beta) if beta else (one_minus_xi(lam), 0.0)
 
 
 @functools.lru_cache(maxsize=4)
@@ -165,7 +167,7 @@ def _macdonald_index(A: float, lam: float) -> tuple[float, float, float]:
     # upper bound, so that one evaluation serves a whole solve
     eta, beta = _macdonald_eta_beta(lam)
     top = math.sqrt(max(0.0, 8.0 * max(lam, lambda_bounds(A)[1]) - 1.0)) / 2.0
-    h = min(_K_STEP, _K_WAVES / min(top, W_IMAG_B_MAX)) if top else _K_STEP
+    h = min(_K_STEP, _K_WAVES / min(top, _K_BETA_MAX)) if top else _K_STEP
     return h, eta, beta
 
 
@@ -191,8 +193,8 @@ def macdonald_w(A: float, lam: float, X: float) -> tuple[float, float]:
     proven bracket (or lam's own above it), and the last term resolves the
     peak of e^{-X (cosh t - 1)} up to X = 700; at X = 1/A it binds only
     below A = 0.082. A node costs one exponential e^{eta t/2}, exact in eta,
-    or one cosine. DomainError where lam's own beta passes W_IMAG_B_MAX,
-    the index ceiling of specfun's Laplace W, kept as this sum's own.
+    or one cosine. DomainError where lam's own beta passes the sum's index
+    ceiling, 80.64.
     """
     h, eta, beta = _macdonald_index(A, lam)
     return _macdonald_sum(X, _macdonald_step(h, X), eta, beta)
@@ -291,13 +293,13 @@ def _normalizer_endpoint(A: float, w0: float) -> float:
     return 1.0 / d if d else math.inf
 
 
-def _normalizer_series(A: float, lam: float, xi: complex, sigma: int) -> float:
+def _normalizer_series(A: float, lam: float, sigma: int) -> float:
     # confluent-series route to the same constant; exercised as a check.
     # plus Gamma(plus/2) / (2 Gamma(plus)) is taken as Gamma(1 + plus/2) /
     # Gamma(plus), and 1F1(a; plus; z) as 1 + a z / plus
     # 2F2(1, a + 1; 2, plus + 1; z), so that no Gamma argument or series
     # parameter nears a pole as plus = 1 - xi ~ 4/A nears 0 at sigma = -1
-    eta = one_minus_xi(lam, xi)            # 1 - xi, cancellation-free; real at real xi
+    eta = one_minus_xi(lam)                # 1 - xi, cancellation-free; real at real xi
     if sigma > 0:
         plus, minus = 2.0 - eta, eta       # 1 + s*xi, 1 - s*xi
     else:
@@ -312,12 +314,12 @@ def _normalizer_series(A: float, lam: float, xi: complex, sigma: int) -> float:
     return documented_real(val, "series form of the normalizer")
 
 
-def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
-    """Invariant battery for a candidate (A, lam, xi, C) quadruple.
+def eigen_checks(A: float, lam: float, C: float) -> list[CheckRow]:
+    """Invariant battery for a candidate cutoff A, rate lam and normalizer C.
 
     Every row's residual is the dimensionless metric the pass/fail
-    threshold applies to. Every row is recomputed from the four fields, so
-    a stale or tampered field cannot hide. normalizer-series compares C with
+    threshold applies to. Every row is recomputed from the three values, so
+    a stale or tampered one cannot hide. normalizer-series compares C with
     its confluent series at lam, which reads no W: a second route to C and
     to the root. At a rate lam (1 + eps), with C summed afresh there, the
     series at a real index (A above 10.24) moves from C by 0.54 |eps| near
@@ -337,16 +339,13 @@ def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
     where = (lam - lo) / (hi - lo) if hi > lo else (0.0 if lam == lo else math.inf)
     rows.append(CheckRow("rate-bracket", in_bracket, where))
 
-    ident = abs(xi * xi + 8.0 * lam - 1.0) / max(1.0, 8.0 * lam)
-    rows.append(CheckRow("index-identity", ident <= _XI_IDENTITY_TOL, ident))
-
     ok_c = math.isfinite(C) and C > 0.0
     rows.append(CheckRow("normalizer-positive", ok_c, C))
 
     if ok_c:
         rows.append(guarded_row(
             "normalizer-series",
-            lambda: max(abs(_normalizer_series(A, lam, xi, s) - C) / C for s in (1, -1)),
+            lambda: max(abs(_normalizer_series(A, lam, s) - C) / C for s in (1, -1)),
             lambda m: m <= _SERIES_C_TOL,
         ))
     else:
@@ -354,11 +353,11 @@ def eigen_checks(A: float, lam: float, xi: complex, C: float) -> list[CheckRow]:
     return rows
 
 
-class EigenSystem(namedtuple("EigenSystem", "A lam xi C residual")):
-    """Validated spectral data for one cutoff: rate lam, index xi,
-    normalizer C, and the eigencondition residual left by the solver.
+class EigenSystem(namedtuple("EigenSystem", "A lam C residual")):
+    """Validated spectral data for one cutoff: rate lam, normalizer C, and
+    the eigencondition residual left by the solver; `xi` is lam's index.
 
-    Construction re-runs the invariant battery and raises ConsistencyError
+    Construction runs the invariant battery and raises ConsistencyError
     if anything fails; validate=False skips that (used to inject known-bad
     systems when exercising the verification path, never in normal flow).
     The battery's rows are kept and served by `checks`; the pdf and cdf
@@ -368,12 +367,9 @@ class EigenSystem(namedtuple("EigenSystem", "A lam xi C residual")):
     __dict__.
     """
 
-    def __new__(
-        cls, A: float, lam: float, xi: complex, C: float, residual: float,
-        validate: bool = True,
-    ):
+    def __new__(cls, A: float, lam: float, C: float, residual: float, validate: bool = True):
         _check_cutoff(A)
-        self = tuple.__new__(cls, (A, lam, xi, C, residual))
+        self = tuple.__new__(cls, (A, lam, C, residual))
         if validate:
             failed = [row for row in self.checks if not row.passed]
             if failed:
@@ -393,7 +389,13 @@ class EigenSystem(namedtuple("EigenSystem", "A lam xi C residual")):
         """eigen_checks rows of this system: those construction computed, or
         computed on first use when it skipped validation. A race between
         threads computes equal rows twice."""
-        return tuple(eigen_checks(self.A, self.lam, self.xi, self.C))
+        return tuple(eigen_checks(self.A, self.lam, self.C))
+
+    @functools.cached_property
+    def xi(self) -> complex:
+        """xi_of_lambda(lam), derived on first read: no copy, pickle or
+        _replace can pair one rate with another rate's index."""
+        return xi_of_lambda(self.lam)
 
     @functools.cached_property
     def generator(self) -> Eigenfunction:
@@ -419,14 +421,11 @@ def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:
     infinite, and the battery's normalizer rows fail.
     """
     A = _check_cutoff(A)
-    xi = xi_of_lambda(lam)
-    return _system(A, lam, xi, macdonald_w(A, lam, 1.0 / A), validate)
+    return _system(A, lam, macdonald_w(A, lam, 1.0 / A), validate)
 
 
-def _system(
-    A: float, lam: float, xi: complex, w: tuple[float, float], validate: bool,
-) -> EigenSystem:
-    # the record of (A, lam, xi) from the pair w = (W_0, W_1) at z = 2/A:
+def _system(A: float, lam: float, w: tuple[float, float], validate: bool) -> EigenSystem:
+    # the record of (A, lam) from the pair w = (W_0, W_1) at z = 2/A:
     # C from W_0, the residual from W_1
     w0, w1 = w
     if validate and w0 <= 0.0:
@@ -434,7 +433,7 @@ def _system(
             f"endpoint Whittaker value must be positive, got {w0!r} at A={A}"
         )
     C = _normalizer_endpoint(A, w0)
-    return EigenSystem(A=A, lam=lam, xi=xi, C=C, residual=abs(w1), validate=validate)
+    return EigenSystem(A=A, lam=lam, C=C, residual=abs(w1), validate=validate)
 
 
 def solve_lambda(A: float) -> EigenSystem:
@@ -449,7 +448,7 @@ def solve_lambda(A: float) -> EigenSystem:
     ConvergenceError if W has no sign change on the bracket, which is
     proven for the principal rate only (from about A = 1e18 the rate is
     within a rounding of its lower end; below about 0.072 it holds two roots),
-    or if the iteration stalls; DomainError below A = 0.0178, where the
+    or if the iteration stalls; DomainError from A = 0.0178 down, where the
     bracket passes the Macdonald sum's index ceiling; and ConsistencyError
     if the root fails its invariants or if the closed-form certificate
     cannot prove it the smallest root (module docstring). Every root from
@@ -484,7 +483,7 @@ def solve_lambda(A: float) -> EigenSystem:
             f"rate {lam!r} at A={A!r} is not certified as the principal one: "
             f"a smaller root may exist"
         )
-    return _system(A, lam, xi_of_lambda(lam), pairs[lam], True)
+    return _system(A, lam, pairs[lam], True)
 
 
 def _is_principal(A: float, lam: float) -> bool:

@@ -1,13 +1,13 @@
 """Cross-route verification battery for a solved system.
 
 Every check pits two independent computations against each other:
-spectral invariants (bracket, index identity, boundary residual, dual
-normalizer), the generator's eigenfunction against the Whittaker closed
-forms (its zero against the rate, its pdf and cdf on a grid), quadrature
-of its density against the closed-form moments, the recurrence against
-the hypergeometric route, and the distribution function against its
-unrestricted stationary bound. A system built from a perturbed rate fails
-several of these at once; that is the point.
+spectral invariants (rate bracket, normalizer positive and equal to its
+confluent series), the generator's eigenfunction against the Whittaker
+closed forms (its zero against the rate, its pdf and cdf on a grid),
+quadrature of its density against the closed-form moments, the recurrence
+against the hypergeometric route, and the distribution function against
+its unrestricted stationary bound. A system built from a perturbed rate
+fails several of these at once; that is the point.
 """
 
 from __future__ import annotations

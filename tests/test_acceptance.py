@@ -130,8 +130,8 @@ def test_criterion_07_normalizer_dual_expression(solved):
         es = solved(A)
         forms = [
             es.C,
-            _normalizer_series(A, es.lam, es.xi, 1),
-            _normalizer_series(A, es.lam, es.xi, -1),
+            _normalizer_series(A, es.lam, 1),
+            _normalizer_series(A, es.lam, -1),
         ]
         for i in range(len(forms)):
             for j in range(i + 1, len(forms)):

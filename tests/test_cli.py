@@ -22,6 +22,7 @@ from shiryaev_qsd.errors import (
     RegimeError,
     ToleranceNotMetError,
 )
+from shiryaev_qsd.spectral import solve_lambda
 
 
 def run(capsys, *argv):
@@ -295,6 +296,20 @@ def test_no_sign_change_on_the_bracket_exits_3(capsys, A):
     code, out, err = run(capsys, "eig", "--A", A)
     assert code == 3 and out == ""
     assert "proven bracket" in err
+
+
+@pytest.mark.parametrize("A, code", (("0.0177", 2), ("0.0178", 2), ("0.01785", 3)))
+def test_macdonald_index_ceiling_edge(capsys, A, code):
+    # the bracket top's beta passes the Macdonald sum's index ceiling, 80.64,
+    # between 0.01785 (80.62; W has one sign on the bracket, exit 3) and
+    # 0.0178 (80.84): a DomainError, exit 2, that names the sum's ceiling
+    error = DomainError if code == 2 else ConvergenceError
+    with pytest.raises(error) as err:
+        solve_lambda(float(A))
+    assert type(err.value) is error
+    got, out, msg = run(capsys, "eig", "--A", A)
+    assert (got, out) == (code, "")
+    assert ("passes the Macdonald sum's index ceiling 80.64" in msg) == (code == 2), msg
 
 
 def test_table_points_above_the_cap_fail_before_solving(capsys, monkeypatch):

@@ -317,7 +317,7 @@ def test_integer_arguments_reject_non_integers(bad, solved):
 def test_order_overflow_guard():
     # |s log A| past exp range must be refused, not overflowed
     fake = EigenSystem(
-        A=1e7, lam=4.1e-7, xi=complex(0.9999984), C=1.0000017, residual=0.0,
+        A=1e7, lam=4.1e-7, C=1.0000017, residual=0.0,
         validate=False,
     )
     with pytest.raises(DomainError):

@@ -229,7 +229,7 @@ def test_domain_errors(solved):
     with pytest.raises(DomainError):
         quad_moments(es, (0.5, float("nan")))
     tiny = EigenSystem(
-        A=1e-3, lam=1.0, xi=complex(1.0), C=1.0, residual=0.0, validate=False
+        A=1e-3, lam=1.0, C=1.0, residual=0.0, validate=False
     )
     for fn in (normalization_check, quad_log_moment):
         with pytest.raises(DomainError):

@@ -103,7 +103,7 @@ def test_xi_rejects_nonpositive_rate():
 
 def test_one_minus_xi_stable_for_xi_near_one(solved):
     es = solved(10000.0)
-    eta = one_minus_xi(es.lam, es.xi)
+    eta = one_minus_xi(es.lam)
     # naive 1 - xi keeps only ~12 digits here; the stable form must agree
     # with the quadratic identity to full precision
     assert abs(eta * (1.0 + es.xi) - 8.0 * es.lam) < 1e-18
@@ -114,12 +114,73 @@ def test_one_minus_xi_follows_the_index_type(solved):
     # part; a complex number at an imaginary one
     for A in (10.2406, 20.0, 1e5):
         es = solved(A)
-        eta = one_minus_xi(es.lam, es.xi)
+        eta = one_minus_xi(es.lam)
         assert type(eta) is float, A
         assert eta.hex() == (8.0 * es.lam / (1.0 + es.xi)).real.hex(), A
     for A in (0.5, 3.0, 10.2404):
         es = solved(A)
-        assert type(one_minus_xi(es.lam, es.xi)) is complex, A
+        assert type(one_minus_xi(es.lam)) is complex, A
+
+
+# (lam, one_minus_xi(lam, xi_of_lambda(lam))) as the two-argument form gave
+# them, at the solved rates of A = 0.5, 3, 10.2404 (imaginary index) and
+# 10.2406, 20, 1e5, 1e12 (real index); a complex value as (real, imag)
+ONE_MINUS_XI_BITS = [
+    ("0x1.9cc29491208b4p+2", ("0x1.0000000000000p+0", "-0x1.c73bab62f8540p+2")),
+    ("0x1.1821840a92937p-1", ("0x1.ffffffffffffep-1", "-0x1.d671cd3aae4a4p+0")),
+    ("0x1.00007b23338ccp-3", ("0x1.0000000000000p+0", "-0x1.631871e3ad4d7p-9")),
+    ("0x1.fffe0599f7588p-4", "0x1.fe02cef474496p-1"),
+    ("0x1.e2264a2ffa673p-5", "0x1.171d3cd635058p-2"),
+    ("0x1.4f9b3b3e229bep-17", "0x1.4f9cf33a4767cp-15"),
+    ("0x1.197998131bf29p-40", "0x1.197998131e5d8p-38"),
+]
+
+
+@pytest.mark.parametrize("lam, want", ONE_MINUS_XI_BITS)
+def test_one_minus_xi_of_the_rate_alone(lam, want):
+    # the rate fixes the index: one_minus_xi reads lam alone and keeps the
+    # bits it had when the index was passed beside the rate
+    eta = one_minus_xi(float.fromhex(lam))
+    if isinstance(want, str):
+        assert type(eta) is float and eta.hex() == want
+    else:
+        assert type(eta) is complex and (eta.real.hex(), eta.imag.hex()) == want
+
+
+def test_eigensystem_stores_no_index():
+    assert EigenSystem._fields == ("A", "lam", "C", "residual")
+
+
+def _same_bits(x, y):
+    return (x.real.hex(), x.imag.hex()) == (y.real.hex(), y.imag.hex())
+
+
+def test_index_is_read_off_the_rate(solved):
+    # es.xi is xi_of_lambda(es.lam) bit for bit, on a copy, a pickle round
+    # trip and a record whose rate _replace moved, which takes the new
+    # rate's index and not the old one's
+    cutoffs = (3.0, 10.2404, 10.2406, 20.0, 1e5, 1e12)
+    for A, other in zip(cutoffs, cutoffs[1:] + cutoffs[:1]):
+        es = solved(A)
+        moved = es._replace(lam=solved(other).lam)
+        twins = (es, copy.copy(es), pickle.loads(pickle.dumps(es)), moved)
+        for twin in twins:
+            assert _same_bits(twin.xi, xi_of_lambda(twin.lam)), (A, twin)
+        assert not _same_bits(moved.xi, es.xi), A
+
+
+@pytest.mark.parametrize("lam", (0.0, -1.0, math.nan))
+def test_a_record_at_a_bad_rate_raises_on_its_index(lam, solved):
+    # a hand-built record at a rate with no index builds unvalidated, and
+    # raises DomainError once its index is read or the battery runs
+    es = solved(20.0)
+    bad = EigenSystem(es.A, lam, es.C, es.residual, validate=False)
+    with pytest.raises(DomainError):
+        bad.xi
+    with pytest.raises(DomainError):
+        bad.checks
+    with pytest.raises(DomainError):
+        EigenSystem(es.A, lam, es.C, es.residual)
 
 
 def test_oscillatory_crossover_location():
@@ -131,7 +192,7 @@ def test_oscillatory_crossover_location():
 def test_eigen_checks_all_pass_on_solved(solved):
     for A in (0.5, 5.0, 100.0):
         es = solved(A)
-        rows = eigen_checks(es.A, es.lam, es.xi, es.C)
+        rows = eigen_checks(es.A, es.lam, es.C)
         assert rows and all(passed for _, passed, _ in rows), rows
 
 
@@ -144,7 +205,7 @@ def test_eigen_checks_series_failure_modes(solved, monkeypatch):
     monkeypatch.setattr(spectral, "_normalizer_series", pole)
     rows = {
         name: (passed, metric)
-        for name, passed, metric in eigen_checks(es.A, es.lam, es.xi, es.C)
+        for name, passed, metric in eigen_checks(es.A, es.lam, es.C)
     }
     assert rows["normalizer-series"] == (False, math.inf)
     assert all(passed for name, (passed, _) in rows.items() if name != "normalizer-series")
@@ -154,7 +215,7 @@ def test_eigen_checks_series_failure_modes(solved, monkeypatch):
 
     monkeypatch.setattr(spectral, "_normalizer_series", broken)
     with pytest.raises(TypeError):
-        eigen_checks(es.A, es.lam, es.xi, es.C)
+        eigen_checks(es.A, es.lam, es.C)
 
 
 @pytest.mark.parametrize("sigma", (1, -1))
@@ -165,14 +226,14 @@ def test_normalizer_series_overflow_fails_its_row(solved, monkeypatch, sigma):
     es = solved(20.0)
     series = spectral._normalizer_series
 
-    def overflowing(A, lam, xi, s):
+    def overflowing(A, lam, s):
         if s == sigma:
             raise OverflowError("math range error")
-        return series(A, lam, xi, s)
+        return series(A, lam, s)
 
-    clean = eigen_checks(es.A, es.lam, es.xi, es.C)
+    clean = eigen_checks(es.A, es.lam, es.C)
     monkeypatch.setattr(spectral, "_normalizer_series", overflowing)
-    rows = eigen_checks(es.A, es.lam, es.xi, es.C)
+    rows = eigen_checks(es.A, es.lam, es.C)
     assert [r.name for r in rows] == [r.name for r in clean]
     for row, want in zip(rows, clean):
         if row.name == "normalizer-series":
@@ -190,7 +251,7 @@ def test_normalizer_series_past_gamma_pole(A):
     lam = 1.0 / (A - 2.0 * math.log(0.5 * A) + 2.0 + 2.0 * 0.5772156649015329)
     es = assemble_system(A, lam, validate=False)
     for sigma in (1, -1):
-        assert abs(spectral._normalizer_series(A, lam, es.xi, sigma) - es.C) < 1e-12 * es.C
+        assert abs(spectral._normalizer_series(A, lam, sigma) - es.C) < 1e-12 * es.C
     assert {r.name: r for r in es.checks}["normalizer-series"].passed
 
 
@@ -198,12 +259,12 @@ def test_eigensystem_keeps_its_checks(solved):
     es = solved(20.0)
     rows = es.checks
     assert es.checks is rows
-    assert list(rows) == eigen_checks(es.A, es.lam, es.xi, es.C)
+    assert list(rows) == eigen_checks(es.A, es.lam, es.C)
     bad = EigenSystem(
-        A=es.A, lam=es.lam * 2, xi=es.xi, C=es.C, residual=1.0, validate=False
+        A=es.A, lam=es.lam * 2, C=es.C, residual=1.0, validate=False
     )
     assert "checks" not in vars(bad)
-    assert list(bad.checks) == eigen_checks(bad.A, bad.lam, bad.xi, bad.C)
+    assert list(bad.checks) == eigen_checks(bad.A, bad.lam, bad.C)
     assert not all(passed for _, passed, _ in bad.checks)
 
 
@@ -211,15 +272,15 @@ def test_eigensystem_rejects_corrupt_rate(solved):
     es = solved(20.0)
     bad = es.lam * 1.01
     with pytest.raises(ConsistencyError):
-        EigenSystem(A=es.A, lam=bad, xi=xi_of_lambda(bad), C=es.C, residual=0.0)
+        EigenSystem(A=es.A, lam=bad, C=es.C, residual=0.0)
 
 
 def test_eigensystem_positional_construction_validates(solved):
     es = solved(20.0)
-    assert EigenSystem(es.A, es.lam, es.xi, es.C, es.residual) == es
+    assert EigenSystem(es.A, es.lam, es.C, es.residual) == es
     bad = es.lam * 1.01
     with pytest.raises(ConsistencyError):
-        EigenSystem(es.A, bad, xi_of_lambda(bad), es.C, 0.0)
+        EigenSystem(es.A, bad, es.C, 0.0)
 
 
 def test_copies_keep_an_unvalidated_system(solved):
@@ -246,7 +307,7 @@ def test_collapsed_bracket_battery_reports():
 def test_eigensystem_validate_false_admits_anything(solved):
     es = solved(20.0)
     bad = EigenSystem(
-        A=es.A, lam=es.lam * 2, xi=es.xi, C=es.C, residual=1.0, validate=False
+        A=es.A, lam=es.lam * 2, C=es.C, residual=1.0, validate=False
     )
     assert bad.lam == es.lam * 2
 
@@ -256,7 +317,7 @@ def test_cached_properties_keep_equality_and_repr(solved):
     # the fields nor equality
     es = solve_lambda(20.0)
     twin = EigenSystem(
-        A=es.A, lam=es.lam, xi=es.xi, C=es.C, residual=es.residual, validate=False
+        A=es.A, lam=es.lam, C=es.C, residual=es.residual, validate=False
     )
     before = repr(es)
     march = es.generator
@@ -350,7 +411,7 @@ def test_normalizer_series_bits_are_pinned(A, residual, solved):
     # at A = 3 and in real arithmetic from 10.2406 up, where xi is real;
     # the bits are those of the all-complex series
     es = solved(A)
-    rows = {r.name: r.residual for r in eigen_checks(es.A, es.lam, es.xi, es.C)}
+    rows = {r.name: r.residual for r in eigen_checks(es.A, es.lam, es.C)}
     assert rows["normalizer-series"].hex() == residual
 
 

@@ -10,12 +10,11 @@ from shiryaev_qsd.errors import ConsistencyError, ConvergenceError
 from shiryaev_qsd.generator import Eigenfunction
 from shiryaev_qsd.moments import moment_frac, moment_log
 from shiryaev_qsd.quadrature import quad_moments
-from shiryaev_qsd.spectral import EigenSystem, assemble_system, xi_of_lambda
+from shiryaev_qsd.spectral import EigenSystem, assemble_system
 from shiryaev_qsd.verify import run_checks
 
 EXPECTED_ROWS = {
     "rate-bracket",
-    "index-identity",
     "normalizer-positive",
     "normalizer-series",
     "quadrature-normalization",
@@ -65,7 +64,7 @@ def test_shrunk_normalizer_fails_cdf_endpoint(solved):
     for A in (0.8, 20.0, 1e4):
         es = solved(A)
         bad = EigenSystem(
-            A=es.A, lam=es.lam, xi=es.xi, C=es.C * (1.0 - 1e-9),
+            A=es.A, lam=es.lam, C=es.C * (1.0 - 1e-9),
             residual=es.residual, validate=False,
         )
         failed = [r.name for r in run_checks(bad) if not r.passed]
@@ -84,7 +83,7 @@ def test_rate_moved_off_its_normalizer_fails_generator_rows(solved):
         for p in (1e-9, 1e-6, 1.0):
             lam = es.lam * (1.0 + p)
             bad = EigenSystem(
-                A=es.A, lam=lam, xi=xi_of_lambda(lam), C=es.C,
+                A=es.A, lam=lam, C=es.C,
                 residual=es.residual, validate=False,
             )
             rows = {r.name: r for r in run_checks(bad)}
