@@ -22,12 +22,14 @@ the dense reads below (see march). A step is halved
 while h sqrt(2 lam/x^2 + 2/x^3) >= pi: by Sturm comparison such a step
 holds at most one zero of f, so the sign changes at the nodes count the
 zeros of f, the oracle the tests hold the rate solver's certificate to.
+Every march runs one rule: its series and Taylor terms stop at _TOL of
+min(|f|, |h f'|), and it returns its nodes and its steps as four lists.
 
 Eigenfunction keeps each step's scaled Taylor terms b_k, which taylor()
 appends as it sums them, and gives f, and f' where the cdf needs it, at
 any point of a step by Horner in (x - x_j) / h_j, about a quarter of the
 cost of a fresh Taylor step for the pdf. Its densities() takes a list of
-points. A march without a dense list keeps no terms.
+points.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from bisect import bisect_left
 
 from .errors import ConsistencyError, DomainError
 
-# the series terms of every march and the Taylor terms of the dense one
-# stop at this fraction of |f| and, separately, of |h f'|, so that f' (the
-# cdf) is as accurate as f
+# the series and Taylor terms of every march stop at this fraction of |f|
+# and, separately, of |h f'|, so that f' (the cdf) is as accurate as f
 _TOL = 2e-17
 _PI2 = math.pi**2
 
@@ -57,8 +58,7 @@ def series(x: float, lam: float):
             return f, g
 
 
-def taylor(x: float, h: float, lam: float, f: float, g: float, small: float,
-           out: list | None = None):
+def taylor(x: float, h: float, lam: float, f: float, g: float, small: float, out: list):
     """f(x + h) and h f'(x + h) from f(x) and g = h f'(x).
 
     The scaled terms b_k = a_k h^k of f(x + s) = sum a_k s^k obey
@@ -66,14 +66,12 @@ def taylor(x: float, h: float, lam: float, f: float, g: float, small: float,
               / (x^2 (k+2)(k+1)/2),
     with b_0 = f(x), b_1 = g; f(x + h) = sum b_k, h f'(x + h) = sum k b_k.
     The sums stop once (k+1)(|b_k| + |b_{k+1}|) <= small. Each b_k from
-    b_2 on is appended to out, if given.
+    b_2 on is appended to out.
     """
     u = 2.0 * h / x
     v = u / x
     q = 0.5 * h * v
     q2 = 2.0 * q
-    if out is None:
-        out = []
     # b0, b1, b2 hold b_{k-1}, b_k, b_{k+1}, a1 = |b_k| and km = k - 1;
     # c = ((k-1)(k-2) + 2 lam) h^2/x^2
     b0, b1, fn, gn, km, k, c = f, g, f + g, g, 0.0, 1.0, 2.0 * lam * q
@@ -93,9 +91,9 @@ def taylor(x: float, h: float, lam: float, f: float, g: float, small: float,
         b0, b1, a1 = b1, b2, a2
 
 
-def march(A: float, lam: float, tol: float, joint: bool = False,
-          dense: list | None = None):
-    """Nodes (xs, fs, ds) of f and f' from x0 to xs[-1] = A.
+def march(A: float, lam: float):
+    """Nodes (xs, fs, ds) of f and f' from x0 to xs[-1] = A, and the steps:
+    for each, its length h and its scaled Taylor terms b_k, highest k first.
 
     The step from x is h = min(x^2, x/3, A - x), halved while it fails the
     Sturm bound (module docstring). The cap x/3 sizes a step for its dense
@@ -104,17 +102,15 @@ def march(A: float, lam: float, tol: float, joint: bool = False,
     benchmark's grid), while a Horner read sums all of one step's terms,
     21.8 at x/3 against 28.6 at x/2 over verify's reads (x/4 reads 12%
     fewer, but marches 5% more terms over 11% more steps, and timed no
-    faster in verify). The series at x0 stops at _TOL;
-    Taylor terms stop at tol of min(|f|, |h f'|) at the step's start, or of
-    their sum if joint (enough for signs). A step that would leave less
-    than 1/1000 of itself to A runs to A instead, so that no node but A
-    lies too close to A for the sign of f there to be resolved.
-    If dense is a list, each step appends to it its length h and its scaled
-    Taylor terms b_k, highest k first.
+    faster in verify). The series at x0 stops at _TOL, and so do the
+    Taylor terms, of min(|f|, |h f'|) at the step's start. A step that
+    would leave less than 1/1000 of itself to A runs to A instead, so that
+    no node but A lies too close to A for the sign of f there to be
+    resolved.
     """
     x = min(0.03, 0.25 * A, 0.1 / lam)
     f, g = series(x, lam)
-    xs, fs, ds = [x], [f], [g / x]
+    xs, fs, ds, steps = [x], [f], [g / x], []
     h, lam2 = x, 2.0 * lam            # g = h f'(x) from here on
     while True:
         step = x * x if x < 1.0 / 3.0 else x / 3.0
@@ -128,18 +124,16 @@ def march(A: float, lam: float, tol: float, joint: bool = False,
             last = False
         g *= step / h
         h = step
-        small = tol * (abs(f) + abs(g) if joint else min(abs(f), abs(g)))
-        bs = None if dense is None else [f, g]
-        f, g = taylor(x, h, lam, f, g, small, bs)
-        if bs is not None:
-            bs.reverse()
-            dense.append((h, bs))
+        bs = [f, g]
+        f, g = taylor(x, h, lam, f, g, _TOL * min(abs(f), abs(g)), bs)
+        bs.reverse()
+        steps.append((h, bs))
         x = A if last else x + h
         xs.append(x)
         fs.append(f)
         ds.append(g / h)
         if last:
-            return xs, fs, ds
+            return xs, fs, ds, steps
 
 
 class Eigenfunction:
@@ -154,8 +148,7 @@ class Eigenfunction:
 
     def __init__(self, A: float, lam: float):
         self.A, self.lam = A, lam
-        self.steps: list[tuple[float, list[float]]] = []
-        self.xs, self.fs, self.ds = march(A, lam, _TOL, dense=self.steps)
+        self.xs, self.fs, self.ds, self.steps = march(A, lam)
         self.flux = -math.exp(-2.0 / A) * self.ds[-1]
         if not 0.0 < self.flux < math.inf:
             raise ConsistencyError(

@@ -44,6 +44,7 @@ import math
 
 from .distribution import UNDERFLOW_X
 from .errors import DomainError, ToleranceNotMetError
+from .moments import _check_order
 from .spectral import EigenSystem
 
 __all__ = [
@@ -178,14 +179,13 @@ def _adapt(f, seeds, m: int) -> list[float]:
 def _expect(sys: EigenSystem, orders, log: bool) -> list[float]:
     # x^s * pdf for each order s, then log x * pdf if log, over
     # [UNDERFLOW_X, A] in one pass, integrated in t = log x; below the
-    # cutoff the density underflows to zero in doubles
-    for s in orders:
-        if not math.isfinite(s):
-            raise DomainError(f"order must be finite, got {s!r}")
-    if sys.A <= UNDERFLOW_X:
-        raise DomainError(f"cutoff {UNDERFLOW_X} swallows the whole support [0, {sys.A}]")
-    gen = sys.generator
+    # cutoff the density underflows to zero in doubles. Each order meets
+    # moment_frac's contract
     A = sys.A
+    orders = [_check_order(s, A) for s in orders]
+    if A <= UNDERFLOW_X:
+        raise DomainError(f"cutoff {UNDERFLOW_X} swallows the whole support [0, {A}]")
+    gen = sys.generator
     exp, power, ln = math.exp, math.pow, math.log
 
     def f(ts: list[float]) -> list[list[float]]:
@@ -210,8 +210,10 @@ def quad_moments(sys: EigenSystem, orders, log: bool = False) -> tuple[float, ..
     the confined law, from one adaptive pass: each is refined to its own
     budget, and the density is evaluated once per node for all of them.
 
-    For s > -50 the mass lost below the underflow cutoff is far beneath
-    the error budget (the integrand carries exp(-1/x)).
+    Each order meets moment_frac's contract: finite, |s| <= 50 and
+    |s log A| <= 700, else DomainError. For s > -50 the mass lost below
+    the underflow cutoff is far beneath the error budget (the integrand
+    carries exp(-1/x)).
     """
     return tuple(_expect(sys, (0.0, *orders), log))
 

@@ -26,7 +26,8 @@ in b, so Re b >= 0; kappa is shifted down until Re a >= 1/2, and the
 kappa-recurrence climbs back. h is 1/16, halved each time |Im b| doubles
 past 1.26, as u^b oscillates in log u. There the ray turns by pi/4 toward
 Im b, which halves the exponent of the exp(pi |Im b| / 2) eps that the sum
-loses at imaginary b, where W is far smaller than its integrand.
+loses at imaginary b, where W is far smaller than its integrand. The
+z-derivative reads W_kappa and W_{kappa+1} from two such sums.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ _DE_H = 1.0 / 16.0
 _DE_IMAG_B = 1.26          # |Im b| the step h = 1/16 resolves
 _DE_TURN = math.pi / 4     # the ray's angle at complex b
 _DE_MAX_HALVINGS = 6       # node ceiling: h = 1/1024 (6,856 nodes), |Im b| <= 80.64
-W_IMAG_B_MAX = _DE_IMAG_B * 2**_DE_MAX_HALVINGS  # the largest |Im b| W serves
 
 # stopping rule of the ascending series (see _hyp_series)
 _SERIES_REL_TOL = 1e-15
@@ -400,73 +400,64 @@ def _w_index(kappa: complex, b: complex) -> tuple:
     return b, kappa0, n, rgamma(0.5 + b - kappa0), rule, real
 
 
-def _w_climb(ix: tuple, z: float, j0: complex, j1: complex, up: int) -> tuple:
-    # (W_{kappa,b}(z),), or (W_{kappa,b}(z), W_{kappa+1,b}(z)) if up, from
-    # j0 = sum of w_k e^{-u_k} u_k^{a0-1} (1 + u_k/z)^{p0}, p0 = b + kappa0 - 1/2,
-    # and j1 = the same times u_k / (1 + u_k/z), needed once the climb has a
-    # rung. Over e^{-z/2} z^{kappa0-1} / Gamma(a0), W_{kappa0} is z j0,
-    # W_{kappa0-1} is j1 / a0, and the recurrence of DLMF 13.15 climbs to
-    # kappa + up, with its coefficient kept factored, so exact where it
-    # vanishes. W_kappa is then the rung below the top, the same bits either way.
+def _w_climb(ix: tuple, z: float, j0: complex, j1: complex) -> complex:
+    # W_{kappa,b}(z) from j0 = sum of w_k e^{-u_k} u_k^{a0-1} (1 + u_k/z)^{p0},
+    # p0 = b + kappa0 - 1/2, and j1 = the same times u_k / (1 + u_k/z), needed
+    # once the climb has a rung. Over e^{-z/2} z^{kappa0-1} / Gamma(a0),
+    # W_{kappa0} is z j0, W_{kappa0-1} is j1 / a0, and the recurrence of
+    # DLMF 13.15 climbs to kappa, with its coefficient kept factored, so exact
+    # where it vanishes.
     b, k, n, rg, _, real = ix
     scale = math.exp(-0.5 * z) * z ** (k - 1.0) * rg
     prev, cur = j1 / (0.5 + b - k), z * j0
-    for _ in range(n + up):
+    for _ in range(n):
         prev, cur = cur, (z - 2.0 * k) * cur - (k - b - 0.5) * (k + b - 0.5) * prev
         k += 1.0
-    out = (complex(scale * prev), complex(scale * cur)) if up else (complex(scale * cur),)
+    w = complex(scale * cur)
     # at b = i beta and real kappa, W = W_{kappa,-b} is its own conjugate
     if not real and b.real == 0.0 and k.imag == 0.0:
-        return tuple(complex(w.real) for w in out)
-    return out
-
-
-def _w_sum(kappa: complex, b: complex, z: float, up: int) -> tuple:
-    # the Laplace integral of the module docstring: (W_{kappa,b}(z),), or with
-    # up = 1 also W_{kappa+1,b}(z) from the same sum over the nodes
-    z = _require_positive_real(z)
-    ix = b, kappa0, n, _, rule, real = _w_index(kappa, b)
-    nodes, logs, weights = _de_rule(*rule)
-    exp, am1 = (math.exp if real else cmath.exp), b - kappa0 - 0.5
-    iz, p, climb = 1.0 / z, b + kappa0 - 0.5, n + up
-    j0 = j1 = 0.0
-    for u, s, w in zip(nodes, logs, weights):
-        q = 1.0 + u * iz
-        t = w * exp(am1 * s) * q**p
-        j0 += t
-        if climb:
-            j1 += t * u / q
-    return _w_climb(ix, z, j0, j1, up)
+        return complex(w.real)
+    return w
 
 
 def whittaker_w(kappa: complex, b: complex, z: float) -> complex:
-    """Whittaker W_{kappa,b}(z) for real z > 0; even in b.
+    """Whittaker W_{kappa,b}(z) for real z > 0, by the Laplace integral of
+    the module docstring; even in b.
 
     Raises:
         DomainError: z is not a positive real, or |Im b| is past the
             rule's node ceiling.
     """
-    return _w_sum(kappa, b, z, 0)[0]
-
-
-def whittaker_w_pair(kappa: complex, b: complex, z: float) -> tuple[complex, complex]:
-    """W_{kappa,b}(z) and W_{kappa+1,b}(z) from one sum over the nodes; the
-    first is the same bits as whittaker_w(kappa, b, z)."""
-    return _w_sum(kappa, b, z, 1)
+    z = _require_positive_real(z)
+    ix = b, kappa0, n, _, rule, real = _w_index(kappa, b)
+    nodes, logs, weights = _de_rule(*rule)
+    exp, am1 = (math.exp if real else cmath.exp), b - kappa0 - 0.5
+    iz, p = 1.0 / z, b + kappa0 - 0.5
+    j0 = j1 = 0.0
+    for u, s, w in zip(nodes, logs, weights):
+        q = 1.0 + u * iz
+        t = w * exp(am1 * s) * q**p
+        j0 += t
+        if n:
+            j1 += t * u / q
+    return _w_climb(ix, z, j0, j1)
 
 
 def whittaker_w_dz(kappa: complex, b: complex, z: float) -> complex:
     """d/dz W_{kappa,b}(z) via the inverted forward recurrence:
 
-    W' = ((z/2 - kappa) W_{kappa,b}(z) - W_{kappa+1,b}(z)) / z.
+    W' = ((z/2 - kappa) W_{kappa,b}(z) - W_{kappa+1,b}(z)) / z,
+
+    from two whittaker_w sums, so with whittaker_w's accuracy at kappa and
+    at kappa + 1.
     """
     z = _require_positive_real(z)
     kappa = complex(kappa)
-    w0, w1 = whittaker_w_pair(kappa, b, z)
+    w0, w1 = whittaker_w(kappa, b, z), whittaker_w(kappa + 1.0, b, z)
     return ((0.5 * z - kappa) * w0 - w1) / z
 
 
-def documented_real(value: float | complex, what: str | Callable[[], str] = "value") -> float:
+def documented_real(value: float | complex, what: str | Callable[[], str]) -> float:
     """Collapse a result that is real on paper to a float.
 
     Enforces |Im| <= 1e-10 * max(1, |Re|); anything larger means the kernel

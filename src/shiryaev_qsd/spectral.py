@@ -362,14 +362,14 @@ class EigenSystem(namedtuple("EigenSystem", "A lam C residual")):
     systems when exercising the verification path, never in normal flow).
     The battery's rows are kept and served by `checks`; the pdf and cdf
     read macdonald_w or distribution.macdonald_w_grid at (A, lam), so no
-    W state is kept. The fields are read-only; the class has no __slots__,
-    so the cached properties below keep their values in the instance
-    __dict__.
+    W state is kept. The record is read-only: setting or deleting any
+    attribute raises AttributeError. The class has no __slots__, so the
+    cached properties below write their values to the instance __dict__
+    directly.
     """
 
     def __new__(cls, A: float, lam: float, C: float, residual: float, validate: bool = True):
-        _check_cutoff(A)
-        self = tuple.__new__(cls, (A, lam, C, residual))
+        self = tuple.__new__(cls, (_check_cutoff(A), lam, C, residual))
         if validate:
             failed = [row for row in self.checks if not row.passed]
             if failed:
@@ -383,6 +383,12 @@ class EigenSystem(namedtuple("EigenSystem", "A lam C residual")):
         # copy and pickle rebuild through __new__: keep an unvalidated
         # system unvalidated (a validated one carries its checks along)
         return (*self, False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EigenSystem is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"EigenSystem is read-only: cannot delete {name!r}")
 
     @functools.cached_property
     def checks(self) -> tuple[CheckRow, ...]:

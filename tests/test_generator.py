@@ -1,3 +1,4 @@
+import hashlib
 import math
 from bisect import bisect_left
 
@@ -131,7 +132,7 @@ def test_dense_terms_match_a_fresh_taylor_step(A):
             continue
         x0, f0, d0 = e.xs[j], e.fs[j], e.ds[j]
         h = x - x0
-        f, g = taylor(x0, h, e.lam, f0, h * d0, _TOL * min(abs(f0), abs(h * d0)))
+        f, g = taylor(x0, h, e.lam, f0, h * d0, _TOL * min(abs(f0), abs(h * d0)), [])
         xs.append(x)
         refs.append((f, g / h, abs(f0) + abs(h * d0)))
     got = e.densities(xs, True)
@@ -194,9 +195,39 @@ def test_eigenfunction_bounded_by_one_up_to_2(solved):
         lam = solved(A).lam
         cases += [(A, 2.0 * lam), (A, 1e3 * lam)]
     for A, lam in cases:
-        nodes = [(x, f, d) for x, f, d in zip(*march(A, lam, _TOL)) if x <= 2.0]
+        xs, fs, ds, _ = march(A, lam)
+        nodes = [(x, f, d) for x, f, d in zip(xs, fs, ds) if x <= 2.0]
         assert len(nodes) > 30, (A, lam)
         assert max(abs(f) for _, f, _ in nodes) < 1.0, (A, lam)
         energy = [f * f + x * x * d * d / (2.0 * lam) for x, f, d in nodes]
         assert energy[0] < 1.0, (A, lam)
         assert all(b < a for a, b in zip(energy, energy[1:])), (A, lam)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(" ".join(map(float.hex, values)).encode()).hexdigest()[:16]
+
+
+# A, the rate in float.hex, the node count, then digests of the nodes'
+# xs + fs + ds and of densities(points, True) in float.hex, and the flux
+# in float.hex; pinned from the march that took its tolerance, rule and
+# dense list as options, at the same single rule
+EIGEN_BITS = (
+    (0.5, "0x1.9cc29491208b4p+2", 67, "508b2abc564323d5", "fc704881c2b4ee61",
+     "0x1.3fc6f71af55f1p-8"),
+    (10.2, "0x1.012abe584d639p-3", 46, "159e3d1db4b90535", "6dc5503681468600",
+     "0x1.1c7a651a5d900p-4"),
+    (1e5, "0x1.4f9b3b3e229bep-17", 78, "9678c059c8bf5425", "51ee5328eb4b6485",
+     "0x1.4f87e95a4159ep-17"),
+)
+
+
+@pytest.mark.parametrize("A, lam, n, nodes, dens, flux", EIGEN_BITS)
+def test_eigenfunction_keeps_its_bits(A, lam, n, nodes, dens, flux):
+    # points below x0 (served by the series), inside steps and at A
+    e = Eigenfunction(A, float.fromhex(lam))
+    points = [x for x in (0.01, 0.02, *(A * k / 8 for k in range(1, 9))) if x <= A]
+    assert len(e.xs) == n
+    assert _digest(e.xs + e.fs + e.ds) == nodes
+    assert _digest([v for pair in e.densities(points, True) for v in pair]) == dens
+    assert e.flux.hex() == flux

@@ -8,6 +8,7 @@ import shiryaev_qsd.quadrature as quadrature
 from shiryaev_qsd.distribution import UNDERFLOW_X, qsd_pdf
 from shiryaev_qsd.errors import DomainError, ToleranceNotMetError
 from shiryaev_qsd.generator import Eigenfunction
+from shiryaev_qsd.moments import moment_frac
 from shiryaev_qsd.quadrature import (
     normalization_check,
     quad_log_moment,
@@ -236,3 +237,18 @@ def test_domain_errors(solved):
             fn(tiny)
     with pytest.raises(DomainError):
         quad_moment(1.0, tiny)
+
+
+@pytest.mark.parametrize("A, s", [(1e5, 70.0), (1e5, 55.0), (1e5, -61.0), (20.0, 60.0),
+                                  (20.0, -50.5)])
+def test_orders_meet_the_closed_form_contract(A, s, solved):
+    # the quadrature refuses every order moment_frac refuses, with the same
+    # message: finite, |s| <= 50 and |s log A| <= 700. At A = 1e5 the order
+    # 70 overflowed in the quadrature, and 55 gave a value
+    es = solved(A)
+    with pytest.raises(DomainError) as want:
+        moment_frac(s, es)
+    for call in (lambda: quad_moment(s, es), lambda: quad_moments(es, (0.5, s), True)):
+        with pytest.raises(DomainError) as got:
+            call()
+        assert str(got.value) == str(want.value), (A, s)

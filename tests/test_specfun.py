@@ -19,7 +19,6 @@ from shiryaev_qsd.specfun import (
     whittaker_m,
     whittaker_w,
     whittaker_w_dz,
-    whittaker_w_pair,
 )
 from shiryaev_qsd.spectral import solve_lambda
 
@@ -336,15 +335,15 @@ def test_w_matches_mpmath_at_solved_indices():
 
 
 def test_w_calls_in_mixed_order():
-    # whittaker_w and whittaker_w_pair give the same bits whatever z, entry
+    # whittaker_w and whittaker_w_dz give the same bits whatever z, entry
     # and index they served before
     zs = (3.0, 0.4, 25.0, 0.05, 15.0, 2.0, 0.4, 3.0, 250.0, 9.0)
     for kappa, b in ((1.0, 0.5 - 1e-4), (0.0, 0.3), (0.0, 0.2j), (1.0, 2.7j), (0.8, 1.21)):
         first = {}
         for z in zs:
-            w = first.setdefault(z, whittaker_w_pair(kappa, b, z))
+            w = first.setdefault(z, (whittaker_w(kappa, b, z), whittaker_w_dz(kappa, b, z)))
+            assert whittaker_w_dz(kappa, b, z) == w[1], (kappa, b, z)
             assert whittaker_w(kappa, b, z) == w[0], (kappa, b, z)
-            assert whittaker_w_pair(kappa, b, z) == w, (kappa, b, z)
             whittaker_w(1.0 - kappa, 0.25, z)  # another index at the same z
 
 
@@ -352,11 +351,11 @@ def _bits(w: complex) -> tuple[str, str]:
     return w.real.hex(), w.imag.hex()
 
 
-def test_w_pair_is_the_two_single_passes_bit_for_bit():
-    # W_{0,b} and W_{1,b} from one sum equal the separate passes at kappa = 0
-    # and kappa = 1: at real b in
-    # (0, 1/2], at b = 0 (rate 1/8), and at imaginary b in every band of the
-    # rule's step up to the index of A = 0.2 (|Im b| = 7.34)
+def test_w_dz_is_the_recurrence_over_two_single_passes_bit_for_bit():
+    # dz = ((z/2 - kappa) W_kappa - W_{kappa+1}) / z over two whittaker_w
+    # sums, at kappa = 0 and kappa = 1: at real b in (0, 1/2], at b = 0
+    # (rate 1/8), and at imaginary b in every band of the rule's step up to
+    # the index of A = 0.2 (|Im b| = 7.34)
     rng = random.Random(20250613)
     bs = [rng.uniform(1e-3, 0.5) for _ in range(4)] + [0.5, 0.0]
     edges = (0.0, 1.26, 2.52, 5.04, 7.34)
@@ -364,8 +363,47 @@ def test_w_pair_is_the_two_single_passes_bit_for_bit():
     bs += [1j * (hi + 1e-9) for hi in edges[1:-1]]
     for b in bs:
         for z in [math.exp(rng.uniform(math.log(2e-3), math.log(1400.0))) for _ in range(6)]:
-            got = [_bits(w) for w in whittaker_w_pair(0.0, b, z)]
-            assert got == [_bits(whittaker_w(0.0, b, z)), _bits(whittaker_w(1.0, b, z))], (b, z)
+            for kappa in (0.0, 1.0):
+                w0, w1 = whittaker_w(kappa, b, z), whittaker_w(kappa + 1.0, b, z)
+                want = ((0.5 * z - kappa) * w0 - w1) / z
+                assert _bits(whittaker_w_dz(kappa, b, z)) == _bits(want), (kappa, b, z)
+
+
+# (kappa, b, z, Re, Im) of whittaker_w_dz in float.hex, pinned from the
+# kernel that summed W_kappa and W_{kappa+1} in one pass over the nodes: the
+# two sums take that pass's route and climb, so the bits stay
+W_DZ_BITS = (
+    (0, 0.35, 0.1, "0x1.b84248e97d826p-2", "0x0.0p+0"),
+    (0, 0.5, 0.1, "-0x1.e7078b0a726a7p-2", "0x0.0p+0"),
+    (0, 0.0, 0.1, "0x1.00849ce6a7e08p+0", "0x0.0p+0"),
+    (0, 2.5j, 0.1, "0x1.f3cb02dc074cdp-4", "0x0.0p+0"),
+    (0, 20j, 0.1, "0x1.74b8342a5fa55p-29", "0x0.0p+0"),
+    (0, (0.25+3j), 0.1, "-0x1.fc18a4efa7c93p-4", "-0x1.bbf35cf00ba67p-7"),
+    (1, 0.35, 0.1, "0x1.bcb8c4f12efbbp-1", "-0x0.0p+0"),
+    (1, 0.5, 0.1, "0x1.cead90e3864b7p-1", "0x0.0p+0"),
+    (1, 0.0, 0.1, "0x1.66eee013e2e8ap-1", "-0x0.0p+0"),
+    (1, 2.5j, 0.1, "-0x1.e6cc8bba77418p-3", "0x0.0p+0"),
+    (1, 20j, 0.1, "-0x1.76211f4ecc763p-21", "0x0.0p+0"),
+    (1, (0.25+3j), 0.1, "0x1.f5a565bb0d5e9p-6", "-0x1.43d5f4100f5abp-2"),
+    (0, 0.35, 0.8, "-0x1.0c70670809682p-2", "0x0.0p+0"),
+    (0, 0.5, 0.8, "-0x1.57343067270eep-2", "0x0.0p+0"),
+    (0, 0.0, 0.8, "-0x1.98d6d11c868c8p-3", "0x0.0p+0"),
+    (0, 2.5j, 0.8, "-0x1.d449a868d97d5p-9", "0x0.0p+0"),
+    (0, 20j, 0.8, "-0x1.211a5238d2c1dp-34", "0x0.0p+0"),
+    (0, (0.25+3j), 0.8, "-0x1.e0f1d5c457238p-6", "-0x1.a72f7c1016a82p-8"),
+    (1, 0.35, 0.8, "0x1.c195335e58f42p-2", "0x0.0p+0"),
+    (1, 0.5, 0.8, "0x1.9bd83a156211ep-2", "0x0.0p+0"),
+    (1, 0.0, 0.8, "0x1.db66f37ca02fcp-2", "0x0.0p+0"),
+    (1, 2.5j, 0.8, "-0x1.0ab318062e88ap-3", "0x0.0p+0"),
+    (1, 20j, 0.8, "0x1.6d91f046f2159p-25", "0x0.0p+0"),
+    (1, (0.25+3j), 0.8, "-0x1.1ac4d00e6d481p-8", "-0x1.d605dec8772bdp-5"),
+)
+
+
+@pytest.mark.parametrize("kappa, b, z, re, im", W_DZ_BITS)
+def test_whittaker_w_dz_keeps_its_bits(kappa, b, z, re, im):
+    # at kappa 0 and 1, real, zero and imaginary b with Re b <= 1/2
+    assert _bits(whittaker_w_dz(kappa, b, z)) == (re, im)
 
 
 def test_whittaker_w_dz_anchor():
@@ -387,10 +425,10 @@ def test_whittaker_w_rejects_bad_z():
 
 
 def test_documented_real_accepts_and_rejects():
-    assert documented_real(complex(2.0, 1e-12)) == 2.0
-    assert documented_real(2.0) == 2.0
+    assert documented_real(complex(2.0, 1e-12), "z") == 2.0
+    assert documented_real(2.0, "z") == 2.0
     with pytest.raises(ConsistencyError):
-        documented_real(complex(2.0, 1e-3))
+        documented_real(complex(2.0, 1e-3), "z")
 
 
 def test_documented_real_names_the_value_only_on_failure():

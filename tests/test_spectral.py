@@ -9,6 +9,7 @@ import shiryaev_qsd.cli as cli
 import shiryaev_qsd.generator as generator
 import shiryaev_qsd.specfun as specfun
 import shiryaev_qsd.spectral as spectral
+from shiryaev_qsd.distribution import qsd_pdf
 from shiryaev_qsd.errors import ConsistencyError, ConvergenceError, DomainError, PoleError
 from shiryaev_qsd.spectral import (
     EigenSystem,
@@ -327,6 +328,49 @@ def test_cached_properties_keep_equality_and_repr(solved):
     assert es == twin and hash(es) == hash(twin) and es == solved(20.0)
 
 
+def test_eigensystem_is_read_only(solved):
+    # no attribute can be set or deleted: not a field, not a cached
+    # property, read or unread, and no new name; the record is unchanged
+    es = solve_lambda(20.0)
+    xi = es.xi
+    for name, value in (("xi", 0.5j), ("checks", ()), ("generator", None),
+                        ("lam", 1.0), ("extra", 1)):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(es, name, value)
+    for name in ("xi", "checks", "lam", "extra"):
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(es, name)
+    assert es.xi is xi and es.checks and es == solved(20.0)
+
+
+def test_eigensystem_stores_the_checked_cutoff(solved):
+    # the record keeps the float _check_cutoff returns, so a cutoff given
+    # as a string reads as that float downstream
+    es = solved(20.0)
+    twin = EigenSystem("20", es.lam, es.C, es.residual)
+    assert type(twin.A) is float and twin == es
+    assert qsd_pdf(3.0, twin) == qsd_pdf(3.0, es)
+    with pytest.raises(DomainError):
+        EigenSystem("-20", es.lam, es.C, es.residual)
+
+
+def test_cached_reads_and_copies_keep_their_bits(solved):
+    # the cached properties write the instance __dict__ directly, past the
+    # read-only __setattr__: they, a copy, a pickle round trip and _replace
+    # keep every bit of the record
+    es = solve_lambda(0.5)
+    checks, xi, gen = es.checks, es.xi, es.generator
+    assert es.checks is checks and es.xi is xi and es.generator is gen
+    fresh = solved(0.5)
+    assert checks == fresh.checks and _same_bits(xi, fresh.xi)
+    twins = (copy.copy(es), copy.deepcopy(es), pickle.loads(pickle.dumps(es)),
+             es._replace(C=es.C))
+    for twin in twins:
+        assert [v.hex() for v in twin] == [v.hex() for v in es]
+        assert twin.checks == checks and _same_bits(twin.xi, xi)
+        assert twin.generator.xs == gen.xs and twin.generator.flux == gen.flux
+
+
 def test_solve_sums_no_laplace_w(monkeypatch):
     # Brent, the normalizer and the battery read the Macdonald form of W at
     # 2/A and the confluent series: a solve takes no pass of the Laplace W
@@ -597,10 +641,6 @@ def _higher_roots(A, count):
     return roots
 
 
-# Taylor terms of the zero count stop here: only signs are used
-SIGN_TOL = 1e-12
-
-
 def _zeros(A, lam):
     # zeros in (0, A) of the eigenfunction f at rate lam, an oracle for the
     # solve's certificate that shares nothing with it: the sign changes of f
@@ -609,7 +649,7 @@ def _zeros(A, lam):
     # equation reads g'' + Q g = 0, Q < 2 lam/x^2 + 2/x^3, a bound that falls
     # with x; every march step is shorter than the least distance between two
     # zeros that Sturm comparison allows on it, so it holds at most one zero
-    xs, fs, _ = generator.march(A, lam, SIGN_TOL, joint=True)
+    xs, fs, _, _ = generator.march(A, lam)
     zeros = [
         x + (xn - x) * f / (f - fn)
         for x, xn, f, fn in zip(xs, xs[1:-1], fs, fs[1:-1])
@@ -710,7 +750,7 @@ def test_one_zero_below_rate_one_eighth():
     # once at fixed rates across (0, 1/8), and at each grid rate below 1/8 in
     # the step that holds A
     def sign_changes(lam):
-        xs, fs, _ = generator.march(1e6, lam, SIGN_TOL, joint=True)
+        xs, fs, _, _ = generator.march(1e6, lam)
         return [
             (x, xn) for x, xn, f, fn in zip(xs, xs[1:], fs, fs[1:]) if (f > 0.0) != (fn > 0.0)
         ]
