@@ -24,10 +24,13 @@ a = 1/2 + b - kappa, summed by the exp-sinh rule of Takahasi and Mori:
 u = exp(pi/2 sinh t), t from -4.5 at step h until u passes 750. W is even
 in b, so Re b >= 0; kappa is shifted down until Re a >= 1/2, and the
 kappa-recurrence climbs back. h is 1/16, halved each time |Im b| doubles
-past 1.26, as u^b oscillates in log u. There the ray turns by pi/4 toward
-Im b, which halves the exponent of the exp(pi |Im b| / 2) eps that the sum
-loses at imaginary b, where W is far smaller than its integrand. The
-z-derivative reads W_kappa and W_{kappa+1} from two such sums.
+past 1.26, as u^b oscillates in log u, and the ray turns by pi/4 toward
+Im b. At imaginary b, W is far smaller than its integrand, and the sum's
+loss is not bounded by exp(pi |Im b| / 4) eps; it grows as z falls: against
+mpmath's whitw at kappa = 0 and b = 6.75i the relative error is 1.1e-8 at
+z = 0.015, 2.5e-10 at z = 1 and 8e-13 at z = 10, where that bound gives
+4.4e-14; at b = 3i it is 2e-13 at z = 0.1. The z-derivative reads W_kappa
+and W_{kappa+1} from two such sums.
 """
 
 from __future__ import annotations

@@ -54,7 +54,8 @@ from collections import namedtuple
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .report import CheckRow, guarded_row
-from .specfun import documented_real, gamma, hyp2f2, rgamma
+from .specfun import _SERIES_MAX_TERMS, _SERIES_REL_TOL, _SERIES_SMALL_RUN
+from .specfun import documented_real, gamma, rgamma
 
 _EPS = 2.220446049250313e-16
 _SERIES_C_TOL = 1e-10      # agreement of the series and endpoint normalizers
@@ -75,16 +76,19 @@ def _check_cutoff(A: float) -> float:
     return A
 
 
-def xi_of_lambda(lam: float) -> complex:
-    """Index xi = sqrt(1 - 8 lam); real in (0, 1] for lam <= 1/8, else
-    positive imaginary (principal branch)."""
-    lam = float(lam)
+def _xi_squared(lam: float) -> float:
+    # xi^2 = 1 - 8 lam, once the rate passes the checks of every index
     d = 1.0 - 8.0 * lam
     if not math.isfinite(d) or lam <= 0.0:
         raise DomainError(f"rate must be positive with 8 * rate finite, got {lam!r}")
-    if d >= 0.0:
-        return complex(math.sqrt(d), 0.0)
-    return complex(0.0, math.sqrt(-d))
+    return d
+
+
+def xi_of_lambda(lam: float) -> complex:
+    """Index xi = sqrt(1 - 8 lam); real in (0, 1] for lam <= 1/8, else
+    positive imaginary (principal branch)."""
+    d = _xi_squared(float(lam))
+    return complex(math.sqrt(d), 0.0) if d >= 0.0 else complex(0.0, math.sqrt(-d))
 
 
 def one_minus_xi(lam: float) -> float | complex:
@@ -151,13 +155,19 @@ def _macdonald_nodes(X: float, h: float, real: bool) -> tuple[list, list, list]:
 
 
 def _macdonald_eta_beta(lam: float) -> tuple[float, float]:
-    # (eta = 1 - xi or 0, beta = Im xi / 2 or 0) of the Macdonald sum at lam
-    beta = 0.5 * xi_of_lambda(lam).imag
+    # (eta = 1 - xi, 0) at a real index and (0, beta = Im xi / 2) at an
+    # imaginary one, from one square root and no complex xi: the bits of
+    # one_minus_xi and xi_of_lambda
+    lam = float(lam)
+    d = _xi_squared(lam)
+    if d >= 0.0:
+        return 8.0 * lam / (1.0 + math.sqrt(d)), 0.0
+    beta = 0.5 * math.sqrt(-d)
     if beta > _K_BETA_MAX:
         raise DomainError(
             f"beta {beta:.4g} passes the Macdonald sum's index ceiling {_K_BETA_MAX:g}"
         )
-    return (0.0, beta) if beta else (one_minus_xi(lam), 0.0)
+    return 0.0, beta
 
 
 @functools.lru_cache(maxsize=4)
@@ -296,9 +306,9 @@ def _normalizer_endpoint(A: float, w0: float) -> float:
 def _normalizer_series(A: float, lam: float, sigma: int) -> float:
     # confluent-series route to the same constant; exercised as a check.
     # plus Gamma(plus/2) / (2 Gamma(plus)) is taken as Gamma(1 + plus/2) /
-    # Gamma(plus), and 1F1(a; plus; z) as 1 + a z / plus
-    # 2F2(1, a + 1; 2, plus + 1; z), so that no Gamma argument or series
-    # parameter nears a pole as plus = 1 - xi ~ 4/A nears 0 at sigma = -1
+    # Gamma(plus), and 1F1(a; plus; z) as 1 + a z / plus _kummer_tail(...),
+    # so that no Gamma argument or series parameter nears a pole as
+    # plus = 1 - xi ~ 4/A nears 0 at sigma = -1
     eta = one_minus_xi(lam)                # 1 - xi, cancellation-free; real at real xi
     if sigma > 0:
         plus, minus = 2.0 - eta, eta       # 1 + s*xi, 1 - s*xi
@@ -309,9 +319,29 @@ def _normalizer_series(A: float, lam: float, sigma: int) -> float:
         gamma(1.0 + 0.5 * plus)
         * rgamma(plus)
         * cmath.exp(0.5 * minus * math.log(0.5 * A))
-        * (1.0 + a * z / plus * hyp2f2(1.0, a + 1.0, 2.0, plus + 1.0, z))
+        * (1.0 + a * z / plus * _kummer_tail(a, plus, z))
     )
     return documented_real(val, "series form of the normalizer")
+
+
+def _kummer_tail(a: float | complex, plus: float | complex, z: float) -> float | complex:
+    # 2F2(1, a + 1; 2, plus + 1; z), the tail of 1F1(a; plus; z) past its
+    # first term, in its own loop: specfun.hyp2f2's stopping rule, term cap
+    # and bits, without its parameter tuples or pole checks (no parameter
+    # here ends the series or nears a pole)
+    a1, b1 = a + 1.0, plus + 1.0
+    term = total = 1.0
+    small = 0
+    for n in range(_SERIES_MAX_TERMS):
+        term *= (1.0 + n) * (a1 + n) / ((2.0 + n) * (b1 + n)) * z / (n + 1)
+        total += term
+        if abs(term) < _SERIES_REL_TOL * abs(total):
+            small += 1
+            if small == _SERIES_SMALL_RUN:
+                return total
+        else:
+            small = 0
+    raise ConvergenceError(f"normalizer series did not converge in {_SERIES_MAX_TERMS} terms")
 
 
 def eigen_checks(A: float, lam: float, C: float) -> list[CheckRow]:
@@ -321,14 +351,18 @@ def eigen_checks(A: float, lam: float, C: float) -> list[CheckRow]:
     threshold applies to. Every row is recomputed from the three values, so
     a stale or tampered one cannot hide. normalizer-series compares C with
     its confluent series at lam, which reads no W: a second route to C and
-    to the root. At a rate lam (1 + eps), with C summed afresh there, the
-    series at a real index (A above 10.24) moves from C by 0.54 |eps| near
-    10.24 and 2 |eps| from about 1e5 up. At an imaginary index it is
-    complex off the root: its real part may barely move (1e-3 |eps| at
-    A = 1.8), but from |eps| near 1e-10 (A = 1 to 3) or 1e-9 (A = 10) its
-    imaginary part fails documented_real, and the row fails with no
-    metric. At solved rates it reads at most 7.9e-13 from A = 0.1175 to
-    1e12, against its 1e-10 gate.
+    to the root. It sums the series at sigma = +1 and -1 at a real index,
+    and at sigma = +1 alone at an imaginary one: there sigma = -1's
+    parameters are the conjugates of sigma = +1's (2 - eta is conj(eta)),
+    so its series is the conjugate, with the same real part and the same
+    |Im| for documented_real. At a rate lam (1 + eps), with C summed
+    afresh there, the series at a real index (A above 10.24) moves from C
+    by 0.54 |eps| near 10.24 and 2 |eps| from about 1e5 up. At an
+    imaginary index it is complex off the root: its real part may barely
+    move (1e-3 |eps| at A = 1.8), but from |eps| near 1e-10 (A = 1 to 3)
+    or 1e-9 (A = 10) its imaginary part fails documented_real, and the row
+    fails with no metric. At solved rates it reads at most 7.9e-13 from
+    A = 0.1175 to 1e12, against its 1e-10 gate.
     """
     A = _check_cutoff(A)
     rows: list[CheckRow] = []
@@ -343,9 +377,10 @@ def eigen_checks(A: float, lam: float, C: float) -> list[CheckRow]:
     rows.append(CheckRow("normalizer-positive", ok_c, C))
 
     if ok_c:
+        sigmas = (1, -1) if 8.0 * lam <= 1.0 else (1,)
         rows.append(guarded_row(
             "normalizer-series",
-            lambda: max(abs(_normalizer_series(A, lam, s) - C) / C for s in (1, -1)),
+            lambda: max(abs(_normalizer_series(A, lam, s) - C) / C for s in sigmas),
             lambda m: m <= _SERIES_C_TOL,
         ))
     else:
@@ -378,6 +413,12 @@ class EigenSystem(namedtuple("EigenSystem", "A lam C residual")):
                     + ", ".join(f"{row.name} (metric {row.residual:.3e})" for row in failed)
                 )
         return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple constructor from fields, which _replace calls too:
+        # through __new__, so the cutoff is checked, unvalidated like a copy
+        return cls(*iterable, validate=False)
 
     def __getnewargs__(self):
         # copy and pickle rebuild through __new__: keep an unvalidated

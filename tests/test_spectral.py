@@ -354,6 +354,23 @@ def test_eigensystem_stores_the_checked_cutoff(solved):
         EigenSystem("-20", es.lam, es.C, es.residual)
 
 
+def test_replace_checks_the_cutoff(solved):
+    # _make and _replace rebuild the record through __new__, unvalidated: a
+    # cutoff given as a string is stored as its float, and one that is not a
+    # finite positive number raises DomainError
+    es = solved(20.0)
+    for twin in (es._replace(A="20"), EigenSystem._make(("20", *es[1:]))):
+        assert type(twin.A) is float and twin == es
+        assert qsd_pdf(3.0, twin) == qsd_pdf(3.0, es)
+    for A in (-1.0, 0.0, math.inf, "-20"):
+        with pytest.raises(DomainError):
+            es._replace(A=A)
+    with pytest.raises(TypeError):
+        EigenSystem._make(es[:3])
+    moved = es._replace(lam=2.0 * es.lam)
+    assert "normalizer-series" in [r.name for r in moved.checks if not r.passed]
+
+
 def test_cached_reads_and_copies_keep_their_bits(solved):
     # the cached properties write the instance __dict__ directly, past the
     # read-only __setattr__: they, a copy, a pickle round trip and _replace
@@ -492,20 +509,76 @@ def test_macdonald_w_matches_mpmath(A, solved):
 
 def test_normalizer_row_is_a_second_route(solved, monkeypatch):
     # C comes from the Macdonald W_0 at 2/A, and normalizer-series from the
-    # confluent series: a 2F2 scaled by 1 + 1e-9 moves the series about
-    # 4.6e-10 at A = 20, which fails that row alone and leaves C as it was
+    # confluent series: its 2F2 tail scaled by 1 + 1e-9 moves the series
+    # about 4.6e-10 at A = 20, which fails that row alone and leaves C as it was
     es = solved(20.0)
-    series = spectral.hyp2f2
+    series = spectral._kummer_tail
 
     def scaled(*args):
         return series(*args) * (1.0 + 1e-9)
 
-    monkeypatch.setattr(spectral, "hyp2f2", scaled)
+    monkeypatch.setattr(spectral, "_kummer_tail", scaled)
     with pytest.raises(ConsistencyError, match="normalizer-series"):
         solve_lambda(20.0)
     bad = assemble_system(20.0, es.lam, validate=False)
     assert bad.C == es.C
     assert [r.name for r in bad.checks if not r.passed] == ["normalizer-series"]
+
+
+@pytest.mark.parametrize("A", (0.5, 3.0, 10.2404, 10.2406, 20.0, 1e5, 1e12))
+def test_kummer_tail_is_the_2f2_series(A, solved):
+    # the battery's own loop gives specfun.hyp2f2's bits, in real arithmetic
+    # at a real index and in complex arithmetic at an imaginary one
+    eta = one_minus_xi(solved(A).lam)
+    for plus, minus in ((2.0 - eta, eta), (eta, 2.0 - eta)):
+        a, z = -0.5 * minus, 2.0 / A
+        tail = spectral._kummer_tail(a, plus, z)
+        assert _same_bits(tail, specfun.hyp2f2(1.0, a + 1.0, 2.0, plus + 1.0, z)), A
+        assert type(tail) is type(eta), A
+
+
+def test_kummer_tail_caps_its_terms(monkeypatch):
+    monkeypatch.setattr(spectral, "_SERIES_MAX_TERMS", 5)
+    with pytest.raises(ConvergenceError, match="5 terms"):
+        spectral._kummer_tail(-0.25, 1.75, 2.0)
+
+
+@pytest.mark.parametrize("A, real", [
+    (0.5, False), (3.0, False), (10.2404, False), (10.2406, True),
+    (20.0, True), (1e5, True), (1e12, True),
+])
+def test_solve_reads_each_index_once(A, real, monkeypatch):
+    # Brent's steps take (eta, beta) from one square root and read no
+    # complex xi; the battery sums the series at both signs at a real index
+    # and at sigma = +1 alone at an imaginary one, whose sigma = -1 series
+    # is its conjugate
+    calls, in_brent = [], []
+    series, xi_of, brent = spectral._normalizer_series, spectral.xi_of_lambda, spectral._brent
+
+    def counted_series(A, lam, sigma):
+        calls.append(sigma)
+        return series(A, lam, sigma)
+
+    def counted_xi(lam):
+        in_brent.append(inside)
+        return xi_of(lam)
+
+    def flagged_brent(*args):
+        nonlocal inside
+        inside = True
+        try:
+            return brent(*args)
+        finally:
+            inside = False
+
+    inside = False
+    monkeypatch.setattr(spectral, "_normalizer_series", counted_series)
+    monkeypatch.setattr(spectral, "xi_of_lambda", counted_xi)
+    monkeypatch.setattr(spectral, "_brent", flagged_brent)
+    es = solve_lambda(A)
+    assert (es.xi.imag == 0.0) is real
+    assert calls == ([1, -1] if real else [1]), (A, calls)
+    assert True not in in_brent, (A, in_brent)
 
 
 @pytest.mark.parametrize("A", (0.1608, 0.5, 3.0, 10.454, 12.141, 14.1, 20.0, 1e3, 1e5, 1e9))
