@@ -20,24 +20,18 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConsistencyError, DomainError
-from .spectral import _K_CUT, EigenSystem, _macdonald_index, _macdonald_step, macdonald_w
+from .errors import ConsistencyError, DomainError, real_number
+from .spectral import _K_CUT, EigenSystem, _check_sys, _macdonald_index, _macdonald_step
+from .spectral import macdonald_w
 
 # exp(-1/x) underflows to subnormal mush below ~1/745; cut a little early
 UNDERFLOW_X = 1.0 / 700.0
 _CLAMP = 1e-12
 
 
-def _check_point(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"evaluation point must be finite, got {x!r}")
-    return x
-
-
 def stationary_cdf(x: float) -> float:
     """Limiting (A -> infinity) distribution function exp(-2/x)."""
-    x = _check_point(x)
+    x = real_number(x, "evaluation point")
     if x <= 2.0 * UNDERFLOW_X:
         return 0.0
     return math.exp(-2.0 / x)
@@ -45,7 +39,7 @@ def stationary_cdf(x: float) -> float:
 
 def stationary_pdf(x: float) -> float:
     """Density of the limiting law: (2/x^2) exp(-2/x)."""
-    x = _check_point(x)
+    x = real_number(x, "evaluation point")
     if x <= 2.0 * UNDERFLOW_X:
         return 0.0
     return 2.0 / (x * x) * math.exp(-2.0 / x)
@@ -168,30 +162,29 @@ def _cdf_of(x: float, sys: EigenSystem, w: float) -> float:
 
 def qsd_pdf(x: float, sys: EigenSystem) -> float:
     """Conditioned density at x in [0, A]. Exactly 0 at both endpoints."""
-    x = _check_point(x)
-    if not 0.0 <= x <= sys.A:
-        raise DomainError(f"point {x!r} outside [0, {sys.A}]")
-    if x <= UNDERFLOW_X or x == sys.A:
+    x, A = real_number(x, "evaluation point"), _check_sys(sys).A
+    if not 0.0 <= x <= A:
+        raise DomainError(f"point {x!r} outside [0, {A}]")
+    if x <= UNDERFLOW_X or x == A:
         return 0.0
-    return _pdf_of(x, sys, macdonald_w(sys.A, sys.lam, 1.0 / x)[1])
+    return _pdf_of(x, sys, macdonald_w(A, sys.lam, 1.0 / x)[1])
 
 
 def qsd_cdf(x: float, sys: EigenSystem) -> float:
     """Conditioned distribution function; 0 below the support, 1 from A on."""
-    x = _check_point(x)
+    x, A = real_number(x, "evaluation point"), _check_sys(sys).A
     if x < 0.0:
         return 0.0
-    if x >= sys.A:
+    if x >= A:
         return 1.0
     if x <= UNDERFLOW_X:
         return 0.0
-    return _cdf_of(x, sys, macdonald_w(sys.A, sys.lam, 1.0 / x)[0])
+    return _cdf_of(x, sys, macdonald_w(A, sys.lam, 1.0 / x)[0])
 
 
 def _pdf_cdf(xs, sys: EigenSystem) -> list[tuple[float, float]]:
     # qsd_pdf and qsd_cdf at each x of xs, with their values and errors; the
     # points inside (UNDERFLOW_X, A) read one macdonald_w_grid pass
-    xs = [_check_point(x) for x in xs]
     inner = [x for x in xs if UNDERFLOW_X < x < sys.A]
     ws = dict(zip(inner, macdonald_w_grid(sys.A, sys.lam, [1.0 / x for x in inner])))
     return [

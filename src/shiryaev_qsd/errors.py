@@ -1,20 +1,35 @@
 """Exception taxonomy: three families, one per CLI exit code.
 
-* DomainError (exit 2): the input lies outside the documented contract.
-  RegimeError narrows it to a rate past the real-index threshold.
+* DomainError (exit 2): the input lies outside the documented contract,
+  checked where it enters (real_number, spectral._check_sys). RegimeError
+  narrows it to a rate past the real-index threshold.
 * ConvergenceError (exit 3): the answer exists but an iteration or series
   did not reach it. ToleranceNotMetError is the quadrature case and
   carries its partial estimate.
 * ConsistencyError (exit 1): the machinery or an internal cross-check
   broke. PoleError and DenominatorPoleError are the kernel's pole cases.
 
-Python's OverflowError, which the kernel raises when a value leaves the
-double range, also maps to exit 1. EXIT_CODES below is that map.
+Python's OverflowError, which the kernel raises when a value it computes
+leaves the double range, also maps to exit 1. EXIT_CODES below is that map.
 """
+
+from math import isfinite
 
 
 class DomainError(ValueError):
     """Input outside the documented domain of an operation."""
+
+
+def real_number(x, what: str) -> float:
+    """float(x), if float() takes x and the result is finite; DomainError
+    naming `what` otherwise. The caller's range test follows."""
+    try:
+        v = float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} must be a finite real number: {exc}") from None
+    if not isfinite(v):
+        raise DomainError(f"{what} must be finite, got {v!r}")
+    return v
 
 
 class RegimeError(DomainError):

@@ -41,9 +41,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import ConvergenceError, DomainError, RegimeError
+from .errors import ConvergenceError, DomainError, RegimeError, real_number
 from .specfun import digamma, documented_real, gamma, hyp2f2, rgamma
-from .spectral import EigenSystem, one_minus_xi
+from .spectral import EigenSystem, _check_sys
 
 _MAX_ORDER = 50.0
 _INT_SNAP = 1e-12      # this close to an integer counts as that integer
@@ -61,16 +61,8 @@ class MomentResult(namedtuple("MomentResult", "s value branch")):
     __slots__ = ()
 
 
-def _check_sys(sys: EigenSystem) -> EigenSystem:
-    if not isinstance(sys, EigenSystem):
-        raise DomainError("expected an EigenSystem")
-    return sys
-
-
-def _check_order(s: float, A: float) -> float:
-    s = float(s)
-    if not math.isfinite(s):
-        raise DomainError(f"order must be finite, got {s!r}")
+def _check_order(s, A: float) -> float:
+    s = real_number(s, "order")
     if abs(s) > _MAX_ORDER:
         raise DomainError(f"order magnitude capped at {_MAX_ORDER}, got {s!r}")
     if abs(s) * abs(math.log(A)) > _EXP_LIMIT:
@@ -80,10 +72,10 @@ def _check_order(s: float, A: float) -> float:
 
 def nonnegative_int(n, what: str) -> int:
     """n as an int; DomainError naming `what` unless n is a nonnegative
-    integer (nan and the infinities are not)."""
-    if not (isinstance(n, int) or math.isfinite(n)) or n < 0 or n != int(n):
+    integer that real_number takes (nan, the infinities and 2**1100 are not)."""
+    if (x := real_number(n, f"{what} (a nonnegative integer)")) < 0.0 or x != int(x):
         raise DomainError(f"{what} must be a nonnegative integer, got {n!r}")
-    return int(n)
+    return int(x)
 
 
 def _climb(m: float, s: float, k: int, sys: EigenSystem) -> float:
@@ -102,18 +94,15 @@ def moment_integer(n: int, sys: EigenSystem) -> MomentResult:
     Independent of the hypergeometric machinery, which makes it the
     cross-check partner for moment_frac at integer orders.
     """
-    _check_sys(sys)
     n = nonnegative_int(n, "integer order")
-    if n > _MAX_ORDER:
-        raise DomainError(f"integer order must lie in [0, {int(_MAX_ORDER)}], got {n!r}")
-    _check_order(float(n), sys.A)
+    _check_order(n, _check_sys(sys).A)
     return MomentResult(s=float(n), value=_climb(1.0, 0.0, n, sys), branch="recurrence")
 
 
 def _regular_value(s: float, sys: EigenSystem) -> float:
     # closed form with no dispatch; callers keep s clear of the ladder
     lam, A, C = sys.lam, sys.A, sys.C
-    half_eta = 0.5 * one_minus_xi(lam)              # (1 - xi)/2, stable; real at real xi
+    half_eta = 0.5 * sys.eta                        # (1 - xi)/2, stable; real at real xi
     # all four parameters built as (integer - s) +- half_eta so that a
     # small result keeps the relative accuracy of half_eta instead of
     # absorbing an absolute eps from 0.5 + 0.5*xi rounded near 1
@@ -147,7 +136,7 @@ def _ladder_window(s: float, sys: EigenSystem) -> tuple[float, float, float] | N
     ladder order, while quintic truncation grows like (h log A)^6.
     """
     xi = sys.xi
-    half_eta = 0.5 * one_minus_xi(sys.lam)         # (1 - xi)/2, stable
+    half_eta = 0.5 * sys.eta                       # (1 - xi)/2, stable
     # the nearest members p = 1 - half_eta + kp and q = half_eta + kq are
     # the poles of _regular_value; q is on p's rung or the next, so they
     # are xi or 1 - xi apart, and their midpoint is (1 + kp + kq)/2 exactly
@@ -172,8 +161,7 @@ def moment_frac(s: float, sys: EigenSystem) -> MomentResult:
     interpolation through six clean neighbors; everything else is the
     direct two-piece formula.
     """
-    _check_sys(sys)
-    s = _check_order(s, sys.A)
+    s = _check_order(s, _check_sys(sys).A)
     n = round(s)
     if abs(s - n) <= _INT_SNAP and n >= 0:
         return MomentResult(s=float(n), value=_regular_value(float(n), sys), branch="series")
@@ -216,7 +204,7 @@ def moment_special_value(sys: EigenSystem, sigma: int) -> MomentResult:
     sigma is +1 or -1. Real index only (RegimeError otherwise).
     """
     xi = _ladder_index(sys, sigma, "the distinguished-order shortcut")
-    h = 0.5 * one_minus_xi(sys.lam)                 # (1 - xi)/2, stable
+    h = 0.5 * sys.eta                               # (1 - xi)/2, stable
     t = 1.0 - h if sigma > 0 else h                 # s + 1 = (1 + sigma xi)/2
     s = -0.5 + 0.5 * sigma * xi
     _check_order(s + 1.0, sys.A)  # the value itself scales like A^(s+1)
@@ -231,7 +219,7 @@ def moment_singular_base(sys: EigenSystem, sigma: int) -> MomentResult:
     lam, A = sys.lam, sys.A
     s_star = 0.5 + 0.5 * sigma * xi
     z = 2.0 / A
-    h = 0.5 * one_minus_xi(lam)                     # (1 - xi)/2, stable
+    h = 0.5 * sys.eta                               # (1 - xi)/2, stable
     # bracket_j = psi(1 + j) + psi(d + j) - psi(a + j) - log z, with
     # a = -1/2 - sigma xi/2 and d = 1 - sigma xi. For xi near 1, a + j and
     # d + j graze the digamma poles at -1 and 0 with offsets ~h, where plain
@@ -271,7 +259,6 @@ def moment_singular_base(sys: EigenSystem, sigma: int) -> MomentResult:
 def moment_singular_shifted(sys: EigenSystem, sigma: int, k: int) -> MomentResult:
     """Moment at the shifted ladder order s = 1/2 + sigma xi/2 + k, climbed
     from the bottom-order value by k steps of moment_integer's recurrence."""
-    _ladder_index(sys, sigma, "the degenerate-order branch")
     k = nonnegative_int(k, "ladder shift")
     base = moment_singular_base(sys, sigma)
     if k == 0:
@@ -285,7 +272,6 @@ def moment_singular_shifted(sys: EigenSystem, sigma: int, k: int) -> MomentResul
 def moment_log(sys: EigenSystem) -> float:
     """Expected logarithm under the conditioned law:
     E[log X] = log A - (M(-1) - 1/2) / lam."""
-    _check_sys(sys)
     m_neg1 = moment_frac(-1.0, sys).value
     return math.log(sys.A) - (m_neg1 - 0.5) / sys.lam
 
@@ -302,9 +288,7 @@ def moment_recurrence_residual(s: float, sys: EigenSystem) -> float:
     """Dimensionless defect of the order-shift identity
     (s(s-1) + 2 lam) M(s) = 2 lam A^s - 2 s M(s-1),
     using independently evaluated closed-form moments on both sides."""
-    _check_sys(sys)
-    s = _check_order(s, sys.A)
-    _check_order(s - 1.0, sys.A)
+    s = _check_order(s, _check_sys(sys).A)
     return recurrence_defect(
         s, sys, moment_frac(s, sys).value, moment_frac(s - 1.0, sys).value
     )

@@ -45,7 +45,7 @@ import math
 from .distribution import UNDERFLOW_X
 from .errors import DomainError, ToleranceNotMetError
 from .moments import _check_order
-from .spectral import EigenSystem
+from .spectral import EigenSystem, _check_sys
 
 __all__ = [
     "quad_moments",
@@ -181,7 +181,7 @@ def _expect(sys: EigenSystem, orders, log: bool) -> list[float]:
     # [UNDERFLOW_X, A] in one pass, integrated in t = log x; below the
     # cutoff the density underflows to zero in doubles. Each order meets
     # moment_frac's contract
-    A = sys.A
+    A = _check_sys(sys).A
     orders = [_check_order(s, A) for s in orders]
     if A <= UNDERFLOW_X:
         raise DomainError(f"cutoff {UNDERFLOW_X} swallows the whole support [0, {A}]")

@@ -46,6 +46,7 @@ from .errors import (
     DenominatorPoleError,
     DomainError,
     PoleError,
+    real_number,
 )
 
 _POLE_TOL = 1e-12          # this close to a nonpositive integer counts as on it
@@ -357,12 +358,10 @@ def whittaker_m(kappa: complex, b: complex, z: float) -> complex:
 
 
 def _require_positive_real(z) -> float:
-    if isinstance(z, complex):
-        if z.imag != 0.0:
-            raise DomainError(f"argument must be real and positive, got {z}")
+    if isinstance(z, complex) and z.imag == 0.0:
         z = z.real
-    z = float(z)
-    if not (z > 0.0) or not math.isfinite(z):
+    z = real_number(z, "argument")
+    if not z > 0.0:
         raise DomainError(f"argument must be real and positive, got {z}")
     return z
 

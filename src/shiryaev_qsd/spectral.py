@@ -52,7 +52,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .errors import ConsistencyError, ConvergenceError, DomainError
+from .errors import ConsistencyError, ConvergenceError, DomainError, real_number
 from .report import CheckRow, guarded_row
 from .specfun import _SERIES_MAX_TERMS, _SERIES_REL_TOL, _SERIES_SMALL_RUN
 from .specfun import documented_real, gamma, rgamma
@@ -69,26 +69,26 @@ _K_BETA_MAX = 80.64        # index ceiling: inherited from specfun's Laplace W, 
                            # the DomainError edge where the bracket top's beta passes it
 
 
-def _check_cutoff(A: float) -> float:
-    A = float(A)
-    if not math.isfinite(A) or A <= 0.0:
+def _check_cutoff(A) -> float:
+    A = real_number(A, "cutoff")
+    if A <= 0.0:
         raise DomainError(f"cutoff must be a finite positive number, got {A!r}")
     return A
 
 
-def _xi_squared(lam: float) -> float:
-    # xi^2 = 1 - 8 lam, once the rate passes the checks of every index
+def _xi_root(lam: float) -> tuple[float, float]:
+    # (xi^2, |xi|), xi^2 = 1 - 8 lam: every index's one square root, at a checked float
     d = 1.0 - 8.0 * lam
-    if not math.isfinite(d) or lam <= 0.0:
+    if not lam > 0.0 or d == -math.inf:
         raise DomainError(f"rate must be positive with 8 * rate finite, got {lam!r}")
-    return d
+    return d, math.sqrt(abs(d))
 
 
 def xi_of_lambda(lam: float) -> complex:
     """Index xi = sqrt(1 - 8 lam); real in (0, 1] for lam <= 1/8, else
     positive imaginary (principal branch)."""
-    d = _xi_squared(float(lam))
-    return complex(math.sqrt(d), 0.0) if d >= 0.0 else complex(0.0, math.sqrt(-d))
+    d, r = _xi_root(real_number(lam, "rate"))
+    return complex(r, 0.0) if d >= 0.0 else complex(0.0, r)
 
 
 def one_minus_xi(lam: float) -> float | complex:
@@ -101,8 +101,9 @@ def one_minus_xi(lam: float) -> float | complex:
     This is the one place that fixes the type of the moment closed form's
     and the normalizer series' parameters, and with it their arithmetic.
     """
-    xi = xi_of_lambda(lam)
-    return 8.0 * float(lam) / (1.0 + (xi.real if xi.imag == 0.0 else xi))
+    lam = real_number(lam, "rate")
+    d, r = _xi_root(lam)
+    return 8.0 * lam / (1.0 + (r if d >= 0.0 else complex(0.0, r)))
 
 
 def lambda_bounds(A: float) -> tuple[float, float]:
@@ -156,13 +157,12 @@ def _macdonald_nodes(X: float, h: float, real: bool) -> tuple[list, list, list]:
 
 def _macdonald_eta_beta(lam: float) -> tuple[float, float]:
     # (eta = 1 - xi, 0) at a real index and (0, beta = Im xi / 2) at an
-    # imaginary one, from one square root and no complex xi: the bits of
+    # imaginary one, from _xi_root and no complex xi: the bits of
     # one_minus_xi and xi_of_lambda
-    lam = float(lam)
-    d = _xi_squared(lam)
+    d, r = _xi_root(lam)
     if d >= 0.0:
-        return 8.0 * lam / (1.0 + math.sqrt(d)), 0.0
-    beta = 0.5 * math.sqrt(-d)
+        return 8.0 * lam / (1.0 + r), 0.0
+    beta = 0.5 * r
     if beta > _K_BETA_MAX:
         raise DomainError(
             f"beta {beta:.4g} passes the Macdonald sum's index ceiling {_K_BETA_MAX:g}"
@@ -247,7 +247,7 @@ def eigencondition(A: float, lam: float) -> float:
     """Boundary-condition function g(lam) = W_{1, xi/2}(2/A); vanishes at
     the spectrum. macdonald_w's second value at X = 1/A.
     """
-    A = _check_cutoff(A)
+    A, lam = _check_cutoff(A), real_number(lam, "rate")
     return macdonald_w(A, lam, 1.0 / A)[1]
 
 
@@ -364,7 +364,7 @@ def eigen_checks(A: float, lam: float, C: float) -> list[CheckRow]:
     fails with no metric. At solved rates it reads at most 7.9e-13 from
     A = 0.1175 to 1e12, against its 1e-10 gate.
     """
-    A = _check_cutoff(A)
+    A, lam = _check_cutoff(A), real_number(lam, "rate")
     rows: list[CheckRow] = []
 
     lo, hi = lambda_bounds(A)
@@ -392,19 +392,22 @@ class EigenSystem(namedtuple("EigenSystem", "A lam C residual")):
     """Validated spectral data for one cutoff: rate lam, normalizer C, and
     the eigencondition residual left by the solver; `xi` is lam's index.
 
-    Construction runs the invariant battery and raises ConsistencyError
-    if anything fails; validate=False skips that (used to inject known-bad
-    systems when exercising the verification path, never in normal flow).
-    The battery's rows are kept and served by `checks`; the pdf and cdf
-    read macdonald_w or distribution.macdonald_w_grid at (A, lam), so no
-    W state is kept. The record is read-only: setting or deleting any
-    attribute raises AttributeError. The class has no __slots__, so the
-    cached properties below write their values to the instance __dict__
-    directly.
+    Construction stores A and lam as floats, raising DomainError unless A
+    is finite and positive and lam is a rate with an index; C and the
+    residual are stored as given. It then runs the invariant battery and
+    raises ConsistencyError if anything fails; validate=False skips the
+    battery alone (used to inject known-bad systems when exercising the
+    verification path, never in normal flow). The battery's rows are kept
+    and served by `checks`; the pdf and cdf read macdonald_w or
+    distribution.macdonald_w_grid at (A, lam), so no W state is kept. The
+    record is read-only: setting or deleting any attribute raises
+    AttributeError. The class has no __slots__, so the cached properties
+    below write their values to the instance __dict__ directly.
     """
 
     def __new__(cls, A: float, lam: float, C: float, residual: float, validate: bool = True):
-        self = tuple.__new__(cls, (_check_cutoff(A), lam, C, residual))
+        self = tuple.__new__(cls, (_check_cutoff(A), real_number(lam, "rate"), C, residual))
+        _xi_root(self.lam)
         if validate:
             failed = [row for row in self.checks if not row.passed]
             if failed:
@@ -417,7 +420,7 @@ class EigenSystem(namedtuple("EigenSystem", "A lam C residual")):
     @classmethod
     def _make(cls, iterable):
         # the namedtuple constructor from fields, which _replace calls too:
-        # through __new__, so the cutoff is checked, unvalidated like a copy
+        # through __new__, so A and lam are checked, unvalidated like a copy
         return cls(*iterable, validate=False)
 
     def __getnewargs__(self):
@@ -445,6 +448,11 @@ class EigenSystem(namedtuple("EigenSystem", "A lam C residual")):
         return xi_of_lambda(self.lam)
 
     @functools.cached_property
+    def eta(self) -> float | complex:
+        """one_minus_xi(lam), 1 - xi without cancellation, derived like xi."""
+        return one_minus_xi(self.lam)
+
+    @functools.cached_property
     def generator(self) -> Eigenfunction:
         """Dense march of the generator's eigenfunction at this rate, the
         W-free route to the pdf and cdf; built on first use. Raises
@@ -454,6 +462,12 @@ class EigenSystem(namedtuple("EigenSystem", "A lam C residual")):
         from .generator import Eigenfunction
 
         return Eigenfunction(self.A, self.lam)
+
+
+def _check_sys(sys) -> EigenSystem:
+    if not isinstance(sys, EigenSystem):
+        raise DomainError(f"expected an EigenSystem, got {type(sys).__name__}")
+    return sys
 
 
 def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:
@@ -467,7 +481,7 @@ def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:
     needs a positive endpoint W; otherwise C may come out negative or
     infinite, and the battery's normalizer rows fail.
     """
-    A = _check_cutoff(A)
+    A, lam = _check_cutoff(A), real_number(lam, "rate")
     return _system(A, lam, macdonald_w(A, lam, 1.0 / A), validate)
 
 

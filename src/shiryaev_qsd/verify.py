@@ -19,7 +19,7 @@ from .distribution import _cdf_of, _pdf_of, macdonald_w_grid, qsd_cdf, stationar
 from .moments import moment_frac, moment_integer, recurrence_defect
 from .quadrature import quad_moments
 from .report import CheckRow, guarded_row
-from .spectral import EigenSystem
+from .spectral import EigenSystem, _check_sys
 
 __all__ = ["run_checks", "dual_route_row", "GRID_POINTS"]
 
@@ -76,7 +76,7 @@ def run_checks(sys: EigenSystem) -> list[CheckRow]:
     quads = functools.cache(lambda: quad_moments(sys, _DUAL_ORDERS))
     moment = functools.cache(lambda s: moment_frac(s, sys).value)
     integer = functools.cache(lambda n: moment_integer(n, sys).value)
-    xs = _grid(sys.A)
+    xs = _grid(_check_sys(sys).A)
     # one pass of the Macdonald sums over the grid serves both closed forms,
     # and one call of the march's batched Horner sum both of the generator's
     ws = functools.cache(lambda: macdonald_w_grid(sys.A, sys.lam, [1.0 / x for x in xs]))

@@ -303,10 +303,12 @@ def test_order_domain_errors(solved):
         moment_integer(2.5, es)
 
 
-@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, -1, 2.5))
+@pytest.mark.parametrize(
+    "bad", (math.nan, math.inf, -math.inf, -1, 2.5, pytest.param(2**1100, id="2**1100")))
 def test_integer_arguments_reject_non_integers(bad, solved):
-    # nan and the infinities included: int() would raise ValueError or
-    # OverflowError before the domain check
+    # nan, the infinities and an integer past the double range included:
+    # int() would raise ValueError or OverflowError before the domain check,
+    # and 2**1100 would overflow the shifted order s + k
     es = solved(20.0)
     with pytest.raises(DomainError, match="nonnegative integer"):
         moment_integer(bad, es)

@@ -172,16 +172,14 @@ def test_index_is_read_off_the_rate(solved):
 
 @pytest.mark.parametrize("lam", (0.0, -1.0, math.nan))
 def test_a_record_at_a_bad_rate_raises_on_its_index(lam, solved):
-    # a hand-built record at a rate with no index builds unvalidated, and
-    # raises DomainError once its index is read or the battery runs
+    # a rate with no index is refused where the record is built, validated
+    # or not, and where _replace rebuilds one
     es = solved(20.0)
-    bad = EigenSystem(es.A, lam, es.C, es.residual, validate=False)
+    for validate in (True, False):
+        with pytest.raises(DomainError):
+            EigenSystem(es.A, lam, es.C, es.residual, validate=validate)
     with pytest.raises(DomainError):
-        bad.xi
-    with pytest.raises(DomainError):
-        bad.checks
-    with pytest.raises(DomainError):
-        EigenSystem(es.A, lam, es.C, es.residual)
+        es._replace(lam=lam)
 
 
 def test_oscillatory_crossover_location():
