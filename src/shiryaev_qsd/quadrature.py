@@ -180,8 +180,10 @@ def _expect(sys: EigenSystem, orders, log: bool) -> list[float]:
     # x^s * pdf for each order s, then log x * pdf if log, over
     # [UNDERFLOW_X, A] in one pass, integrated in t = log x; below the
     # cutoff the density underflows to zero in doubles. Each order meets
-    # moment_frac's contract
+    # moment_frac's contract, and log is a bool
     A = _check_sys(sys).A
+    if not isinstance(log, bool):
+        raise DomainError(f"log must be a bool, got {type(log).__name__}")
     orders = [_check_order(s, A) for s in orders]
     if A <= UNDERFLOW_X:
         raise DomainError(f"cutoff {UNDERFLOW_X} swallows the whole support [0, {A}]")
@@ -213,9 +215,14 @@ def quad_moments(sys: EigenSystem, orders, log: bool = False) -> tuple[float, ..
     Each order meets moment_frac's contract: finite, |s| <= 50 and
     |s log A| <= 700, else DomainError. For s > -50 the mass lost below
     the underflow cutoff is far beneath the error budget (the integrand
-    carries exp(-1/x)).
+    carries exp(-1/x)). orders must be an iterable and log a bool, else
+    DomainError.
     """
-    return tuple(_expect(sys, (0.0, *orders), log))
+    try:
+        orders = (0.0, *orders)
+    except TypeError:
+        raise DomainError(f"orders must be an iterable, got {type(orders).__name__}") from None
+    return tuple(_expect(sys, orders, log))
 
 
 def quad_moment(s: float, sys: EigenSystem) -> float:

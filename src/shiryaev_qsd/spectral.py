@@ -4,17 +4,19 @@ Everything downstream hangs off one number per cutoff A: the smallest
 positive root lam of the boundary condition W_{1, xi/2}(2/A) = 0 with
 xi = sqrt(1 - 8 lam), so the rate alone fixes the index: no function here
 takes xi beside lam. This module brackets that root with the proven
-two-sided bounds, polishes it with Brent iteration on the Macdonald form
-of W (eigencondition), checks that the root found is the smallest, and
+two-sided bounds, polishes it with Brent iteration on W at 2/A
+(eigencondition), checks that the root found is the smallest, and
 packages the result as a validated EigenSystem the distribution and
-moment code can trust blindly. One sum, Macdonald's, gives W to Brent, C,
-the pdf and the cdf, on one of two node layouts: the factors of one X
-(one table per point; macdonald_w, and the solve, which prepares X = 1/A,
-its step and its table once and takes C from the pair of Brent's root),
-and distribution.macdonald_w_grid the factors of one rate (one table per
-step for many points, as in `table` and verify's grid). The battery's
-second route to the root and to C is the confluent series of C, which
-reads no W.
+moment code can trust blindly. One helper (_endpoint_w) gives W at the
+endpoint X = 1/A, and with it Brent's root, C and the residual: at a
+real index Temme's series of the pair K_{1/2 -+ eta/2}(X), which takes 2
+to 7 terms at X <= 1/8 (_temme_k), and at an imaginary one Macdonald's
+trapezoid sum at that X (_macdonald_sum). The pdf and the cdf read that
+sum at every index, on one of two node layouts: the factors of one X
+(one table per point; macdonald_w) and the factors of one rate
+(distribution.macdonald_w_grid, one table per step for many points, as
+in `table` and verify's grid). The battery's second route to the root
+and to C is the confluent series of C, which reads no W.
 
 The check needs no W and no march. At the n-th root lam, the
 eigenfunction f of 1/2 x^2 f'' + f' + lam f = 0 with f(0) = 1 vanishes at
@@ -67,6 +69,27 @@ _K_PEAK = 0.7              # ... and at most this over sqrt(X)
 _K_CUT = 50.0              # nodes stop where X (cosh t - 1) - t reaches this
 _K_BETA_MAX = 80.64        # index ceiling: inherited from specfun's Laplace W, it is
                            # the DomainError edge where the bracket top's beta passes it
+_TEMME_X_MAX = 0.125       # Temme's series serves the endpoint up to this X: every real
+                           # rate of a solve's bracket has X = 1/A <= 1/8.815
+_TEMME_TOL = 1e-17         # Temme's series stops at terms this far below its sums
+_INV_E = math.exp(-1.0)
+
+# (c_{2j+1}, c_{2j+2}), j = 0..10, of 1/Gamma(z) = sum_{k >= 1} c_k z^k
+# (DLMF 5.7.1): mpmath.taylor(mpmath.rgamma, 0, 22) at 50 digits, rounded
+# to doubles. On |mu| <= 1/2 the terms past c_22 are below 5e-19
+_RGAMMA_PAIRS = (
+    (1.0, 0.5772156649015329),
+    (-0.6558780715202539, -0.04200263503409524),
+    (0.16653861138229148, -0.04219773455554433),
+    (-0.009621971527876973, 0.0072189432466631),
+    (-0.0011651675918590652, -0.00021524167411495098),
+    (0.0001280502823881162, -2.013485478078824e-05),
+    (-1.2504934821426706e-06, 1.133027231981696e-06),
+    (-2.056338416977607e-07, 6.116095104481416e-09),
+    (5.002007644469223e-09, -1.18127457048702e-09),
+    (1.0434267116911005e-10, 7.782263439905071e-12),
+    (-3.696805618642206e-12, 5.100370287454476e-13),
+)
 
 
 def _check_cutoff(A) -> float:
@@ -123,13 +146,14 @@ def lambda_bounds(A: float) -> tuple[float, float]:
     return lo, hi
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _macdonald_nodes(X: float, h: float, real: bool) -> tuple[list, list, list]:
     # read-only trapezoid nodes t_k = k h of the Macdonald integrals at X
     # over e^{-X}, up to where d_k - t_k reaches _K_CUT, d_k = 2 X
-    # sinh^2(t_k/2), exact near the peak at t = 0; kept for the last two
-    # (X, h, real): a solve's Brent steps read one table, and a bracket across
-    # lam = 1/8 reads both. With w_k = h (h/2 at t = 0): at a real index
+    # sinh^2(t_k/2), exact near the peak at t = 0; kept for the last
+    # (X, h, real): a solve reads at most one table, the imaginary index's
+    # at X = 1/A (the real index's endpoint is _temme_k's, which reads
+    # none). With w_k = h (h/2 at t = 0): at a real index
     # (t_k/2, w_k e^{-d_k} e^{t_k/2}/2, w_k e^{-d_k} e^{-t_k/2}/2), at an
     # imaginary one (t_k, w_k e^{-d_k}, w_k e^{-d_k} (2 X + d_k - 1/2))
     exp, sinh = math.exp, math.sinh
@@ -183,8 +207,9 @@ def _macdonald_index(A: float, lam: float) -> tuple[float, float, float]:
 
 def macdonald_w(A: float, lam: float, X: float) -> tuple[float, float]:
     """W_{0, xi/2}(2X) and W_{1, xi/2}(2X), xi = sqrt(1 - 8 lam), for the
-    system at cutoff A: the one sum of the rate, C, the pdf and the cdf at
-    a point (distribution.macdonald_w_grid sums it at many points).
+    system at cutoff A: the sum of the pdf and the cdf at a point
+    (distribution.macdonald_w_grid sums it at many points), and of the
+    rate and C at an imaginary index (_endpoint_w).
 
     W_{0,nu}(2X) = sqrt(2X/pi) K_nu(X) (DLMF 13.18.9), with
     K_nu(X) = int_0^inf e^{-X cosh t} cosh(nu t) dt (DLMF 10.32.9). DLMF
@@ -212,7 +237,7 @@ def macdonald_w(A: float, lam: float, X: float) -> tuple[float, float]:
 
 def _macdonald_sum(X: float, h: float, eta: float, beta: float) -> tuple[float, float]:
     # macdonald_w's pair at X from its trapezoid step h and index (eta, beta):
-    # the one node loop of macdonald_w and the rate solve
+    # the one node loop of macdonald_w and of _endpoint_w at an imaginary index
     # left to right, not by sum(), which compensates from Python 3.12 on
     if beta:
         ts, ps, qs = _macdonald_nodes(X, h, False)
@@ -243,12 +268,82 @@ def _macdonald_step(h: float, X: float) -> float:
     return min(h, _K_PEAK / math.sqrt(X))
 
 
+def _temme_k(eps: float, X: float) -> tuple[float, float]:
+    # (K_{1/2 - eps}(X), K_{1/2 + eps}(X)) for eps in [0, 1/2] and X <= 1/8:
+    # K_mu and K_{mu + 1} at mu = eps - 1/2 by Temme's series (Temme,
+    # J. Comput. Phys. 19, 1975; Gil, Segura and Temme, SIAM 2007, 7.5)
+    #   K_mu = sum c_k f_k,  K_{mu + 1} = (2/X) sum c_k (p_k - k f_k),
+    # c_k = (X^2/4)^k / k!, p_k = p_{k-1} / (k - mu), q_k = q_{k-1} / (k + mu),
+    # f_k = (k f_{k-1} + p_{k-1} + q_{k-1}) / (k^2 - mu^2), from
+    #   p_0 = (2/X)^mu Gamma(1 + mu) / 2,  q_0 = (2/X)^-mu Gamma(1 - mu) / 2,
+    #   f_0 = Gamma(1 + mu) Gamma(1 - mu) (gamma_1 cosh s + gamma_2 L sinh(s) / s),
+    # L = log(2/X), s = mu L, gamma_1 = (1/Gamma(1 - mu) - 1/Gamma(1 + mu))
+    # / (2 mu) and gamma_2 = (1/Gamma(1 - mu) + 1/Gamma(1 + mu)) / 2. Both
+    # gammas are parts of one series in mu (_RGAMMA_PAIRS), so gamma_1 does
+    # not cancel as mu -> 0 and mu = 0 (lam = 1/8) needs no limit.
+    # e^s = (2/X)^mu is sqrt(X/2) (2/X)^eps by pow, so that L, up to 42 at
+    # X = 1e-18, enters no rounded exponent
+    mu = eps - 0.5
+    m2 = mu * mu
+    g1 = g2 = 0.0
+    for odd, even in reversed(_RGAMMA_PAIRS):
+        g2 = g2 * m2 + odd
+        g1 = g1 * m2 + even
+    g1 = -g1
+    r_plus, r_minus = g2 - mu * g1, g2 + mu * g1  # 1/Gamma(1 + mu), 1/Gamma(1 - mu)
+    a = math.sqrt(0.5 * X) * (2.0 / X) ** eps
+    if _INV_E < a < math.e:
+        # |s| < 1, where (e^s - e^-s) / (2 mu) would cancel
+        big_l = math.log(2.0 / X)
+        s = mu * big_l
+        sh = big_l * math.sinh(s) / s if s else big_l
+    else:
+        sh = 0.5 * (a - 1.0 / a) / mu
+    f = (g1 * 0.5 * (a + 1.0 / a) + g2 * sh) / (r_plus * r_minus)
+    p, q = 0.5 * a / r_plus, 0.5 / (a * r_minus)
+    d, c = 0.25 * X * X, 1.0
+    k0, k1 = f, p
+    k = 0
+    while True:
+        k += 1
+        f = (k * f + p + q) / ((k - mu) * (k + mu))
+        c *= d / k
+        p /= k - mu
+        q /= k + mu
+        t = c * f
+        u = c * p - k * t
+        k0 += t
+        k1 += u
+        if abs(t) <= _TEMME_TOL * k0 and abs(u) <= _TEMME_TOL * abs(k1):
+            return k0, 2.0 * k1 / X
+
+
+def _endpoint_w(X: float, h: float, lam: float) -> tuple[float, float]:
+    # (W_{0, xi/2}(2X), W_{1, xi/2}(2X)) at X = 1/A, h the trapezoid step
+    # there (_endpoint_step): the W of Brent's steps, C and the residual. At a
+    # real index up to X = 1/8, W_0 = sqrt(2X/pi) K_{1/2 - eta/2}(X) and W_1 =
+    # sqrt(2X/pi) ((X - eta/2) K_{1/2 - eta/2}(X) + X K_{1/2 + eta/2}(X)),
+    # eta = 1 - xi exact, from Temme's pair; elsewhere macdonald_w's sum
+    eta, beta = _macdonald_eta_beta(lam)
+    if beta or X > _TEMME_X_MAX:
+        return _macdonald_sum(X, h, eta, beta)
+    k_minus, k_plus = _temme_k(0.5 * eta, X)
+    f = math.sqrt(2.0 * X / math.pi)
+    return f * k_minus, f * ((X - 0.5 * eta) * k_minus + X * k_plus)
+
+
+def _endpoint_step(A: float, lam: float) -> float:
+    # macdonald_w's trapezoid step at X = 1/A for (A, lam)
+    return _macdonald_step(_macdonald_index(A, lam)[0], 1.0 / A)
+
+
 def eigencondition(A: float, lam: float) -> float:
     """Boundary-condition function g(lam) = W_{1, xi/2}(2/A); vanishes at
-    the spectrum. macdonald_w's second value at X = 1/A.
+    the spectrum. The W that Brent solves on: Temme's series at a real
+    index, macdonald_w's second value at X = 1/A at an imaginary one.
     """
     A, lam = _check_cutoff(A), real_number(lam, "rate")
-    return macdonald_w(A, lam, 1.0 / A)[1]
+    return _endpoint_w(1.0 / A, _endpoint_step(A, lam), lam)[1]
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -363,8 +458,15 @@ def eigen_checks(A: float, lam: float, C: float) -> list[CheckRow]:
     or 1e-9 (A = 10) its imaginary part fails documented_real, and the row
     fails with no metric. At solved rates it reads at most 7.9e-13 from
     A = 0.1175 to 1e12, against its 1e-10 gate.
+
+    C is a solve's output, which the rows judge: an infinite or nan C
+    fails them, and a C that float() refuses raises DomainError.
     """
     A, lam = _check_cutoff(A), real_number(lam, "rate")
+    try:
+        C = float(C)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"normalizer must be a real number: {exc}") from None
     rows: list[CheckRow] = []
 
     lo, hi = lambda_bounds(A)
@@ -475,14 +577,14 @@ def assemble_system(A: float, lam: float, validate: bool = True) -> EigenSystem:
 
     The normal path is solve_lambda, which packages its root with the W
     pair of the Brent step that found it; this entry sums that pair afresh
-    (macdonald_w at X = 1/A), to the same bits, so that a deliberately
+    (the endpoint W of eigencondition), to the same bits, so that a deliberately
     off-eigenvalue rate can be packaged (validate=False) and fed to the
     verification battery, which must then flag it. Only a validated system
     needs a positive endpoint W; otherwise C may come out negative or
     infinite, and the battery's normalizer rows fail.
     """
     A, lam = _check_cutoff(A), real_number(lam, "rate")
-    return _system(A, lam, macdonald_w(A, lam, 1.0 / A), validate)
+    return _system(A, lam, _endpoint_w(1.0 / A, _endpoint_step(A, lam), lam), validate)
 
 
 def _system(A: float, lam: float, w: tuple[float, float], validate: bool) -> EigenSystem:
@@ -501,14 +603,16 @@ def solve_lambda(A: float) -> EigenSystem:
     """Solve the boundary condition for the principal rate at cutoff A.
 
     Brent iteration on the proven bracket (lambda_bounds) stops at a
-    relative width of 1e-12. The solve prepares the Macdonald sum once:
-    X = 1/A, the step of the bracket's top and its node table (one per
-    index regime), so that a Brent step forms only eta or beta. Its root
+    relative width of 1e-12. Each Brent step reads W at X = 1/A from
+    _endpoint_w: Temme's series at a real index, and at an imaginary one
+    the Macdonald sum, whose step (the bracket top's) and node table the
+    solve prepares once, so that a step forms only eta or beta. Its root
     is a rate Brent evaluated, and C and the residual read that step's W
     pair, the bits assemble_system would sum again. Raises
     ConvergenceError if W has no sign change on the bracket, which is
-    proven for the principal rate only (from about A = 1e18 the rate is
-    within a rounding of its lower end; below about 0.072 it holds two roots),
+    proven for the principal rate only (from about A = 2.7e17 the rate is
+    within a rounding or two of its lower end, and W's computed signs
+    there decide; below about 0.072 it holds two roots),
     or if the iteration stalls; DomainError from A = 0.0178 down, where the
     bracket passes the Macdonald sum's index ceiling; and ConsistencyError
     if the root fails its invariants or if the closed-form certificate
@@ -524,11 +628,11 @@ def solve_lambda(A: float) -> EigenSystem:
     X = 1.0 / A
     # every rate Brent reads lies in [lo, hi] and so takes the step of hi:
     # one index evaluation, at lo, which raises first past the ceiling
-    h = _macdonald_step(_macdonald_index(A, lo)[0], X)
+    h = _endpoint_step(A, lo)
     pairs = {}
 
     def g(lam: float) -> float:
-        pairs[lam] = w = _macdonald_sum(X, h, *_macdonald_eta_beta(lam))
+        pairs[lam] = w = _endpoint_w(X, h, lam)
         return w[1]
 
     glo, ghi = g(lo), g(hi)

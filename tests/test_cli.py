@@ -51,7 +51,7 @@ def test_cli_import_loads_no_heavy_standard_modules():
     assert out == (
         "[]\n"
         "name,value,provenance\n"
-        "pdf[x=3.0],0.13402287711300792,closed_form\n"
+        "pdf[x=3.0],0.13402287711300784,closed_form\n"
     )
 
 

@@ -140,9 +140,9 @@ GRID_BITS = {
 
 
 @pytest.mark.parametrize("A", sorted(GRID_BITS))
-def test_macdonald_w_grid_bits_are_pinned(A, solved):
+def test_macdonald_w_grid_bits_are_pinned(A, pinned):
     xs = [A * (i + 1) / 34 for i in range(33)]
-    ws = macdonald_w_grid(A, solved(A).lam, [1.0 / x for x in xs])
+    ws = macdonald_w_grid(A, pinned(A).lam, [1.0 / x for x in xs])
     text = " ".join(v.hex() for w in ws for v in w)
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert (digest, ws[16][0].hex(), ws[16][1].hex()) == GRID_BITS[A]

@@ -235,8 +235,8 @@ MOMENT_BITS = {
 
 
 @pytest.mark.parametrize("A", sorted(MOMENT_BITS))
-def test_moment_bits_are_pinned(A, solved):
-    es = solved(A)
+def test_moment_bits_are_pinned(A, pinned):
+    es = pinned(A)
     log_bits, orders = MOMENT_BITS[A]
     assert moment_log(es).hex() == log_bits
     for s, branch, bits in orders:

@@ -56,7 +56,8 @@ def test_lazy_name_is_cached_after_first_access(monkeypatch):
 # (errors.real_number's rule) or a system (spectral._check_sys), as
 # (public name, argument, call with that argument set to v and the others
 # valid at es, the system solved at A = 20). eigen_checks' C is a solve
-# output, which its rows judge, and not one of them
+# output, which its rows judge: a C that float() reads but finds infinite or
+# nan fails them, and any other malformed C raises DomainError
 _ARGUMENTS = [
     ("EigenSystem", "A", lambda es, v: sq.EigenSystem(v, es.lam, es.C, es.residual)),
     ("EigenSystem", "lam", lambda es, v: sq.EigenSystem(es.A, v, es.C, es.residual, False)),
@@ -64,6 +65,7 @@ _ARGUMENTS = [
     ("assemble_system", "lam", lambda es, v: sq.assemble_system(es.A, v, False)),
     ("eigen_checks", "A", lambda es, v: sq.eigen_checks(v, es.lam, es.C)),
     ("eigen_checks", "lam", lambda es, v: sq.eigen_checks(es.A, v, es.C)),
+    ("eigen_checks", "C", lambda es, v: sq.eigen_checks(es.A, es.lam, v)),
     ("eigencondition", "A", lambda es, v: sq.eigencondition(v, es.lam)),
     ("eigencondition", "lam", lambda es, v: sq.eigencondition(es.A, v)),
     ("lambda_bounds", "A", lambda es, v: sq.lambda_bounds(v)),
@@ -93,6 +95,7 @@ _ARGUMENTS = [
     ("limit_moment", "s", lambda es, v: sq.limit_moment(v)),
     ("quad_moments", "sys", lambda es, v: sq.quad_moments(v, (0.5,))),
     ("quad_moments", "orders", lambda es, v: sq.quad_moments(es, (0.5, v))),
+    ("quad_moments", "log", lambda es, v: sq.quad_moments(es, (), v)),
     ("quad_moment", "s", lambda es, v: sq.quad_moment(v, es)),
     ("quad_moment", "sys", lambda es, v: sq.quad_moment(0.5, v)),
     ("quad_log_moment", "sys", lambda es, v: sq.quad_log_moment(v)),
@@ -101,7 +104,7 @@ _ARGUMENTS = [
 ]
 
 # the arguments that are one number each (sigma is a sign, +1 or -1)
-_NUMBERS = {"A", "lam", "x", "s", "n", "k"}
+_NUMBERS = {"A", "lam", "C", "x", "s", "n", "k"}
 
 # public names that take neither: the exception classes and the records a
 # result is reported in (their values are outputs, not inputs)
@@ -138,8 +141,15 @@ def test_every_public_name_is_classified():
     assert {name for name, _, _ in _ARGUMENTS} | _NO_DOMAIN == set(sq.__all__)
 
 
+def _float_or_none(v):
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 @pytest.mark.parametrize(
-    "call", [c for _, _, c in _ARGUMENTS], ids=[f"{n}-{a}" for n, a, _ in _ARGUMENTS]
+    "arg, call", [(a, c) for _, a, c in _ARGUMENTS], ids=[f"{n}-{a}" for n, a, _ in _ARGUMENTS]
 )
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(bad=_MALFORMED)
@@ -147,15 +157,29 @@ def test_every_public_name_is_classified():
 @example(bad="x")
 @example(bad=[0.05])
 @example(bad=2**1100)
-def test_malformed_arguments_raise_domain_error(call, bad, solved):
+def test_malformed_arguments_raise_domain_error(arg, call, bad, solved):
     # DomainError and nothing else: no TypeError, ValueError, OverflowError
     # or AttributeError escapes the entry. The examples each escaped some
     # entry before the contract had one rule: eigencondition(20, [0.05]) a
     # TypeError, qsd_pdf(3, None) and run_checks(None) an AttributeError,
     # solve_lambda("x") a ValueError, moment_singular_shifted(es, 1, 2**1100)
-    # an OverflowError
+    # an OverflowError, eigen_checks(20, lam, "x") and quad_moments(es, (),
+    # log="x") a TypeError. A normalizer that float() reads as inf or nan
+    # fails eigen_checks' C rows instead
+    if arg == "C" and _float_or_none(bad) is not None:
+        rows = {r.name: r for r in call(solved(20.0), bad)}
+        assert not rows["normalizer-positive"].passed
+        assert not rows["normalizer-series"].passed
+        return
     with pytest.raises(DomainError):
         call(solved(20.0), bad)
+
+
+@pytest.mark.parametrize("orders", [None, 0.5, 3, object()])
+def test_quad_moments_orders_must_be_iterable(orders, solved):
+    # quad_moments(es, None) raised TypeError when it unpacked the orders
+    with pytest.raises(DomainError, match="orders must be an iterable"):
+        sq.quad_moments(solved(20.0), orders)
 
 
 @pytest.mark.parametrize(

@@ -403,11 +403,15 @@ def test_solve_sums_no_laplace_w(monkeypatch):
         assert passes == [], (A, passes)
 
 
-def _count_sums(m):
-    # every Macdonald W sum, and the rates at which the solve's Brent
-    # iteration asks for W past the bracket's two ends
-    sums, steps = [], []
-    macdonald_sum, brent = spectral._macdonald_sum, spectral._brent
+def _count_w(m):
+    # every endpoint W evaluation, every Macdonald W sum, and the rates at
+    # which the solve's Brent iteration asks for W past the bracket's two ends
+    evals, sums, steps = [], [], []
+    endpoint_w, macdonald_sum, brent = spectral._endpoint_w, spectral._macdonald_sum, spectral._brent
+
+    def counted_w(*args):
+        evals.append(args)
+        return endpoint_w(*args)
 
     def counted_sum(*args):
         sums.append(args)
@@ -419,38 +423,48 @@ def _count_sums(m):
             return f(lam)
         return brent(step, *args)
 
+    m.setattr(spectral, "_endpoint_w", counted_w)
     m.setattr(spectral, "_macdonald_sum", counted_sum)
     m.setattr(spectral, "_brent", counted_brent)
-    return sums, steps
+    return evals, sums, steps
 
 
-def test_solve_builds_one_node_table(monkeypatch):
-    # every W the solve reads, at the bracket's ends and at Brent's steps,
-    # reads one Macdonald node table per index regime, two for a bracket
-    # across lam = 1/8 (A = 10.24); C and the residual take the pair of
-    # Brent's root and sum no W
-    for A, tables in ((3.0, 1), (10.24, 2), (20.0, 1), (1e5, 1)):
-        spectral._macdonald_nodes.cache_clear()
-        with monkeypatch.context() as m:
-            sums, steps = _count_sums(m)
-            solve_lambda(A)
-        info = spectral._macdonald_nodes.cache_info()
-        assert len(sums) == 2 + len(steps), (A, len(sums), len(steps))
-        assert (info.misses, info.hits) == (tables, len(sums) - tables), (A, info)
+@pytest.mark.parametrize("A, tables", [
+    (0.5, 1), (3.0, 1), (10.24, 1), (20.0, 0), (1e5, 0), (1e12, 0),
+])
+def test_solve_sums_w_only_at_an_imaginary_index(A, tables, monkeypatch):
+    # the solve reads W once at each end of the bracket and once a Brent
+    # step; C and the residual take the pair of Brent's root and read no W.
+    # At a real index Temme's series gives W: no node table and no
+    # Macdonald sum. At an imaginary one each W is one sum on one node
+    # table, as is each W on the imaginary side of a bracket across
+    # lam = 1/8 (A = 10.24), whose real side reads Temme's series
+    spectral._macdonald_nodes.cache_clear()
+    with monkeypatch.context() as m:
+        evals, sums, steps = _count_w(m)
+        solve_lambda(A)
+    info = spectral._macdonald_nodes.cache_info()
+    assert len(evals) == 2 + len(steps), (A, len(evals), len(steps))
+    imaginary = [lam for _, _, lam in evals if 8.0 * lam > 1.0]
+    assert len(sums) == len(imaginary), (A, len(sums), len(imaginary))
+    assert (info.misses, info.hits) == (tables, len(sums) - tables), (A, info)
+    if A == 10.24:
+        assert 0 < len(imaginary) < len(evals)
 
 
 @pytest.mark.parametrize("A, lam, C", [
     (0.5, "0x1.9cc29491208b4p+2", "0x1.4a7028d116bcap+10"),
     (3.0, "0x1.1821840a92937p-1", "0x1.3c3f48101a18ep+2"),
     (10.24, "0x1.00036bdc23bf2p-3", "0x1.cdfb9674cfd46p+0"),
-    (20.0, "0x1.e2264a2ffa673p-5", "0x1.692503d99ad19p+0"),
-    (1e5, "0x1.4f9b3b3e229bep-17", "0x1.000ebd90cb672p+0"),
-    (1e12, "0x1.197998131bf29p-40", "0x1.000000003c2a9p+0"),
+    (20.0, "0x1.e2264a2ffa678p-5", "0x1.692503d99ad17p+0"),
+    (1e5, "0x1.4f9b3b3e229bdp-17", "0x1.000ebd90cb671p+0"),
+    (1e12, "0x1.197998131bf29p-40", "0x1.000000003c2abp+0"),
 ])
 def test_solve_bits_are_pinned(A, lam, C):
-    # the rate and normalizer bits of the solve that summed W once more for
-    # C (macdonald_w at the root); a fresh sum at the root gives the bits of
-    # the pair the solve reuses
+    # the rate and normalizer bits of the solve, which reads W at 2/A by
+    # Temme's series at a real index (10.24's root lies on the imaginary
+    # side) and by the Macdonald sum at an imaginary one; a fresh
+    # assemble_system at the root gives the bits of the pair the solve reuses
     es = solve_lambda(A)
     assert (es.lam.hex(), es.C.hex()) == (lam, C)
     again = assemble_system(A, es.lam)
@@ -465,11 +479,11 @@ def test_solve_bits_are_pinned(A, lam, C):
     (700.0, "0x1.f6c26bb9ef66fp-53"),
     (1e5, "0x1.ffe28690e0984p-52"),
 ])
-def test_normalizer_series_bits_are_pinned(A, residual, solved):
+def test_normalizer_series_bits_are_pinned(A, residual, pinned):
     # the residual of the series route to C, summed in complex arithmetic
     # at A = 3 and in real arithmetic from 10.2406 up, where xi is real;
     # the bits are those of the all-complex series
-    es = solved(A)
+    es = pinned(A)
     rows = {r.name: r.residual for r in eigen_checks(es.A, es.lam, es.C)}
     assert rows["normalizer-series"].hex() == residual
 
@@ -505,8 +519,57 @@ def test_macdonald_w_matches_mpmath(A, solved):
     assert worst0 <= tol0 and worst1 <= tol1, (A, worst0, worst1)
 
 
+# X from 1e-18 to 1/8 (log-spaced, with 1/10.24, the endpoint at
+# lam = 1/8) and eps from 0 to 1/2 (with 1/2 - 1e-9, mu = -1e-9, and tiny
+# eps, mu near -1/2)
+TEMME_XS = [10.0 ** (-18 + 17.1 * j / 18) for j in range(18)] + [1 / 10.24, 0.125]
+TEMME_EPS = [k / 10 for k in range(6)] + [0.5 - 1e-9, 0.25 + 1e-12, 1e-9, 2e-18]
+# the worst relative gap of either K on that grid, measured 5.5e-16 at
+# X = 1/8, eps = 1/2 - 1e-9, rounded up
+TEMME_TOL = 1e-15
+
+
+def test_temme_pair_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(40):
+        for X in TEMME_XS:
+            for eps in TEMME_EPS:
+                got = spectral._temme_k(eps, X)
+                for k, nu in zip(got, (0.5 - mpmath.mpf(eps), 0.5 + mpmath.mpf(eps))):
+                    ref = mpmath.besselk(nu, X)
+                    worst = max(worst, float(abs(k - ref) / ref))
+    assert worst <= TEMME_TOL, worst
+
+
+@pytest.mark.parametrize("A", (8.9, 10.2406, 10.3, 12.0, 20.0, 1e3, 1e5, 1e9, 1e12))
+def test_endpoint_w_is_the_macdonald_sum_to_rounding(A):
+    # Temme's W at X = 1/A against the trapezoid sum it replaces, at 11
+    # real rates across the bracket (its real part near 8.9 and 10.24): W_0
+    # relative and W_1 relative to 2X W_0. The worst read 1.0e-15 and 1.2e-15
+    # here, and 1.1e-15 and 1.2e-15 at the solved rates of the 1,564
+    # real-index cutoffs of bench/screen_grid.py --part 0/16
+    lo, hi = lambda_bounds(A)
+    X = 1.0 / A
+    h = spectral._endpoint_step(A, lo)
+    for k in range(11):
+        lam = min(lo + (hi - lo) * k / 10, 0.125)
+        w0, w1 = spectral._endpoint_w(X, h, lam)
+        r0, r1 = spectral._macdonald_sum(X, h, *spectral._macdonald_eta_beta(lam))
+        assert abs(w0 - r0) <= 4e-15 * r0 and abs(w1 - r1) <= 4e-15 * 2.0 * X * r0, (A, lam)
+
+
+@pytest.mark.parametrize("A, lam", [(3.0, 0.6), (10.2, 0.13), (7.9, 0.1), (0.5, 0.125)])
+def test_endpoint_w_sums_off_temme(A, lam):
+    # at an imaginary index, and at a real one past X = 1/8, the endpoint W
+    # is macdonald_w's sum, bit for bit
+    assert spectral._endpoint_w(1.0 / A, spectral._endpoint_step(A, lam), lam) == (
+        spectral.macdonald_w(A, lam, 1.0 / A))
+    assert eigencondition(A, lam) == spectral.macdonald_w(A, lam, 1.0 / A)[1]
+
+
 def test_normalizer_row_is_a_second_route(solved, monkeypatch):
-    # C comes from the Macdonald W_0 at 2/A, and normalizer-series from the
+    # C comes from the endpoint W_0 at 2/A, and normalizer-series from the
     # confluent series: its 2F2 tail scaled by 1 + 1e-9 moves the series
     # about 4.6e-10 at A = 20, which fails that row alone and leaves C as it was
     es = solved(20.0)
@@ -594,17 +657,19 @@ def test_battery_fails_every_perturbed_rate(A, solved):
         assert "normalizer-series" in failed, (A, eps, failed)
 
 
-# |Macdonald - Laplace| / |W_0| at 11 rates across the proven bracket, as
-# measured: 2.3e-13 at A = 0.5, where the Laplace sum at |Im b| = 3.6 loses
-# digits, and at most 8.4e-16 at the other cutoffs
+# |eigencondition - Laplace| / |W_0| at 11 rates across the proven bracket,
+# as measured: 2.3e-13 at A = 0.5, where the Laplace sum at |Im b| = 3.6
+# loses digits, at most 8.4e-16 at the other cutoffs, and at most 2.2e-16
+# at the real-index ones, where eigencondition reads Temme's series
 CROSS_KERNEL_TOL = {0.5: 1e-12}
 
 
 @pytest.mark.parametrize("A", (0.5, 3.0, 10.2, 10.3, 20.0, 1e5))
 def test_eigencondition_matches_the_laplace_w(A):
-    # the Macdonald form Brent solves on against the Laplace W_{1, xi/2}(2/A)
-    # of specfun, an independent kernel, at imaginary (0.5, 3, 10.2) and
-    # real (10.3, 20, 1e5) indices; relative to |W_0|, the residual's scale
+    # the W Brent solves on, the Macdonald sum at imaginary (0.5, 3, 10.2)
+    # and Temme's series at real (10.3, 20, 1e5) indices, against the Laplace
+    # W_{1, xi/2}(2/A) of specfun, an independent kernel; relative to |W_0|,
+    # the residual's scale
     lo, hi = lambda_bounds(A)
     worst = 0.0
     for k in range(11):
@@ -669,11 +734,11 @@ def test_no_sign_change_on_the_bracket_fails_at_once(monkeypatch):
     lo, hi = lambda_bounds(1e33)
     assert lo == hi
     with monkeypatch.context() as m:
-        sums, steps = _count_sums(m)
+        evals, sums, steps = _count_w(m)
         with pytest.raises(ConvergenceError, match="proven bracket"):
             solve_lambda(1e33)
-    assert len(sums) == 2 and steps == []
-    assert sums[0] == sums[1]
+    assert len(evals) == 2 and steps == [] and sums == []
+    assert evals[0] == evals[1]
 
 
 def test_bounds_ordering():
