@@ -6,10 +6,10 @@ Both closed forms share the normalizer C carried by the EigenSystem:
     pdf(x) = C exp(-1/x) (1/x) W_{1, xi/2}(2/x)
     cdf(x) = C exp(-1/x)       W_{0, xi/2}(2/x)
 
-Both W come from the Macdonald sum at X = 1/x that also gives the rate
-and C, so one pass serves the pdf and the cdf: spectral.macdonald_w at a
-point (qsd_pdf, qsd_cdf), and macdonald_w_grid over the interior points
-of a table (_pdf_cdf) and over verify's grid.
+Both W come from one trapezoid sum of Macdonald's K_nu integral at
+X = 1/x, so one pass serves the pdf and the cdf: macdonald_w at a point
+(qsd_pdf, qsd_cdf), and macdonald_w_grid, to the same bits, over the
+interior points of a table (_pdf_cdf) and over verify's grid.
 
 Values are clamped only inside a narrow roundoff band at the edges of
 [0, 1]; anything farther out raises ConsistencyError, because it means
@@ -22,7 +22,6 @@ import math
 
 from .errors import ConsistencyError, DomainError, real_number
 from .spectral import _K_CUT, EigenSystem, _check_sys, _macdonald_index, _macdonald_step
-from .spectral import macdonald_w
 
 # exp(-1/x) underflows to subnormal mush below ~1/745; cut a little early
 UNDERFLOW_X = 1.0 / 700.0
@@ -45,89 +44,97 @@ def stationary_pdf(x: float) -> float:
     return 2.0 / (x * x) * math.exp(-2.0 / x)
 
 
-def _macdonald_rate_nodes(
-    h: float, X: float, eta: float, beta: float,
-) -> tuple[list, list, list, list]:
-    # the X-free factors of spectral.macdonald_w's nodes t_k = k h, up to
-    # the cut at X, which also bounds every larger X's cut: (sinh(t_k/2),
-    # t_k, a_k, b_k). With w_k = h (h/2 at t = 0): at a real index
-    # a_k = w_k cosh(xi t_k/2) and b_k = a_k + w_k cosh((1 + eta) t_k/2), from
-    # e^{eta t_k/2} so that eta stays exact; at an imaginary one a_k = w_k
-    # and b_k = cos(beta t_k)
+def _macdonald_rate_nodes(h: float, X: float, eta: float, beta: float):
+    # (sinh(t_k/2), a_k, b_k) at t_k = k h until X (cosh t_k - 1) - t_k
+    # reaches _K_CUT, w_k = h (h/2 at t = 0): a_k = w_k cosh(xi t_k/2) and
+    # b_k = a_k + w_k cosh((1 + eta) t_k/2) at a real index, from e^{eta t_k/2}
+    # so that eta stays exact, and a_k = w_k, b_k = cos(beta t_k) at an imaginary one
     exp, sinh, cos = math.exp, math.sinh, math.cos
-    shs, ts, a_s, bs = [], [], [], []
     k, s, sh = 0, 0.0, 0.0  # s = t_k/2
     w = 0.5 * h
     while 2.0 * X * sh * sh - 2.0 * s < _K_CUT:  # inf, never raising, past the double range
-        t = 2.0 * s
         if beta:
-            a, b = w, cos(beta * t)
+            yield sh, w, cos(beta * (2.0 * s))
         else:
             e, f = exp(s), exp(eta * s)
             a = 0.5 * w * (e / f + f / e)
-            b = a + 0.5 * w * (e * f + 1.0 / (e * f))
-        shs.append(sh)
-        ts.append(t)
-        a_s.append(a)
-        bs.append(b)
+            yield sh, a, a + 0.5 * w * (e * f + 1.0 / (e * f))
         k += 1
         w = h
         s = 0.5 * k * h
         sh = sinh(s)
-    return shs, ts, a_s, bs
+
+
+def _rate_sum(X: float, nodes, eta: float, beta: float) -> tuple[float, float]:
+    # macdonald_w's pair at X from X's nodes, d_k = 2 X sinh^2(t_k/2): over
+    # e^{-X}, K = sum e^{-d_k} a_k and G = X sum e^{-d_k} b_k - eta/2 K at a
+    # real index, spectral._macdonald_sum's products at an imaginary one.
+    # Left to right, not by sum(), which compensates from Python 3.12 on
+    exp = math.exp
+    x2 = 2.0 * X
+    k = g = 0.0
+    if beta:
+        for sh, w, c in nodes:
+            d = x2 * sh * sh
+            p = w * exp(-d)
+            k += p * c
+            g += p * (x2 + d - 0.5) * c
+    else:
+        mx2 = -x2
+        for sh, a, b in nodes:
+            e = exp(mx2 * sh * sh)
+            k += a * e
+            g += b * e
+        g = X * g - 0.5 * eta * k
+    f = math.sqrt(x2 / math.pi) * exp(-X)
+    return f * k, f * g
+
+
+def macdonald_w(A: float, lam: float, X: float) -> tuple[float, float]:
+    """W_{0, xi/2}(2X) and W_{1, xi/2}(2X), xi = sqrt(1 - 8 lam), for the
+    system at cutoff A: the pair of the cdf and the pdf at x = 1/X.
+
+    W_{0,nu}(2X) = sqrt(2X/pi) K_nu(X) (DLMF 13.18.9), with
+    K_nu(X) = int_0^inf e^{-X cosh t} cosh(nu t) dt (DLMF 10.32.9). DLMF
+    13.15 and K_nu' = -K_{nu-1} - (nu/X) K_nu (DLMF 10.29.2) then give
+    W_{1, xi/2}(2X) = sqrt(2X/pi) G with, for lam <= 1/8 and
+    eta = 1 - xi = 8 lam / (1 + xi),
+
+        G = (X - eta/2) K_{1/2 - eta/2}(X) + X K_{1/2 + eta/2}(X),
+
+    and for lam > 1/8, where K_{i beta} has cos(beta t), beta = sqrt(8 lam - 1)/2,
+
+        G = int_0^inf e^{-X cosh t} cos(beta t) (X (1 + cosh t) - 1/2) dt.
+
+    Both are trapezoid sums at t_k = k h, h = min(0.2, 0.8 / beta,
+    0.7 / sqrt(X)), beta the largest of A's proven bracket (or lam's own
+    above it). DomainError where lam's own beta passes the sum's index
+    ceiling, 80.64.
+    """
+    h, eta, beta = _macdonald_index(A, lam)
+    return _rate_sum(X, _macdonald_rate_nodes(_macdonald_step(h, X), X, eta, beta), eta, beta)
 
 
 def macdonald_w_grid(A: float, lam: float, Xs) -> list[tuple[float, float]]:
-    """spectral.macdonald_w(A, lam, X) for each X of Xs, from one table of
-    the rate's node factors per step (_macdonald_rate_nodes) in place of
-    one table of X's node factors per point: the layout for many points at
-    one rate, as in `table` and verify's grid.
-
-    At a real index the sums split into an X factor e^{-X (cosh t_k - 1)}
-    and rate factors, so an X costs one exponential a node and two
-    multiply-adds: over e^{-X}, K = sum e a_k and G = X sum e b_k - eta/2 K.
-    The values agree with macdonald_w within 7e-16 of each W's peak over a
-    verify grid. At an imaginary index the sums cancel about
-    e^{pi beta/2 - X} fold, and that split moves verify's generator rows
-    near A = 0.12 across their gates (by up to 1e-12), so each X repeats
-    macdonald_w's arithmetic and bits and saves only the sinh and the
-    cosine a node. Points on the rate's step share one table, built to the
-    cut of the smallest X; a point whose step is its own 0.7 / sqrt(X)
-    builds its own. Each value depends on its X alone, not on the others.
+    """macdonald_w(A, lam, X) for each X of Xs, to its bits, from one node
+    table per step, built to the smallest X's cut (a point whose step is its
+    own 0.7 / sqrt(X) builds its own); each value depends on its X alone.
     """
     h0, eta, beta = _macdonald_index(A, lam)
     steps: dict[float, list[float]] = {}
     for X in Xs:
         steps.setdefault(_macdonald_step(h0, X), []).append(X)
-    exp, sqrt = math.exp, math.sqrt
     ws = {}
     for h, group in steps.items():
-        shs, ts, a_s, bs = _macdonald_rate_nodes(h, min(group), eta, beta)
-        n, lo = len(shs), 1
-        # X (cosh t - 1) - t is convex in t and 0 at t = 0, so it crosses
-        # the cut once, and later the smaller X is: each X's first node
-        # past its cut is found by one walk up the table, largest X first
+        nodes = list(_macdonald_rate_nodes(h, min(group), eta, beta))
+        n, lo = len(nodes), 1
+        # X (cosh t - 1) - t is convex in t and 0 at t = 0, so it crosses the
+        # cut once, later the smaller X is: one walk finds each (t_k = lo * h)
         for X in sorted(set(group), reverse=True):
             x2 = 2.0 * X
-            while lo < n and x2 * shs[lo] * shs[lo] - ts[lo] < _K_CUT:
+            while lo < n and x2 * nodes[lo][0] * nodes[lo][0] - lo * h < _K_CUT:
                 lo += 1
-            # left to right, not by sum(), which compensates from Python 3.12 on
-            k = g = 0.0
-            if beta:
-                for sh, w, c in zip(shs[:lo], a_s, bs):
-                    d = x2 * sh * sh
-                    p = w * exp(-d)
-                    k += p * c
-                    g += p * (x2 + d - 0.5) * c
-            else:
-                mx2 = -x2
-                for sh, a, b in zip(shs[:lo], a_s, bs):
-                    e = exp(mx2 * sh * sh)
-                    k += a * e
-                    g += b * e
-                g = X * g - 0.5 * eta * k
-            f = sqrt(x2 / math.pi) * exp(-X)
-            ws[X] = f * k, f * g
+            ws[X] = _rate_sum(X, nodes[:lo], eta, beta)
     return [ws[X] for X in Xs]
 
 

@@ -12,9 +12,9 @@ reference on [-52, 60]); at a complex argument they use a Lanczos sum.
 Digamma and Whittaker M and W stay complex.
 
 Whittaker W here serves any (kappa, b); the law's own W_{0, xi/2} and
-W_{1, xi/2} come from spectral.macdonald_w, and nothing inside the
-package reads this one; it stays as an independent kernel to test that sum
-against.
+W_{1, xi/2} come from Temme's series (spectral) and the Macdonald sum
+(distribution.macdonald_w), and nothing inside the package reads this
+one; it stays as an independent kernel to test that sum against.
 It is the Laplace integral (DLMF 13.4.4 through 13.14.3)
 
     W_{kappa,b}(z) = z^kappa e^{-z/2} / Gamma(a)

@@ -11,12 +11,10 @@ moment code can trust blindly. One helper (_endpoint_w) gives W at the
 endpoint X = 1/A, and with it Brent's root, C and the residual: at a
 real index Temme's series of the pair K_{1/2 -+ eta/2}(X), which takes 2
 to 7 terms at X <= 1/8 (_temme_k), and at an imaginary one Macdonald's
-trapezoid sum at that X (_macdonald_sum). The pdf and the cdf read that
-sum at every index, on one of two node layouts: the factors of one X
-(one table per point; macdonald_w) and the factors of one rate
-(distribution.macdonald_w_grid, one table per step for many points, as
-in `table` and verify's grid). The battery's second route to the root
-and to C is the confluent series of C, which reads no W.
+trapezoid sum at that X (_macdonald_sum), on one node table per solve.
+The pdf and the cdf read that sum at every point (distribution.macdonald_w).
+The battery's second route to the root and to C is the confluent series
+of C, which reads no W.
 
 The check needs no W and no march. At the n-th root lam, the
 eigenfunction f of 1/2 x^2 f'' + f' + lam f = 0 with f(0) = 1 vanishes at
@@ -40,11 +38,11 @@ second rate lam_2 exceeds lam, so that lam is the first:
   [y_t, log x_c], starts in (0, pi/2) and grows at most at sqrt(Q). It
   cannot reach pi by log x_c if (log x_c - y_t) sqrt(Q) < pi/2.
 
-This certifies every rate the solve returns, from A = 0.1608 to 1e15,
-with room: it would still certify 1.26 lam at A = 0.1608, 2.2 lam at 1,
-10 lam at 20 and 37 lam from 1e5 up, where the second rate lies at
-1.72 lam, 3.2 lam, 15 lam and 1.8e4 lam. Being a proof, it refuses every
-higher root.
+This certifies every rate the solve returns from A = 0.1608 to 1e15,
+plus the 21 cutoffs 10^(-1.4 + k/100) in [0.0724, 0.1148], with room: it
+would still certify 1.26 lam at A = 0.1608, 2.2 lam at 1, 10 lam at 20
+and 37 lam from 1e5 up, where the second rate lies at 1.72 lam, 3.2 lam,
+15 lam and 1.8e4 lam. Being a proof, it refuses every higher root.
 """
 
 from __future__ import annotations
@@ -147,30 +145,19 @@ def lambda_bounds(A: float) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=1)
-def _macdonald_nodes(X: float, h: float, real: bool) -> tuple[list, list, list]:
-    # read-only trapezoid nodes t_k = k h of the Macdonald integrals at X
-    # over e^{-X}, up to where d_k - t_k reaches _K_CUT, d_k = 2 X
-    # sinh^2(t_k/2), exact near the peak at t = 0; kept for the last
-    # (X, h, real): a solve reads at most one table, the imaginary index's
-    # at X = 1/A (the real index's endpoint is _temme_k's, which reads
-    # none). With w_k = h (h/2 at t = 0): at a real index
-    # (t_k/2, w_k e^{-d_k} e^{t_k/2}/2, w_k e^{-d_k} e^{-t_k/2}/2), at an
-    # imaginary one (t_k, w_k e^{-d_k}, w_k e^{-d_k} (2 X + d_k - 1/2))
+def _macdonald_nodes(X: float, h: float) -> tuple[list, list, list]:
+    # read-only nodes (t_k, w_k e^{-d_k}, w_k e^{-d_k} (2 X + d_k - 1/2)) at
+    # X of distribution._rate_sum at an imaginary index, d_k = 2 X
+    # sinh^2(t_k/2), kept for the last (X, h): a solve's, at X = 1/A
     exp, sinh = math.exp, math.sinh
     ts, ps, qs = [], [], []
     k, s, d = 0, 0.0, 0.0  # s = t_k/2
     w = 0.5 * h
     while d - 2.0 * s < _K_CUT:  # d turns inf, never raises, past the double range
         c = w * exp(-d)
-        if real:
-            e = exp(s)
-            ts.append(s)
-            ps.append(0.5 * c * e)
-            qs.append(0.5 * c / e)
-        else:
-            ts.append(2.0 * s)
-            ps.append(c)
-            qs.append(c * (2.0 * X + d - 0.5))
+        ts.append(2.0 * s)
+        ps.append(c)
+        qs.append(c * (2.0 * X + d - 0.5))
         k += 1
         w = h
         s = 0.5 * k * h
@@ -196,7 +183,7 @@ def _macdonald_eta_beta(lam: float) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=4)
 def _macdonald_index(A: float, lam: float) -> tuple[float, float, float]:
-    # (step before its peak term, eta, beta) of macdonald_w at (A, lam),
+    # (step before its peak term, eta, beta) of the Macdonald sum at (A, lam),
     # kept for the last four; the step is the same for every lam up to A's
     # upper bound, so that one evaluation serves a whole solve
     eta, beta = _macdonald_eta_beta(lam)
@@ -205,66 +192,24 @@ def _macdonald_index(A: float, lam: float) -> tuple[float, float, float]:
     return h, eta, beta
 
 
-def macdonald_w(A: float, lam: float, X: float) -> tuple[float, float]:
-    """W_{0, xi/2}(2X) and W_{1, xi/2}(2X), xi = sqrt(1 - 8 lam), for the
-    system at cutoff A: the sum of the pdf and the cdf at a point
-    (distribution.macdonald_w_grid sums it at many points), and of the
-    rate and C at an imaginary index (_endpoint_w).
-
-    W_{0,nu}(2X) = sqrt(2X/pi) K_nu(X) (DLMF 13.18.9), with
-    K_nu(X) = int_0^inf e^{-X cosh t} cosh(nu t) dt (DLMF 10.32.9). DLMF
-    13.15 and K_nu' = -K_{nu-1} - (nu/X) K_nu (DLMF 10.29.2) then give
-    W_{1, xi/2}(2X) = sqrt(2X/pi) G with, for lam <= 1/8 and
-    eta = 1 - xi = 8 lam / (1 + xi),
-
-        G = (X - eta/2) K_{1/2 - eta/2}(X) + X K_{1/2 + eta/2}(X),
-
-    and for lam > 1/8, where K_{i beta} has cos(beta t), beta = sqrt(8 lam - 1)/2,
-
-        G = int_0^inf e^{-X cosh t} cos(beta t) (X (1 + cosh t) - 1/2) dt.
-
-    Both are trapezoid sums on one node table per (X, h) (_macdonald_nodes),
-    h = min(0.2, 0.8 / beta, 0.7 / sqrt(X)): beta is the largest of A's
-    proven bracket (or lam's own above it), and the last term resolves the
-    peak of e^{-X (cosh t - 1)} up to X = 700; at X = 1/A it binds only
-    below A = 0.082. A node costs one exponential e^{eta t/2}, exact in eta,
-    or one cosine. DomainError where lam's own beta passes the sum's index
-    ceiling, 80.64.
-    """
-    h, eta, beta = _macdonald_index(A, lam)
-    return _macdonald_sum(X, _macdonald_step(h, X), eta, beta)
-
-
-def _macdonald_sum(X: float, h: float, eta: float, beta: float) -> tuple[float, float]:
-    # macdonald_w's pair at X from its trapezoid step h and index (eta, beta):
-    # the one node loop of macdonald_w and of _endpoint_w at an imaginary index
-    # left to right, not by sum(), which compensates from Python 3.12 on
-    if beta:
-        ts, ps, qs = _macdonald_nodes(X, h, False)
-        cos = math.cos
-        k = g = 0.0
-        for t, p, q in zip(ts, ps, qs):
-            c = cos(beta * t)
-            k += p * c
-            g += q * c
-    else:
-        halves, ps, ms = _macdonald_nodes(X, h, True)
-        exp = math.exp
-        k = k_plus = 0.0
-        for s, p, m in zip(halves, ps, ms):
-            e = exp(eta * s)
-            k += p / e + m * e
-            k_plus += p * e + m / e
-        g = (X - 0.5 * eta) * k + X * k_plus
+def _macdonald_sum(X: float, h: float, beta: float) -> tuple[float, float]:
+    # distribution.macdonald_w's pair at X, step h and index i beta, to its
+    # bits, on the node table of X: the solve's endpoint W, one table and a
+    # new beta each Brent step. Left to right, not by sum() (see _rate_sum)
+    ts, ps, qs = _macdonald_nodes(X, h)
+    cos = math.cos
+    k = g = 0.0
+    for t, p, q in zip(ts, ps, qs):
+        c = cos(beta * t)
+        k += p * c
+        g += q * c
     f = math.sqrt(2.0 * X / math.pi) * math.exp(-X)
     return f * k, f * g
 
 
 def _macdonald_step(h: float, X: float) -> float:
-    # the trapezoid step at X from the rate's step h (_macdonald_index),
-    # which resolves the peak of e^{-X (cosh t - 1)} at t = 0: the step rule
-    # of macdonald_w and distribution.macdonald_w_grid, which both cut
-    # their nodes where X (cosh t - 1) - t reaches _K_CUT
+    # every Macdonald sum's step at X from the rate's step h
+    # (_macdonald_index): it resolves the peak of e^{-X (cosh t - 1)} at t = 0
     return min(h, _K_PEAK / math.sqrt(X))
 
 
@@ -319,28 +264,31 @@ def _temme_k(eps: float, X: float) -> tuple[float, float]:
 
 
 def _endpoint_w(X: float, h: float, lam: float) -> tuple[float, float]:
-    # (W_{0, xi/2}(2X), W_{1, xi/2}(2X)) at X = 1/A, h the trapezoid step
-    # there (_endpoint_step): the W of Brent's steps, C and the residual. At a
-    # real index up to X = 1/8, W_0 = sqrt(2X/pi) K_{1/2 - eta/2}(X) and W_1 =
-    # sqrt(2X/pi) ((X - eta/2) K_{1/2 - eta/2}(X) + X K_{1/2 + eta/2}(X)),
-    # eta = 1 - xi exact, from Temme's pair; elsewhere macdonald_w's sum
+    # (W_{0, xi/2}(2X), W_{1, xi/2}(2X)) at X = 1/A, step h (_endpoint_step):
+    # the W of Brent's steps, C and the residual. At a real index up to X = 1/8
+    # Temme's pair in distribution.macdonald_w's formulas, eta = 1 - xi exact;
+    # past it, off the spectrum, that module's sum, by a deferred import
     eta, beta = _macdonald_eta_beta(lam)
-    if beta or X > _TEMME_X_MAX:
-        return _macdonald_sum(X, h, eta, beta)
+    if beta:
+        return _macdonald_sum(X, h, beta)
+    if X > _TEMME_X_MAX:
+        from .distribution import _macdonald_rate_nodes, _rate_sum
+
+        return _rate_sum(X, _macdonald_rate_nodes(h, X, eta, 0.0), eta, 0.0)
     k_minus, k_plus = _temme_k(0.5 * eta, X)
     f = math.sqrt(2.0 * X / math.pi)
     return f * k_minus, f * ((X - 0.5 * eta) * k_minus + X * k_plus)
 
 
 def _endpoint_step(A: float, lam: float) -> float:
-    # macdonald_w's trapezoid step at X = 1/A for (A, lam)
+    # the Macdonald sum's trapezoid step at X = 1/A for (A, lam)
     return _macdonald_step(_macdonald_index(A, lam)[0], 1.0 / A)
 
 
 def eigencondition(A: float, lam: float) -> float:
     """Boundary-condition function g(lam) = W_{1, xi/2}(2/A); vanishes at
     the spectrum. The W that Brent solves on: Temme's series at a real
-    index, macdonald_w's second value at X = 1/A at an imaginary one.
+    index up to X = 1/8, else distribution.macdonald_w's W_1, to its bits.
     """
     A, lam = _check_cutoff(A), real_number(lam, "rate")
     return _endpoint_w(1.0 / A, _endpoint_step(A, lam), lam)[1]
@@ -500,8 +448,8 @@ class EigenSystem(namedtuple("EigenSystem", "A lam C residual")):
     raises ConsistencyError if anything fails; validate=False skips the
     battery alone (used to inject known-bad systems when exercising the
     verification path, never in normal flow). The battery's rows are kept
-    and served by `checks`; the pdf and cdf read macdonald_w or
-    distribution.macdonald_w_grid at (A, lam), so no W state is kept. The
+    and served by `checks`; the pdf and cdf read distribution.macdonald_w
+    or macdonald_w_grid at (A, lam), so no W state is kept. The
     record is read-only: setting or deleting any attribute raises
     AttributeError. The class has no __slots__, so the cached properties
     below write their values to the instance __dict__ directly.

@@ -71,9 +71,9 @@ def run_checks(sys: EigenSystem) -> list[CheckRow]:
     lists built on it) are lazy: each is computed on first use, once for
     all rows that read it, and again by each such row when it raises. The
     W grid is one distribution.macdonald_w_grid pass over the 33 points,
-    and `cdf-endpoint` reads one more macdonald_w point just below A. At a
-    real index that row crosses kernels: the point's W_0 is the Macdonald
-    sum, and C, which scales it, comes from Temme's series at 2/A.
+    and `cdf-endpoint` reads one more point, just below A. At a real index
+    that row crosses kernels: the point's W_0 is the Macdonald sum, and C,
+    which scales it, comes from Temme's series at 2/A.
     """
     quads = functools.cache(lambda: quad_moments(sys, _DUAL_ORDERS))
     moment = functools.cache(lambda s: moment_frac(s, sys).value)

@@ -51,7 +51,7 @@ def test_cli_import_loads_no_heavy_standard_modules():
     assert out == (
         "[]\n"
         "name,value,provenance\n"
-        "pdf[x=3.0],0.13402287711300784,closed_form\n"
+        "pdf[x=3.0],0.13402287711300787,closed_form\n"
     )
 
 
@@ -152,11 +152,9 @@ def test_table_grid(capsys):
 
 @pytest.mark.parametrize("A", ("0.7", "20", "1e5"))
 def test_table_matches_the_point_functions(capsys, A, solved):
-    # table reads its interior points from one Macdonald grid pass: each
-    # cdf within 1e-14 relative of qsd_cdf, and each pdf within 1e-14 of
-    # qsd_pdf relative to max(pdf, 2 cdf / x^2), the scale of W_1's
-    # rounding as the pdf vanishes toward A (pdf = C e^{-1/x} W_1(2/x) / x
-    # against 2X W_0); the endpoints keep their rules
+    # table reads its interior points from one Macdonald grid pass, which
+    # sums the nodes of the point functions: the same bits at every point;
+    # the endpoints keep their rules
     code, out, err = run(capsys, "table", "--A", A, "--points", "65")
     assert code == 0, err
     es = solved(float(A))
@@ -165,13 +163,26 @@ def test_table_matches_the_point_functions(capsys, A, solved):
     for pdf_row, cdf_row in zip(rows[::2], rows[1::2]):
         x = float(pdf_row["name"][len("pdf[x="):-1])
         pdf, cdf = pdf_row["value"], cdf_row["value"]
-        want_pdf, want_cdf = qsd_pdf(x, es), qsd_cdf(x, es)
         if x in (0.0, es.A):
             assert (pdf, cdf) == (0.0, 0.0 if x == 0.0 else 1.0), (A, x)
             continue
-        assert abs(cdf - want_cdf) <= 1e-14 * want_cdf, (A, x, cdf, want_cdf)
-        scale = max(want_pdf, 2.0 * want_cdf / (x * x))
-        assert abs(pdf - want_pdf) <= 1e-14 * scale, (A, x, pdf, want_pdf)
+        assert (pdf, cdf) == (qsd_pdf(x, es), qsd_cdf(x, es)), (A, x)
+
+
+@pytest.mark.parametrize("A", ("0.6", "3", "10.3", "20", "1e3", "1e5"))
+def test_point_requests_print_the_table_rows(capsys, A):
+    # pdf --x and cdf --x at each interior point of a table print that
+    # table's row byte for byte, at imaginary (0.6, 3) and real indices
+    code, out, err = run(capsys, "table", "--A", A, "--points", "9")
+    assert code == 0, err
+    xs = [float(r["name"][len("pdf[x="):-1]) for r in json.loads(out)["results"][::2]]
+    assert len(xs) == 9
+    for x in xs[1:-1]:
+        for cmd in ("pdf", "cdf"):
+            code, point, err = run(capsys, cmd, "--A", A, "--x", repr(x))
+            assert code == 0, err
+            row = point[point.index('"results":[') + len('"results":['):point.index('],"checks"')]
+            assert row.startswith(f'{{"name":"{cmd}[x={x!r}]"') and row in out, (A, row)
 
 
 @pytest.mark.parametrize(

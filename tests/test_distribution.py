@@ -6,6 +6,7 @@ import pytest
 
 from shiryaev_qsd.distribution import (
     UNDERFLOW_X,
+    macdonald_w,
     macdonald_w_grid,
     qsd_cdf,
     qsd_pdf,
@@ -13,7 +14,6 @@ from shiryaev_qsd.distribution import (
     stationary_pdf,
 )
 from shiryaev_qsd.errors import DomainError
-from shiryaev_qsd.spectral import macdonald_w
 
 
 def test_stationary_closed_forms():
@@ -100,30 +100,43 @@ def test_imaginary_index_regime_is_real_valued(solved):
 def test_macdonald_w_grid_matches_points(A, solved):
     # the grid pass against one macdonald_w per point, on verify's 33-point
     # grid and at points below x = 0.082, whose step is their own
-    # 0.7 / sqrt(X): the same bits at an imaginary index (lam > 1/8), and
-    # within 1e-14 of each W's peak over the points at a real one, where
-    # the worst measured is 6.8e-16 (A = 10.3); a shuffled batch gives the
-    # same bits
+    # 0.7 / sqrt(X): the same bits at both indices, as both sum one node
+    # layout; a shuffled batch gives the same bits
     lam = solved(A).lam
     xs = [A * (i + 1) / 34 for i in range(33)]
     xs += [x for x in (0.0015, 0.01, 0.05, 0.08) if x < A]
     Xs = [1.0 / x for x in xs]
     got = macdonald_w_grid(A, lam, Xs)
-    want = [macdonald_w(A, lam, X) for X in Xs]
-    if lam > 0.125:
-        assert got == want, A
-    for j in (0, 1):
-        peak = max(abs(w[j]) for w in want)
-        gap = max(abs(g[j] - w[j]) for g, w in zip(got, want))
-        assert gap <= 1e-14 * peak, (A, j, gap / peak)
-    # the points of their own step also agree with their own value
-    for g, w, x in zip(got, want, xs):
-        if x < 0.082:
-            assert g == pytest.approx(w, rel=1e-14, abs=0.0), (A, x)
+    assert got == [macdonald_w(A, lam, X) for X in Xs], A
     order = list(range(len(Xs)))
     random.Random(7).shuffle(order)
     shuffled = macdonald_w_grid(A, lam, [Xs[i] for i in order])
     assert [got[i] for i in order] == shuffled, A
+
+
+# worst gaps of single qsd_pdf / qsd_cdf points to the W-free march, 10x
+# the measured ones rounded up: the pdf relative to its peak and the cdf
+# absolute. At A = 0.5 the sum cancels about e^{pi beta/2 - X} fold (5.8e-15
+# and 2.1e-15); elsewhere it reads at most 1.7e-15 and 1.7e-15
+SINGLE_POINT_TOL = {0.5: (6e-14, 3e-14)}
+
+
+@pytest.mark.parametrize("A", (0.5, 3.0, 10.3, 20.0, 1e3, 1e5, 1e7, 1e9))
+def test_single_points_match_the_march(A, solved):
+    # seeded points as the benchmark's density-lib draws them, half
+    # log-uniform over (1/700, A) and half uniform: 83 (A = 0.5) to 179
+    # (1e7) of the 400 lie below x = A/34, where verify's grid reads none
+    es = solved(A)
+    rng = random.Random(f"single:{A!r}")
+    span = math.log(A / UNDERFLOW_X)
+    xs = [UNDERFLOW_X * math.exp(span * (1.0 - rng.random())) if j % 2 == 0
+          else A * (1.0 - rng.random()) for j in range(400)]
+    march = es.generator.densities(xs, True)
+    peak = max(p for p, _ in march)
+    worst_pdf = max(abs(qsd_pdf(x, es) - p) for x, (p, _) in zip(xs, march)) / peak
+    worst_cdf = max(abs(qsd_cdf(x, es) - c) for x, (_, c) in zip(xs, march))
+    tol_pdf, tol_cdf = SINGLE_POINT_TOL.get(A, (2e-14, 2e-14))
+    assert worst_pdf <= tol_pdf and worst_cdf <= tol_cdf, (A, worst_pdf, worst_cdf)
 
 
 # macdonald_w_grid's bits on verify's 33-point grid: a sha256 prefix of the

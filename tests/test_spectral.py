@@ -9,7 +9,7 @@ import shiryaev_qsd.cli as cli
 import shiryaev_qsd.generator as generator
 import shiryaev_qsd.specfun as specfun
 import shiryaev_qsd.spectral as spectral
-from shiryaev_qsd.distribution import qsd_pdf
+from shiryaev_qsd.distribution import macdonald_w, qsd_pdf
 from shiryaev_qsd.errors import ConsistencyError, ConvergenceError, DomainError, PoleError
 from shiryaev_qsd.spectral import (
     EigenSystem,
@@ -493,7 +493,7 @@ def test_normalizer_series_bits_are_pinned(A, residual, pinned):
 # max(|W_1|, 2X |W_0|), as W_1 vanishes at X = 1/A. At an imaginary index
 # far from 1/8 the sum cancels about e^{pi beta/2 - X} fold (2.4e-14 and
 # 6.0e-14 at A = 0.1125, 3.3e-15 and 8.6e-15 at 0.5); elsewhere it reads at
-# most 6.4e-16 and 7.1e-16
+# most 6.5e-16 and 7.9e-16
 MACDONALD_TOL = {0.1125: (3e-13, 6e-13), 0.5: (4e-14, 9e-14)}
 
 
@@ -510,7 +510,7 @@ def test_macdonald_w_matches_mpmath(A, solved):
         b = mpmath.sqrt(1 - 8 * mpmath.mpf(lam)) / 2
         for j in range(13):
             X = 700.0 if j == 12 else (700.0 * A) ** (j / 12) / A
-            w0, w1 = spectral.macdonald_w(A, lam, X)
+            w0, w1 = macdonald_w(A, lam, X)
             ref0 = mpmath.whitw(0, b, 2 * mpmath.mpf(X))
             ref1 = mpmath.whitw(1, b, 2 * mpmath.mpf(X))
             worst0 = max(worst0, float(abs(w0 - ref0) / abs(ref0)))
@@ -544,28 +544,29 @@ def test_temme_pair_matches_mpmath():
 
 @pytest.mark.parametrize("A", (8.9, 10.2406, 10.3, 12.0, 20.0, 1e3, 1e5, 1e9, 1e12))
 def test_endpoint_w_is_the_macdonald_sum_to_rounding(A):
-    # Temme's W at X = 1/A against the trapezoid sum it replaces, at 11
-    # real rates across the bracket (its real part near 8.9 and 10.24): W_0
-    # relative and W_1 relative to 2X W_0. The worst read 1.0e-15 and 1.2e-15
-    # here, and 1.1e-15 and 1.2e-15 at the solved rates of the 1,564
-    # real-index cutoffs of bench/screen_grid.py --part 0/16
+    # Temme's W at X = 1/A against the trapezoid sum it replaces, the pdf
+    # and cdf's point sum, at 11 real rates across the bracket (its real
+    # part near 8.9 and 10.24): W_0 relative and W_1 relative to 2X W_0.
+    # The worst read 1.0e-15 and 1.9e-15 here, and 1.1e-15 and 1.8e-15 at
+    # the solved rates of the 1,564 real-index cutoffs of
+    # bench/screen_grid.py --part 0/16
     lo, hi = lambda_bounds(A)
     X = 1.0 / A
     h = spectral._endpoint_step(A, lo)
     for k in range(11):
         lam = min(lo + (hi - lo) * k / 10, 0.125)
         w0, w1 = spectral._endpoint_w(X, h, lam)
-        r0, r1 = spectral._macdonald_sum(X, h, *spectral._macdonald_eta_beta(lam))
+        r0, r1 = macdonald_w(A, lam, X)
         assert abs(w0 - r0) <= 4e-15 * r0 and abs(w1 - r1) <= 4e-15 * 2.0 * X * r0, (A, lam)
 
 
 @pytest.mark.parametrize("A, lam", [(3.0, 0.6), (10.2, 0.13), (7.9, 0.1), (0.5, 0.125)])
 def test_endpoint_w_sums_off_temme(A, lam):
     # at an imaginary index, and at a real one past X = 1/8, the endpoint W
-    # is macdonald_w's sum, bit for bit
+    # is the point sum of the pdf and the cdf, bit for bit
     assert spectral._endpoint_w(1.0 / A, spectral._endpoint_step(A, lam), lam) == (
-        spectral.macdonald_w(A, lam, 1.0 / A))
-    assert eigencondition(A, lam) == spectral.macdonald_w(A, lam, 1.0 / A)[1]
+        macdonald_w(A, lam, 1.0 / A))
+    assert eigencondition(A, lam) == macdonald_w(A, lam, 1.0 / A)[1]
 
 
 def test_normalizer_row_is_a_second_route(solved, monkeypatch):
