@@ -7,7 +7,8 @@ The closed form at order s has two pieces:
 
 with b1 = 3/2 + xi/2 - s and b2 = 3/2 - xi/2 - s. The second piece
 vanishes identically at nonnegative integer s (reciprocal Gamma zero),
-where the 2F2 terminates and the formula is exact term by term.
+where the 2F2 terminates and the formula is exact term by term. The 2F2
+is specfun's one series loop, which hyp2f2 reads too, at (1, -s; b1, b2).
 
 The moments obey one order-shift identity,
 
@@ -42,7 +43,7 @@ import math
 from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError, RegimeError, real_number
-from .specfun import digamma, documented_real, gamma, hyp2f2, rgamma
+from .specfun import _hyp2f2, digamma, documented_real, gamma, rgamma
 from .spectral import EigenSystem, _check_sys
 
 _MAX_ORDER = 50.0
@@ -115,7 +116,7 @@ def _regular_value(s: float, sys: EigenSystem) -> float:
     # cancels to ~|s|^2 eps there
     den = g1 * g2
     pref = 2.0 * lam * math.pow(A, s) / den
-    m = pref * hyp2f2(1.0, -s, b1, b2, 2.0 / A)
+    m = pref * _hyp2f2(1.0, -s, b1, b2, 2.0 / A)
     rg = rgamma(-s)
     if rg:
         m += C * math.pow(2.0, s) * rg * gamma(g1) * gamma(g2)

@@ -11,6 +11,10 @@ the standard library's math.gamma (within 1e-15 relative of a 40-digit
 reference on [-52, 60]); at a complex argument they use a Lanczos sum.
 Digamma and Whittaker M and W stay complex.
 
+One loop, _hyp2f2, sums every hypergeometric series: hyp2f2, hyp1f1 as
+2F2(a, 1; b, 1), and at a1 = 1 the moment closed form and the
+normalizer's series, which call it without hyp2f2's name.
+
 Whittaker W here serves any (kappa, b); the law's own W_{0, xi/2} and
 W_{1, xi/2} come from Temme's series (spectral) and the Macdonald sum
 (distribution.macdonald_w), and nothing inside the package reads this
@@ -59,10 +63,11 @@ _DE_IMAG_B = 1.26          # |Im b| the step h = 1/16 resolves
 _DE_TURN = math.pi / 4     # the ray's angle at complex b
 _DE_MAX_HALVINGS = 6       # node ceiling: h = 1/1024 (6,856 nodes), |Im b| <= 80.64
 
-# stopping rule of the ascending series (see _hyp_series)
+# stopping rule of the ascending series (see _hyp2f2)
 _SERIES_REL_TOL = 1e-15
 _SERIES_SMALL_RUN = 3
 _SERIES_MAX_TERMS = 10000
+_HYP2F2_POLE_TOL = 1e-6    # hyp2f2's denominator pole distance
 
 # Lanczos rational approximation, g = 7, 9 terms. Standard coefficient set;
 # ~1e-14 relative over the right half plane, which is what the Gamma
@@ -247,77 +252,71 @@ def digamma(z: complex) -> complex:
     return out + acc
 
 
-def _hyp_series(
-    num: tuple,
-    den: tuple,
+def _hyp2f2(
+    a1: float | complex,
+    a2: float | complex,
+    b1: float | complex,
+    b2: float | complex,
     z: float | complex,
-    pole_tol: float,
+    pole_tol: float = _HYP2F2_POLE_TOL,
 ) -> float | complex:
-    """Ascending pFq series with the recurrent term update, in the type of
-    its arguments: all floats or all complex (see _hyp_args).
+    """2F2(a1, a2; b1, b2; z) by its ascending series, in the arguments'
+    type: floats if all are real, else complex numbers.
 
-    term_{n+1} = term_n * prod(a_i + n) / prod(b_j + n) * z / (n + 1),
+    term_{n+1} = term_n (a1 + n)(a2 + n) / ((b1 + n)(b2 + n)) z / (n + 1),
     summed in increasing n until _SERIES_SMALL_RUN terms in a row fall
-    below _SERIES_REL_TOL relative to the partial sum.
-
-    A numerator parameter at a nonpositive integer terminates the series. A
-    denominator parameter within pole_tol of a nonpositive integer raises
-    DenominatorPoleError unless the series terminates: with finitely many
-    terms each near-pole division is by an exactly-known parameter and the
-    result stays fully accurate, whereas an infinite tail through the pole
-    means the caller picked a formula about to lose its meaning.
+    below _SERIES_REL_TOL relative to the partial sum, in at most
+    _SERIES_MAX_TERMS terms (ConvergenceError past them). A numerator
+    parameter at a nonpositive integer -m ends the series after m terms.
+    Unless one does, a denominator parameter within pole_tol of a
+    nonpositive integer raises DenominatorPoleError: with finitely many
+    terms each near-pole division is by an exactly known parameter and the
+    sum stays accurate, but an infinite tail through the pole means the
+    caller picked a formula about to lose its meaning.
     """
-    terminates = False
-    for a in num:
-        if a.imag == 0.0 and a.real <= 0.0 and a.real == round(a.real):
-            terminates = True
-    if not terminates:
-        for b in den:
-            if _nonpositive_int_near(b, pole_tol) is not None:
+    cplx = isinstance(a1, complex) or isinstance(a2, complex) or isinstance(b1, complex)
+    kind = complex if cplx or isinstance(b2, complex) or isinstance(z, complex) else float
+    a1, a2, b1, b2, z = kind(a1), kind(a2), kind(b1), kind(b2), kind(z)
+    stop, ends = _SERIES_MAX_TERMS, False
+    for a in (a1, a2):
+        if a.real <= 0.0 and a.imag == 0.0 and a.real == round(a.real):
+            stop, ends = min(stop, round(-a.real)), True
+    if not ends:
+        for b in (b1, b2):
+            # near a nonpositive integer Re b < pole_tol; nan goes on to raise
+            if not b.real >= pole_tol and _nonpositive_int_near(b, pole_tol) is not None:
                 raise DenominatorPoleError(
                     f"denominator parameter {b} within {pole_tol} of nonpositive integer"
                 )
-    rel_tol, small_run, max_terms = _SERIES_REL_TOL, _SERIES_SMALL_RUN, _SERIES_MAX_TERMS
-    one = complex(1.0) if isinstance(z, complex) else 1.0
-    term = total = one
+    term = total = kind(1.0)
     small = 0
-    for n in range(max_terms):
-        fac = one
-        for a in num:
-            fac *= a + n
-        if fac == 0:
-            return total  # terminated exactly
-        dfac = one
-        for b in den:
-            dfac *= b + n
-        if dfac == 0:
+    for n in range(stop):
+        try:
+            term *= (a1 + n) * (a2 + n) / ((b1 + n) * (b2 + n)) * z / (n + 1)
+        except ZeroDivisionError:  # only a terminating series' denominator reaches 0
             raise DenominatorPoleError(
                 f"denominator parameter hits a nonpositive integer at term {n}"
-            )
-        term *= fac / dfac * z / (n + 1)
+            ) from None
         total += term
-        if abs(term) < rel_tol * abs(total):
+        if abs(term) < _SERIES_REL_TOL * abs(total):
             small += 1
-            if small >= small_run:
+            if small == _SERIES_SMALL_RUN:
                 return total
         else:
             small = 0
+    if stop < _SERIES_MAX_TERMS:
+        return total  # terminated exactly
     raise ConvergenceError(
-        f"series pFq({num};{den};{z}) did not meet its stopping rule in {max_terms} terms"
+        f"series 2F2({a1}, {a2}; {b1}, {b2}; {z}) did not meet its stopping rule "
+        f"in {_SERIES_MAX_TERMS} terms"
     )
 
 
-def _hyp_args(*args: float | complex) -> tuple:
-    # every argument as a complex number if one is complex, else as a float
-    kind = complex if any(isinstance(x, complex) for x in args) else float
-    return tuple(map(kind, args))
-
-
 def hyp1f1(a: float | complex, b: float | complex, z: float | complex) -> float | complex:
-    """Kummer's 1F1(a; b; z) by ascending series (entire in z); a float at
-    all-real arguments, else a complex number."""
-    a, b, z = _hyp_args(a, b, z)
-    return _hyp_series((a,), (b,), z, _POLE_TOL)
+    """Kummer's 1F1(a; b; z) = 2F2(a, 1; b, 1; z) by ascending series
+    (entire in z); a float at all-real arguments, else a complex number. A
+    denominator within 1e-12 of a nonpositive integer raises."""
+    return _hyp2f2(a, 1.0, b, 1.0, z, _POLE_TOL)
 
 
 def hyp2f2(
@@ -334,8 +333,7 @@ def hyp2f2(
     DenominatorPoleError (the moment code must switch branches well before
     that); a terminating numerator parameter disarms the check.
     """
-    a1, a2, b1, b2, z = _hyp_args(a1, a2, b1, b2, z)
-    return _hyp_series((a1, a2), (b1, b2), z, 1e-6)
+    return _hyp2f2(a1, a2, b1, b2, z)
 
 
 def whittaker_m(kappa: complex, b: complex, z: float) -> complex:

@@ -54,8 +54,7 @@ from collections import namedtuple
 
 from .errors import ConsistencyError, ConvergenceError, DomainError, real_number
 from .report import CheckRow, guarded_row
-from .specfun import _SERIES_MAX_TERMS, _SERIES_REL_TOL, _SERIES_SMALL_RUN
-from .specfun import documented_real, gamma, rgamma
+from .specfun import _hyp2f2, documented_real, gamma, rgamma
 
 _EPS = 2.220446049250313e-16
 _SERIES_C_TOL = 1e-10      # agreement of the series and endpoint normalizers
@@ -263,9 +262,10 @@ def _temme_k(eps: float, X: float) -> tuple[float, float]:
             return k0, 2.0 * k1 / X
 
 
-def _endpoint_w(X: float, h: float, lam: float) -> tuple[float, float]:
-    # (W_{0, xi/2}(2X), W_{1, xi/2}(2X)) at X = 1/A, step h (_endpoint_step):
-    # the W of Brent's steps, C and the residual. At a real index up to X = 1/8
+def _endpoint_w(X: float, h: float | None, lam: float) -> tuple[float, float]:
+    # (W_{0, xi/2}(2X), W_{1, xi/2}(2X)) at X = 1/A, step h (_endpoint_step;
+    # Temme's pair reads none): the W of Brent's steps, C and the residual.
+    # At a real index up to X = 1/8
     # Temme's pair in distribution.macdonald_w's formulas, eta = 1 - xi exact;
     # past it, off the spectrum, that module's sum, by a deferred import
     eta, beta = _macdonald_eta_beta(lam)
@@ -349,9 +349,10 @@ def _normalizer_endpoint(A: float, w0: float) -> float:
 def _normalizer_series(A: float, lam: float, sigma: int) -> float:
     # confluent-series route to the same constant; exercised as a check.
     # plus Gamma(plus/2) / (2 Gamma(plus)) is taken as Gamma(1 + plus/2) /
-    # Gamma(plus), and 1F1(a; plus; z) as 1 + a z / plus _kummer_tail(...),
-    # so that no Gamma argument or series parameter nears a pole as
-    # plus = 1 - xi ~ 4/A nears 0 at sigma = -1
+    # Gamma(plus), and 1F1(a; plus; z) as 1 + a z / plus 2F2(1, a + 1; 2,
+    # plus + 1; z), summed by specfun's one series loop, so that no Gamma
+    # argument or series parameter nears a pole as plus = 1 - xi ~ 4/A
+    # nears 0 at sigma = -1
     eta = one_minus_xi(lam)                # 1 - xi, cancellation-free; real at real xi
     if sigma > 0:
         plus, minus = 2.0 - eta, eta       # 1 + s*xi, 1 - s*xi
@@ -362,29 +363,9 @@ def _normalizer_series(A: float, lam: float, sigma: int) -> float:
         gamma(1.0 + 0.5 * plus)
         * rgamma(plus)
         * cmath.exp(0.5 * minus * math.log(0.5 * A))
-        * (1.0 + a * z / plus * _kummer_tail(a, plus, z))
+        * (1.0 + a * z / plus * _hyp2f2(1.0, a + 1.0, 2.0, plus + 1.0, z))
     )
     return documented_real(val, "series form of the normalizer")
-
-
-def _kummer_tail(a: float | complex, plus: float | complex, z: float) -> float | complex:
-    # 2F2(1, a + 1; 2, plus + 1; z), the tail of 1F1(a; plus; z) past its
-    # first term, in its own loop: specfun.hyp2f2's stopping rule, term cap
-    # and bits, without its parameter tuples or pole checks (no parameter
-    # here ends the series or nears a pole)
-    a1, b1 = a + 1.0, plus + 1.0
-    term = total = 1.0
-    small = 0
-    for n in range(_SERIES_MAX_TERMS):
-        term *= (1.0 + n) * (a1 + n) / ((2.0 + n) * (b1 + n)) * z / (n + 1)
-        total += term
-        if abs(term) < _SERIES_REL_TOL * abs(total):
-            small += 1
-            if small == _SERIES_SMALL_RUN:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError(f"normalizer series did not converge in {_SERIES_MAX_TERMS} terms")
 
 
 def eigen_checks(A: float, lam: float, C: float) -> list[CheckRow]:
@@ -554,7 +535,8 @@ def solve_lambda(A: float) -> EigenSystem:
     relative width of 1e-12. Each Brent step reads W at X = 1/A from
     _endpoint_w: Temme's series at a real index, and at an imaginary one
     the Macdonald sum, whose step (the bracket top's) and node table the
-    solve prepares once, so that a step forms only eta or beta. Its root
+    solve prepares once, and only when the bracket reaches past the rate
+    1/8, so that a step forms only eta or beta. Its root
     is a rate Brent evaluated, and C and the residual read that step's W
     pair, the bits assemble_system would sum again. Raises
     ConvergenceError if W has no sign change on the bracket, which is
@@ -575,8 +557,9 @@ def solve_lambda(A: float) -> EigenSystem:
     lo, hi = lambda_bounds(A)
     X = 1.0 / A
     # every rate Brent reads lies in [lo, hi] and so takes the step of hi:
-    # one index evaluation, at lo, which raises first past the ceiling
-    h = _endpoint_step(A, lo)
+    # one index evaluation, at lo, which raises first past the ceiling; a
+    # real-index bracket reads Temme's pair alone (X = 1/A < 1/8 there), no step
+    h = _endpoint_step(A, lo) if 8.0 * hi > 1.0 else None
     pairs = {}
 
     def g(lam: float) -> float:

@@ -3,13 +3,16 @@ import random
 
 import pytest
 
+import shiryaev_qsd.specfun as specfun
 from shiryaev_qsd.errors import (
     ConsistencyError,
+    ConvergenceError,
     DenominatorPoleError,
     DomainError,
     PoleError,
 )
 from shiryaev_qsd.specfun import (
+    _hyp2f2,
     digamma,
     documented_real,
     gamma,
@@ -223,6 +226,119 @@ def test_hyp_type_follows_the_arguments():
     assert type(hyp2f2(1.0, -0.5, complex(1.2, 0.1), 0.8, 0.3)) is complex
     assert type(hyp1f1(0.5, 1.5, 2.0)) is float
     assert type(hyp1f1(0.5, 1.5, complex(2.0))) is complex
+
+
+def _pfq(num: tuple, den: tuple, z, pole_tol: float = 1e-6):
+    # a second implementation of _hyp2f2's series, stopping rule, term cap
+    # and pole rule: the pFq recurrence term_{n+1} = term_n prod(a + n) /
+    # prod(b + n) z / (n + 1) over parameter tuples, each product started
+    # from 1, in the arguments' type, with a test of each product for 0
+    kind = complex if any(isinstance(x, complex) for x in (*num, *den, z)) else float
+    num, den, z, one = tuple(map(kind, num)), tuple(map(kind, den)), kind(z), kind(1.0)
+    if not any(a.imag == 0.0 and a.real <= 0.0 and a.real == round(a.real) for a in num):
+        for b in den:
+            if round(b.real) <= 0 and abs(b - round(b.real)) < pole_tol:
+                raise DenominatorPoleError(
+                    f"denominator parameter {b} within {pole_tol} of nonpositive integer")
+    term = total = one
+    small = 0
+    for n in range(specfun._SERIES_MAX_TERMS):
+        fac = dfac = one
+        for a in num:
+            fac *= a + n
+        if fac == 0:
+            return total
+        for b in den:
+            dfac *= b + n
+        if dfac == 0:
+            raise DenominatorPoleError(
+                f"denominator parameter hits a nonpositive integer at term {n}")
+        term *= fac / dfac * z / (n + 1)
+        total += term
+        small = small + 1 if abs(term) < 1e-15 * abs(total) else 0
+        if small == 3:
+            return total
+    raise ConvergenceError(f"no convergence in {specfun._SERIES_MAX_TERMS} terms")
+
+
+def _outcome(f, *args):
+    # f's value as (type, bits), or its exception as (type, message)
+    try:
+        v = f(*args)
+    except DenominatorPoleError as exc:
+        return type(exc), str(exc)
+    return type(v), v.real.hex(), v.imag.hex()
+
+
+@pytest.mark.parametrize("A", (0.5, 3.0, 10.2406, 20.0, 1e5, 1e9))
+def test_one_2f2_loop_is_the_pfq_series(A, pinned, monkeypatch):
+    # the package's one series loop, at a1 = 1 as the moment closed form and
+    # the normalizer series call it, returns the pFq recurrence's bits and
+    # type, or raises its error, and so does hyp2f2(1.0, ...), on both
+    # callers' families: the closed form's (-s, 2 - s - eta/2, 1 - s +
+    # eta/2, 2/A) at 300 seeded orders in [-5, 8] and the terminating 0..8,
+    # and the series' tail (1 - minus/2, 2, plus + 1, 2/A) at both signs; in
+    # float at a real index (10.2406 up) and complex at an imaginary one. At
+    # a real index 20 orders put 1 - s + eta/2 within 1e-6 of -k, where both
+    # raise DenominatorPoleError. Off the families: a terminating series
+    # through an exact denominator pole raises at the same term, and one
+    # past a grazing pole returns. With the term cap at 5 both raise
+    # ConvergenceError (at z = 3, so that the series is longer than that at
+    # every A), also where a = -5 and -7 would end the series at or past the
+    # cap, and both return where a = -4 ends it first
+    es = pinned(A)
+    eta, z = es.eta, 2.0 / A
+    h = 0.5 * eta
+    rng = random.Random(20261022)
+    orders = [rng.uniform(-5.0, 8.0) for _ in range(300)] + [float(n) for n in range(9)]
+    if isinstance(eta, float):
+        orders += [1.0 + rng.randint(0, 6) + h + rng.uniform(-9.9e-7, 9.9e-7) for _ in range(20)]
+    cases = [(-s, (2.0 - s) - h, (1.0 - s) + h, z) for s in orders]
+    cases += [(1.0 - 0.5 * minus, 2.0, plus + 1.0, z)
+              for plus, minus in ((2.0 - eta, eta), (eta, 2.0 - eta))]
+    kinds = []
+    for a, b1, b2, x in cases + [(-5.0, -2.0, 1.5, 0.3), (-1.0, 0.5, -2.0 + 1e-9, 0.3)]:
+        got = _outcome(_hyp2f2, 1.0, a, b1, b2, x)
+        assert got == _outcome(_pfq, (1.0, a), (b1, b2), x), (A, a, b1, b2, x)
+        assert got == _outcome(hyp2f2, 1.0, a, b1, b2, x), (A, a, b1, b2, x)
+        kinds.append(got[0])
+    poles = 20 if isinstance(eta, float) else 0
+    assert kinds[:-2].count(DenominatorPoleError) == poles, A
+    assert kinds[:-2].count(type(eta)) == len(cases) - poles, A
+    assert kinds[-2:] == [DenominatorPoleError, float], A
+    monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 5)
+    for a, b1, b2 in (cases[0][:3], (-5.0, 0.5, 1.5), (-7.0, 0.5, 1.5)):
+        for f, args in ((_hyp2f2, (1.0, a, b1, b2, 3.0)), (_pfq, ((1.0, a), (b1, b2), 3.0))):
+            with pytest.raises(ConvergenceError, match="in 5 terms"):
+                f(*args)
+    want = _outcome(_pfq, (1.0, -4.0), (0.5, 1.5), 3.0)
+    assert _outcome(_hyp2f2, 1.0, -4.0, 0.5, 1.5, 3.0) == want
+
+
+def test_hyp2f2_is_the_pfq_series():
+    # hyp2f2 at any parameters is the pFq recurrence to its bits, type and
+    # pole errors, on 400 cases: 101 with a denominator near a pole and 133
+    # terminating, each in float, in complex and mixed
+    for a1, a2, b1, b2, z in _hyp_cases(400):
+        for args in ((a1, a2, b1, b2, z), (complex(a1, 0.2), a2, complex(b1, -0.1), b2, z),
+                     tuple(map(complex, (a1, a2, b1, b2, z)))):
+            want = _outcome(_pfq, args[:2], args[2:4], args[4])
+            assert _outcome(hyp2f2, *args) == want, args
+
+
+def test_hyp1f1_is_the_2f2_loop_to_rounding():
+    # hyp1f1 sums 2F2(a, 1; b, 1; z), whose update carries (1 + n) / (1 + n)
+    # and so may differ from the 1F1 recurrence in the last bits: on 400
+    # cases the gap reads at most 6.8e-15 of the largest term, gated at 10x
+    worst = 0.0
+    for _, a, b, _, z in _hyp_cases(400):
+        got, want = hyp1f1(a, b, z), _pfq((a,), (b,), z, 1e-12)
+        t = big = 1.0
+        for n in range(200):
+            t *= (a + n) / (b + n) * z / (n + 1)
+            big = max(big, abs(t))
+        worst = max(worst, abs(got - want) / big)
+    assert worst <= 7e-14, worst
 
 
 def test_nonterminating_denominator_pole_raises():

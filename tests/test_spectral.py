@@ -438,7 +438,8 @@ def test_solve_sums_w_only_at_an_imaginary_index(A, tables, monkeypatch):
     # At a real index Temme's series gives W: no node table and no
     # Macdonald sum. At an imaginary one each W is one sum on one node
     # table, as is each W on the imaginary side of a bracket across
-    # lam = 1/8 (A = 10.24), whose real side reads Temme's series
+    # lam = 1/8 (A = 10.24), whose real side reads Temme's series. A bracket
+    # below 1/8 forms no Macdonald step
     spectral._macdonald_nodes.cache_clear()
     with monkeypatch.context() as m:
         evals, sums, steps = _count_w(m)
@@ -450,6 +451,7 @@ def test_solve_sums_w_only_at_an_imaginary_index(A, tables, monkeypatch):
     assert (info.misses, info.hits) == (tables, len(sums) - tables), (A, info)
     if A == 10.24:
         assert 0 < len(imaginary) < len(evals)
+    assert {h is None for _, h, _ in evals} == {tables == 0}, A
 
 
 @pytest.mark.parametrize("A, lam, C", [
@@ -571,15 +573,16 @@ def test_endpoint_w_sums_off_temme(A, lam):
 
 def test_normalizer_row_is_a_second_route(solved, monkeypatch):
     # C comes from the endpoint W_0 at 2/A, and normalizer-series from the
-    # confluent series: its 2F2 tail scaled by 1 + 1e-9 moves the series
-    # about 4.6e-10 at A = 20, which fails that row alone and leaves C as it was
+    # confluent series: its 2F2 tail (specfun's one series loop, as spectral
+    # reads it) scaled by 1 + 1e-9 moves the series about 4.6e-10 at A = 20,
+    # which fails that row alone and leaves C as it was
     es = solved(20.0)
-    series = spectral._kummer_tail
+    series = spectral._hyp2f2
 
     def scaled(*args):
         return series(*args) * (1.0 + 1e-9)
 
-    monkeypatch.setattr(spectral, "_kummer_tail", scaled)
+    monkeypatch.setattr(spectral, "_hyp2f2", scaled)
     with pytest.raises(ConsistencyError, match="normalizer-series"):
         solve_lambda(20.0)
     bad = assemble_system(20.0, es.lam, validate=False)
@@ -588,21 +591,38 @@ def test_normalizer_row_is_a_second_route(solved, monkeypatch):
 
 
 @pytest.mark.parametrize("A", (0.5, 3.0, 10.2404, 10.2406, 20.0, 1e5, 1e12))
-def test_kummer_tail_is_the_2f2_series(A, solved):
-    # the battery's own loop gives specfun.hyp2f2's bits, in real arithmetic
-    # at a real index and in complex arithmetic at an imaginary one
-    eta = one_minus_xi(solved(A).lam)
-    for plus, minus in ((2.0 - eta, eta), (eta, 2.0 - eta)):
+def test_kummer_tail_is_the_2f2_series(A, solved, monkeypatch):
+    # the battery sums the tail of Kummer's 1F1, 2F2(1, a + 1; 2, plus + 1;
+    # 2/A), with specfun's one series loop, at both signs: hyp2f2's bits at
+    # those parameters, in real arithmetic at a real index and in complex
+    # arithmetic at an imaginary one
+    es = solved(A)
+    eta = one_minus_xi(es.lam)
+    series, tails = spectral._hyp2f2, []
+
+    def kept(*args):
+        tails.append(series(*args))
+        return tails[-1]
+
+    monkeypatch.setattr(spectral, "_hyp2f2", kept)
+    for sigma in (1, -1):
+        spectral._normalizer_series(A, es.lam, sigma)
+    assert len(tails) == 2, A
+    for tail, (plus, minus) in zip(tails, ((2.0 - eta, eta), (eta, 2.0 - eta))):
         a, z = -0.5 * minus, 2.0 / A
-        tail = spectral._kummer_tail(a, plus, z)
         assert _same_bits(tail, specfun.hyp2f2(1.0, a + 1.0, 2.0, plus + 1.0, z)), A
         assert type(tail) is type(eta), A
 
 
-def test_kummer_tail_caps_its_terms(monkeypatch):
-    monkeypatch.setattr(spectral, "_SERIES_MAX_TERMS", 5)
-    with pytest.raises(ConvergenceError, match="5 terms"):
-        spectral._kummer_tail(-0.25, 1.75, 2.0)
+def test_kummer_tail_caps_its_terms(solved, monkeypatch):
+    # the battery's series stops at the loop's term cap with ConvergenceError,
+    # which fails normalizer-series with no metric
+    es = solved(3.0)
+    monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 5)
+    with pytest.raises(ConvergenceError, match="in 5 terms"):
+        spectral._normalizer_series(3.0, es.lam, 1)
+    rows = {r.name: r for r in eigen_checks(3.0, es.lam, es.C)}
+    assert rows["normalizer-series"] == ("normalizer-series", False, math.inf)
 
 
 @pytest.mark.parametrize("A, real", [

@@ -138,11 +138,23 @@ def test_verify_edges_fail_only_the_named_rows(A, solved):
     assert {r.name for r in rows if not r.passed} == EDGE_FAILURES[A], A
 
 
+def test_low_edge_cdf_rows_read_their_own_metrics(solved):
+    # at A = 0.0724 the closed-form cdf just below A reads 1 + 1.17e-11, past
+    # the 1e-12 clamp, so `cdf-endpoint` fails with no metric, while
+    # `cdf-monotone` and `dominates-stationary-cdf` each read their own
+    # metric and pass
+    rows = {r.name: r for r in run_checks(solved(0.0724))}
+    assert rows["cdf-endpoint"] == ("cdf-endpoint", False, math.inf)
+    for name in ("cdf-monotone", "dominates-stationary-cdf"):
+        assert rows[name].passed and math.isfinite(rows[name].residual), rows[name]
+
+
 def test_battery_pdf_evaluation_budget(solved, monkeypatch):
     # a battery sums the Macdonald form of W in one grid pass over the
-    # 33-point grid, for both closed forms, and once at a single point for
-    # `cdf-endpoint`; the grid takes one batched call of the dense march for
-    # both of the generator's values at all 33 points. Its one quadrature
+    # 33-point grid and the point just below A of `cdf-endpoint`, for both
+    # closed forms, and at no single point; the grid takes one batched call
+    # of the dense march for both of the generator's values at all 33
+    # points. Its one quadrature
     # pass evaluates the march's pdf in one batch of 15 nodes per GK15
     # panel: 105, 180 and 210 nodes, within 5% here, after the two leading
     # seed panels that the tail bound leaves out (135, 210 and 240 nodes
@@ -174,8 +186,8 @@ def test_battery_pdf_evaluation_budget(solved, monkeypatch):
             m.setattr(distribution, "macdonald_w", counted_w)
             m.setattr(Eigenfunction, "densities", counted_densities)
             run_checks(es)
-        assert (calls["grid"], nodes["grid"]) == (1, verify.GRID_POINTS), (A, calls)
-        assert calls["w"] == 1, (A, calls)
+        assert (calls["grid"], nodes["grid"]) == (1, verify.GRID_POINTS + 1), (A, calls)
+        assert calls["w"] == 0, (A, calls)
         assert (calls["pdf_cdf"], nodes["pdf_cdf"]) == (1, verify.GRID_POINTS), (A, calls)
         assert nodes["pdf"] == 15 * calls["pdf"], (A, calls, nodes)
         assert 0 < nodes["pdf"] <= budget, (A, nodes)
@@ -184,7 +196,7 @@ def test_battery_pdf_evaluation_budget(solved, monkeypatch):
 # the rows of run_checks after sys.checks that read each battery input,
 # directly or through another input: the quadrature pass and the W grid
 # ("pair": W_0 and W_1 at each point, from one grid pass) feed several
-# rows, and the march feeds the quadrature
+# rows, the march feeds the quadrature, and the free law feeds one row
 _QUAD_ROWS = {
     "quadrature-normalization", "moment-dual-route[s=0.5]", "moment-dual-route[s=3.14159]"}
 _CDF_ROWS = {"cdf-monotone", "cdf-endpoint", "dominates-stationary-cdf"}
@@ -202,7 +214,7 @@ _INPUT_READERS = {
     },
     "generator": {"rate-generator", *_QUAD_ROWS, "pdf-generator", "cdf-generator"},
     "pair": {"pdf-nonnegative", "pdf-generator", *_CDF_ROWS, "cdf-generator"},
-    "qsd_cdf": _CDF_ROWS,
+    "stationary_cdf": {"dominates-stationary-cdf"},
 }
 
 
